@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import FittingError, ParameterError
 from .numcore import PcaModel, pca_fit, pca_project
-from .patches import PatchDataset, PatchPair
+from .patches import PatchDataset
 
 FIXED_COMPONENTS = {"paper": 128, "desk": 16}
 
@@ -56,8 +56,3 @@ def embed_batches(baseline: PcaBaseline, scale1_batch, scale2_batch):
     z1 = pca_project(baseline.scale1, scale1_batch.reshape(n, -1))
     z2 = pca_project(baseline.scale2, scale2_batch.reshape(n, -1))
     return np.concatenate([z1, z2], axis=1)
-
-
-def embed(baseline: PcaBaseline, pair: PatchPair):
-    """Feature vector of one patch pair."""
-    return embed_batches(baseline, pair.scale1[None], pair.scale2[None])[0]

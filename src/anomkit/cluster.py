@@ -169,7 +169,7 @@ def select_k(features, k_range=(2, 30), rng: Rng | None = None, restarts=5,
 
 def assign(model: ClusterModel, z) -> int:
     """Nearest-centroid id by cosine similarity; ties to the lowest id."""
-    z = np.asarray(getattr(z, "values", z), dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
     norm = np.linalg.norm(z)
     if norm == 0 or not np.isfinite(norm):
         raise InputError("cannot assign a zero or non-finite vector")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import ParameterError, TrainingError, UsageError
-from .patches import PatchDataset, PatchPair, get_preset
+from .patches import PatchDataset
 from .rng import Rng
 
 
@@ -69,12 +69,6 @@ class TrainConfig:
     dropout: float = 0.2
     corruption: float = 0.2  # masking-noise probability for the fusion DAE
     fusion_epochs: int = 30
-
-
-@dataclass
-class FeatureVector:
-    values: np.ndarray  # [fusion_dim]
-    source: tuple = ("", 0, 0)  # (volume_id, slice index, superpixel id)
 
 
 class ScaleAutoencoder:
@@ -277,9 +271,3 @@ def embed_dataset(model: DcaeModel, dataset: PatchDataset, batch=512):
                         dataset.scale2[start : start + batch])
         )
     return np.concatenate(outs, axis=0)
-
-
-def extract_features(model: DcaeModel, pair: PatchPair) -> FeatureVector:
-    """The 256-d (preset-dependent) feature vector of one patch pair."""
-    z = embed_pairs(model, pair.scale1[None], pair.scale2[None])[0]
-    return FeatureVector(values=np.asarray(z, dtype=np.float64), source=pair.source)

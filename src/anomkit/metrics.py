@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, UsageError
-from .patches import extract_pair, get_preset
+from .patches import cut_at_centroids, get_preset
 from .phantom import TYPE_CYST, TYPE_FLUID, TYPE_NONE
 from .rng import Rng
 
@@ -236,13 +236,8 @@ def build_classification_set(items, embedder, per_class_n=500, rng: Rng | None =
         keep = np.sort(rng.derive(ci).choice(len(pool), size=per_class_n, replace=False))
         chosen.extend((pool[i], c) for i in keep)
 
-    s1, s2, labels, pids = [], [], [], []
-    for (vid, prep, sp), c in chosen:
-        center = (int(round(sp.centroid[0])), int(round(sp.centroid[1])))
-        pair = extract_pair(prep.data[sp.slice_index], center, p)
-        s1.append(pair.scale1)
-        s2.append(pair.scale2)
-        labels.append(c)
-        pids.append(vid)
-    feats = embedder(np.stack(s1), np.stack(s2))
+    s1, s2 = cut_at_centroids([(prep, sp) for (_, prep, sp), _ in chosen], p)
+    feats = embedder(s1, s2)
+    labels = [c for _, c in chosen]
+    pids = [vid for (vid, _, _), _ in chosen]
     return np.asarray(feats), np.asarray(labels), np.asarray(pids)

@@ -1,23 +1,16 @@
 """Numeric substrate: tensor ops, layers with backprop, SGD, PCA, tensor IO."""
 
 from .ops import (
-    PoolSwitches,
     conv2d_valid,
-    conv2d_backward,
     deconv2d,
-    deconv2d_backward,
-    dense,
-    dense_backward,
     dropout,
     dropout_backward,
     elu,
     elu_backward,
     maxpool,
-    maxpool_backward,
     mse,
     mse_grad,
     unpool,
-    unpool_backward,
 )
 from .layers import (
     Conv2D,
@@ -26,49 +19,36 @@ from .layers import (
     Dropout,
     Elu,
     GradTape,
-    Layer,
     MaxPool2D,
     Network,
     Reshape,
-    SgdOptimizer,
     Unpool2D,
-    glorot_uniform,
     sgd_step,
 )
 from .pca import PcaModel, pca_fit, pca_project
 from .tensorio import read_tensor, write_tensor
 
 __all__ = [
-    "PoolSwitches",
     "conv2d_valid",
-    "conv2d_backward",
     "deconv2d",
-    "deconv2d_backward",
-    "dense",
-    "dense_backward",
     "dropout",
     "dropout_backward",
     "elu",
     "elu_backward",
     "maxpool",
-    "maxpool_backward",
     "mse",
     "mse_grad",
     "unpool",
-    "unpool_backward",
     "Conv2D",
     "Deconv2D",
     "Dense",
     "Dropout",
     "Elu",
     "GradTape",
-    "Layer",
     "MaxPool2D",
     "Network",
     "Reshape",
-    "SgdOptimizer",
     "Unpool2D",
-    "glorot_uniform",
     "sgd_step",
     "PcaModel",
     "pca_fit",

@@ -301,19 +301,3 @@ def sgd_step(params, grads, lr, momentum=0.0, velocity=None):
         new_velocity.append(v.astype(p.dtype))
         new_params.append(p + v.astype(p.dtype))
     return new_params, new_velocity
-
-
-class SgdOptimizer:
-    """Stateful wrapper around sgd_step that updates a network in place."""
-
-    def __init__(self, network: Network, lr, momentum=0.9):
-        self.network = network
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self.velocity = None
-
-    def step(self, grads):
-        params = self.network.params()
-        new_params, self.velocity = sgd_step(params, grads, self.lr, self.momentum, self.velocity)
-        for p, new in zip(params, new_params):
-            p[...] = new

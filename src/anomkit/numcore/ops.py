@@ -155,12 +155,8 @@ def maxpool_backward(grad_out, switches):
     return unpool(grad_out, switches)
 
 
-def unpool(x, switches, out_shape=None):
+def unpool(x, switches):
     """Place each value at its recorded argmax position; zeros elsewhere."""
-    if out_shape is not None and tuple(out_shape) != tuple(switches.in_shape):
-        raise DimensionError(
-            f"out_shape {tuple(out_shape)} != switch geometry {tuple(switches.in_shape)}"
-        )
     xb, batched = _as_batch(x, 3)
     idx, _ = _as_batch(switches.index, 3)
     if xb.shape != idx.shape:

@@ -138,12 +138,8 @@ class OcSvmModel:
 
 
 def as_feature_matrix(features):
-    """Accept an [n,d] array or a list of objects with a `.values` vector."""
-    if hasattr(features, "ndim"):
-        mat = np.asarray(features, dtype=np.float64)
-    else:
-        rows = [np.asarray(getattr(f, "values", f), dtype=np.float64) for f in features]
-        mat = np.stack(rows) if rows else np.zeros((0, 0))
+    """The [n, d] float64 matrix of `features`."""
+    mat = np.asarray(features, dtype=np.float64)
     if mat.ndim != 2:
         raise DimensionError(f"features must form an [n, d] matrix, got {mat.shape}")
     return mat
@@ -194,7 +190,7 @@ def decision_values(model: OcSvmModel, features):
 
 def score(model: OcSvmModel, z):
     """Classify one feature vector; the boundary itself counts as normal."""
-    z = np.asarray(getattr(z, "values", z), dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
     if z.ndim != 1:
         raise UsageError(f"score expects a single vector, got shape {z.shape}")
     val = float(decision_values(model, z))

@@ -1,9 +1,14 @@
 """Two-scale patch pairs sampled at superpixel centroids.
 
 Each in-retina superpixel yields one pair: a side x side crop around the
-centroid, and a 4x-wider crop at the same center whose width is averaged
-down to the same size. Both scales therefore share the center pixel
-exactly; borders are handled by edge replication.
+rounded centroid, and a 4x-wider crop at the same center whose width is
+averaged down to the same size. Both scales therefore share the center
+pixel exactly; borders are handled by edge replication.
+
+`cut_pairs` cuts every pair of one slice at once: the slice is edge-padded
+once and all crops are gathered by fancy indexing. `build_dataset` orders
+the in-retina superpixel records, applies `cap` to those rows, and only
+then cuts pairs for the rows it keeps, one slice at a time.
 """
 
 from __future__ import annotations
@@ -41,34 +46,42 @@ def get_preset(name) -> PatchPreset:
         raise ParameterError(f"unknown patch preset {name!r}; know {sorted(PRESETS)}") from None
 
 
-@dataclass
-class PatchPair:
-    scale1: np.ndarray  # [side, side] float32
-    scale2: np.ndarray  # [side, side] float32, width-downsampled wide crop
-    source: tuple  # (volume_id, slice index, superpixel id)
+def cut_pairs(slice_img, centers, preset):
+    """Cut the (scale1, scale2) pairs centered on integer pixels of one slice.
 
-
-def _crop_replicated(img, r0, c0, height, width):
-    rows = np.clip(np.arange(r0, r0 + height), 0, img.shape[0] - 1)
-    cols = np.clip(np.arange(c0, c0 + width), 0, img.shape[1] - 1)
-    return img[np.ix_(rows, cols)]
-
-
-def extract_pair(slice_img, center, preset, source=("", 0, 0)) -> PatchPair:
-    """Cut the (scale1, scale2) pair centered on one pixel."""
+    `centers` is [n, 2] (row, col); returns two [n, side, side] float32
+    arrays whose rows follow `centers`.
+    """
     p = get_preset(preset)
-    r, c = int(center[0]), int(center[1])
-    if not (0 <= r < slice_img.shape[0] and 0 <= c < slice_img.shape[1]):
-        raise InputError(f"center {center} outside slice {slice_img.shape}")
-    s = p.side
-    scale1 = _crop_replicated(slice_img, r - s // 2, c - s // 2, s, s)
-    wide = _crop_replicated(slice_img, r - s // 2, c - p.wide // 2, s, p.wide)
-    scale2 = wide.reshape(s, s, 4).mean(axis=2)  # 1x4 average pooling
-    return PatchPair(
-        scale1=scale1.astype(np.float32),
-        scale2=scale2.astype(np.float32),
-        source=source,
-    )
+    img = np.asarray(slice_img)
+    centers = np.asarray(centers, dtype=np.int64).reshape(-1, 2)
+    r, c = centers[:, 0], centers[:, 1]
+    outside = (r < 0) | (r >= img.shape[0]) | (c < 0) | (c >= img.shape[1])
+    if outside.any():
+        raise InputError(f"center {tuple(centers[outside][0].tolist())} outside slice {img.shape}")
+    s, pad = p.side, p.wide // 2  # pad covers the widest crop reach on every side
+    padded = np.pad(img, pad, mode="edge")
+    rows = (r + pad - s // 2)[:, None, None] + np.arange(s)[None, :, None]
+    cols1 = (c + pad - s // 2)[:, None, None] + np.arange(s)
+    cols2 = (c + pad - p.wide // 2)[:, None, None] + np.arange(p.wide)
+    scale1 = padded[rows, cols1]
+    scale2 = padded[rows, cols2].reshape(-1, s, s, 4).mean(axis=3)  # 1x4 average pooling
+    return scale1.astype(np.float32), scale2.astype(np.float32)
+
+
+def cut_at_centroids(rows, preset):
+    """Pairs for (PreprocessedVolume, Superpixel) rows, cut at each rounded
+    centroid one slice at a time; output rows follow `rows`."""
+    p = get_preset(preset)
+    scale1 = np.empty((len(rows), p.side, p.side), dtype=np.float32)
+    scale2 = np.empty_like(scale1)
+    by_slice = {}  # (id of the volume, slice index) -> (volume, row indices)
+    for i, (prep, sp) in enumerate(rows):
+        by_slice.setdefault((id(prep), sp.slice_index), (prep, []))[1].append(i)
+    for (_, s), (prep, idx) in by_slice.items():
+        centers = np.rint([rows[i][1].centroid for i in idx])
+        scale1[idx], scale2[idx] = cut_pairs(prep.data[s], centers, p)
+    return scale1, scale2
 
 
 @dataclass
@@ -91,8 +104,9 @@ def build_dataset(preps, split, preset, rng: Rng | None = None, cap=None,
     `preps` is an ordered list of (volume_id, PreprocessedVolume). Ordering
     of the output is (volume order, slice, superpixel id) and deterministic.
     For the healthy-train split, pass `ground_truths` aligned with `preps`
-    to assert the volumes really are anomaly-free. `cap` subsamples
-    uniformly (seeded) while preserving the sort order.
+    to assert the volumes really are anomaly-free. `cap` subsamples the
+    rows uniformly (seeded) while preserving the sort order, before any
+    pair is cut.
     """
     p = get_preset(preset)
     if split not in ("healthy-train", "anomaly-train", "eval"):
@@ -102,35 +116,26 @@ def build_dataset(preps, split, preset, rng: Rng | None = None, cap=None,
             if gt is not None and gt.mask.any():
                 raise InputError(f"volume {vid} in healthy-train has anomaly voxels")
 
-    s1, s2, sources, patients = [], [], [], []
+    rows = []  # (volume_id, PreprocessedVolume, Superpixel) in output order
     for vid, prep in preps:
         sps = [sp for sp in prep.superpixels if sp.in_retina]
         sps.sort(key=lambda sp: (sp.slice_index, sp.id))
-        for sp in sps:
-            center = (int(round(sp.centroid[0])), int(round(sp.centroid[1])))
-            pair = extract_pair(prep.data[sp.slice_index], center, p,
-                                source=(vid, sp.slice_index, sp.id))
-            s1.append(pair.scale1)
-            s2.append(pair.scale2)
-            sources.append(pair.source)
-            patients.append(vid)
-    if not s1:
+        rows.extend((vid, prep, sp) for sp in sps)
+    if not rows:
         raise InputError("no in-retina superpixels: empty dataset")
 
-    if cap is not None and len(s1) > cap:
+    if cap is not None and len(rows) > cap:
         if rng is None:
             raise ParameterError("cap subsampling requires an rng")
-        keep = np.sort(rng.choice(len(s1), size=cap, replace=False))
-        s1 = [s1[i] for i in keep]
-        s2 = [s2[i] for i in keep]
-        sources = [sources[i] for i in keep]
-        patients = [patients[i] for i in keep]
+        keep = np.sort(rng.choice(len(rows), size=cap, replace=False))
+        rows = [rows[i] for i in keep]
 
+    scale1, scale2 = cut_at_centroids([(prep, sp) for _, prep, sp in rows], p)
     return PatchDataset(
-        scale1=np.stack(s1).astype(np.float32),
-        scale2=np.stack(s2).astype(np.float32),
-        sources=sources,
-        patient_ids=patients,
+        scale1=scale1,
+        scale2=scale2,
+        sources=[(vid, sp.slice_index, sp.id) for vid, _, sp in rows],
+        patient_ids=[vid for vid, _, _ in rows],
         split=split,
         preset=p,
     )

@@ -4,11 +4,16 @@ Order of operations for one volume: find the top/bottom retina surfaces per
 slice (dynamic programming on vertical-gradient cost images), flatten every
 column onto the deepest bottom row, normalize each slice's intensity into
 [0,1] by robust percentiles, then oversegment each slice into superpixels.
+
+SLIC yields an int label map per slice. `superpixel_records` turns that map
+into complete `Superpixel` records in one pass: pixel lists from one stable
+argsort, centroids from `np.bincount`, and the in-retina flag from one
+vectorized band comparison at the rounded centroid column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -38,11 +43,7 @@ class Superpixel:
     rows: np.ndarray
     cols: np.ndarray
     centroid: tuple  # (row, col), fractional
-    in_retina: bool = False
-
-    @property
-    def area(self) -> int:
-        return int(self.rows.size)
+    in_retina: bool
 
 
 def _min_cost_path(cost, bound):
@@ -233,17 +234,15 @@ def _enforce_connectivity(labels):
     return new_label_of_comp[comp]
 
 
-def slic_superpixels(slice_img, target_area=16, compactness=0.1, rng=None, n_iter=10):
+def slic_superpixels(slice_img, target_area=16, compactness=0.1, n_iter=10):
     """SLIC oversegmentation of one slice into ~target_area superpixels.
 
     k-means in (intensity, row, col) with distance
     sqrt(d_int^2 + (m/S)^2 * d_spatial^2), S = sqrt(target_area), initialized
     on a regular S-grid and restricted to the 3x3 neighborhood of each
-    pixel's grid cell. Connectivity is enforced afterwards. The result
-    partitions the slice; superpixel ids follow grid order.
-
-    The procedure is deterministic; `rng` is accepted for interface
-    stability and unused.
+    pixel's grid cell. Connectivity is enforced afterwards. Returns the
+    [H, W] int label map; superpixel ids follow grid order and need not be
+    contiguous. The procedure is deterministic.
     """
     img = np.asarray(slice_img, dtype=np.float64)
     if target_area < 4:
@@ -251,13 +250,7 @@ def slic_superpixels(slice_img, target_area=16, compactness=0.1, rng=None, n_ite
     h, w = img.shape
     step = max(int(round(np.sqrt(target_area))), 1)
     if h <= step or w <= step:
-        rows, cols = np.nonzero(np.ones((h, w), dtype=bool))
-        return [
-            Superpixel(
-                id=0, slice_index=0, rows=rows, cols=cols,
-                centroid=(float(rows.mean()), float(cols.mean())),
-            )
-        ]
+        return np.zeros((h, w), dtype=np.int64)
 
     grid_rows = np.arange(step // 2, h, step)
     grid_cols = np.arange(step // 2, w, step)
@@ -299,39 +292,34 @@ def slic_superpixels(slice_img, target_area=16, compactness=0.1, rng=None, n_ite
         c_row[nz] = sums_r[nz] / counts[nz]
         c_col[nz] = sums_c[nz] / counts[nz]
 
-    labels = _enforce_connectivity(labels)
+    return _enforce_connectivity(labels)
 
+
+def superpixel_records(labels, slice_index, surfaces: SurfacePair) -> list:
+    """Complete `Superpixel` records of one slice's label map, in id order.
+
+    Each record's pixels are in raster order. A superpixel is in the retina
+    when its centroid row lies in [top, bottom] at the centroid column,
+    rounded half to even as Python's `round` does.
+    """
+    w = labels.shape[1]
     flat = labels.ravel()
     order = np.argsort(flat, kind="stable")
     sorted_lab = flat[order]
-    uniq, starts = np.unique(sorted_lab, return_index=True)
-    bounds = np.append(starts, flat.size)
-    out = []
-    for k, lab in enumerate(uniq):
-        pix = order[bounds[k] : bounds[k + 1]]
-        rows = pix // w
-        cols = pix % w
-        out.append(
-            Superpixel(
-                id=int(lab),
-                slice_index=0,
-                rows=rows,
-                cols=cols,
-                centroid=(float(rows.mean()), float(cols.mean())),
-            )
-        )
-    return out
-
-
-def mark_retina(superpixels, surfaces: SurfacePair, slice_index=None):
-    """Set in_retina: centroid row within [top, bottom] at the centroid column."""
-    out = []
-    for sp in superpixels:
-        s = sp.slice_index if slice_index is None else slice_index
-        col = int(np.clip(round(sp.centroid[1]), 0, surfaces.top.shape[1] - 1))
-        inside = surfaces.top[s, col] <= sp.centroid[0] <= surfaces.bottom[s, col]
-        out.append(replace(sp, in_retina=bool(inside)))
-    return out
+    ids, starts, counts = np.unique(sorted_lab, return_index=True, return_counts=True)
+    rows, cols = order // w, order % w
+    centroid_r = np.bincount(sorted_lab, weights=rows)[ids] / counts
+    centroid_c = np.bincount(sorted_lab, weights=cols)[ids] / counts
+    col = np.clip(np.rint(centroid_c), 0, w - 1).astype(np.int64)
+    in_retina = ((surfaces.top[slice_index, col] <= centroid_r)
+                 & (centroid_r <= surfaces.bottom[slice_index, col]))
+    return [
+        Superpixel(id=lab, slice_index=slice_index, rows=rows[a:b], cols=cols[a:b],
+                   centroid=(r, c), in_retina=inside)
+        for lab, a, b, r, c, inside in zip(
+            ids.tolist(), starts.tolist(), (starts + counts).tolist(),
+            centroid_r.tolist(), centroid_c.tolist(), in_retina.tolist())
+    ]
 
 
 @dataclass
@@ -354,7 +342,6 @@ def preprocess_volume(volume_data, target_area=16, compactness=0.1,
     superpixels = []
     for s in range(n_slices):
         norm[s] = normalize_slice(flat[s], band[s])
-        sps = slic_superpixels(norm[s], target_area=target_area, compactness=compactness)
-        sps = [replace(sp, slice_index=s) for sp in sps]
-        superpixels.extend(mark_retina(sps, fsurf))
+        labels = slic_superpixels(norm[s], target_area=target_area, compactness=compactness)
+        superpixels.extend(superpixel_records(labels, s, fsurf))
     return PreprocessedVolume(data=norm.astype(np.float32), surfaces=fsurf, superpixels=superpixels)

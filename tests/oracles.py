@@ -106,3 +106,21 @@ def davies_bouldin_oracle(points, labels, centroids):
             worst = max(worst, ratio)
         total += worst
     return total / k
+
+
+def pair_oracle(slice_img, center, side):
+    """Literal (scale1, scale2) crop of one pair: clipped index crops, so
+    rows and columns past the border repeat the edge, then a 1x4 mean over
+    the 4x-wide crop."""
+    img = np.asarray(slice_img)
+    r, c = int(center[0]), int(center[1])
+
+    def crop(r0, c0, height, width):
+        rows = np.clip(np.arange(r0, r0 + height), 0, img.shape[0] - 1)
+        cols = np.clip(np.arange(c0, c0 + width), 0, img.shape[1] - 1)
+        return img[np.ix_(rows, cols)]
+
+    scale1 = crop(r - side // 2, c - side // 2, side, side)
+    wide = crop(r - side // 2, c - 2 * side, side, 4 * side)
+    scale2 = wide.reshape(side, side, 4).mean(axis=2)
+    return scale1.astype(np.float32), scale2.astype(np.float32)

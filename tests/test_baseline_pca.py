@@ -1,0 +1,77 @@
+"""PCA comparison embeddings."""
+
+import numpy as np
+import pytest
+
+from anomkit import baseline_pca, patches
+from anomkit.errors import FittingError, ParameterError
+from anomkit.numcore import pca_project
+from anomkit.rng import Rng
+
+
+def _dataset(n, split="healthy-train", rank=None, seed=70):
+    """Random desk-sized patch pairs; with `rank`, each scale is a mix of
+    `rank` fixed patterns plus a little noise."""
+    rng = Rng(seed)
+    scales = []
+    for s in range(2):
+        if rank is None:
+            x = rng.uniform(size=(n, 16 * 16))
+        else:
+            x = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, 16 * 16))
+            x += 1e-3 * rng.normal(size=x.shape)
+        scales.append(x.reshape(n, 16, 16).astype(np.float32))
+    return patches.PatchDataset(
+        scale1=scales[0], scale2=scales[1], sources=[("v", 0, i) for i in range(n)],
+        patient_ids=["v"] * n, split=split, preset=patches.get_preset("desk"),
+    )
+
+
+def _variance_components(x, frac=0.95):
+    """Smallest k whose top-k singular values carry `frac` of the variance."""
+    centered = x.reshape(x.shape[0], -1).astype(np.float64)
+    centered -= centered.mean(axis=0)
+    var = np.linalg.svd(centered, compute_uv=False) ** 2
+    return int(np.argmax(np.cumsum(var) >= frac * var.sum()) + 1)
+
+
+class TestFit:
+    def test_fixed_mode_dims(self):
+        base = baseline_pca.fit_pca_baseline(_dataset(60), "fixed")
+        k = baseline_pca.FIXED_COMPONENTS["desk"]
+        assert base.scale1.n_components == base.scale2.n_components == k
+        assert base.dim == 2 * k
+
+    def test_variance_mode_dims(self):
+        ds = _dataset(80, rank=5)
+        base = baseline_pca.fit_pca_baseline(ds, "variance")
+        assert base.scale1.n_components == _variance_components(ds.scale1)
+        assert base.scale2.n_components == _variance_components(ds.scale2)
+        assert base.scale1.n_components <= 5
+        assert base.dim == base.scale1.n_components + base.scale2.n_components
+
+    def test_non_healthy_split_rejected(self):
+        with pytest.raises(FittingError):
+            baseline_pca.fit_pca_baseline(_dataset(60, split="eval"), "fixed")
+
+    def test_fewer_samples_than_components_rejected(self):
+        with pytest.raises(FittingError):
+            baseline_pca.fit_pca_baseline(_dataset(baseline_pca.FIXED_COMPONENTS["desk"] - 1),
+                                          "fixed")
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ParameterError):
+            baseline_pca.fit_pca_baseline(_dataset(60), "whitened")
+
+
+def test_embed_batches_concatenates_per_scale_projections():
+    ds = _dataset(60)
+    base = baseline_pca.fit_pca_baseline(ds, "fixed")
+    other = _dataset(9, seed=71)
+    z = baseline_pca.embed_batches(base, other.scale1, other.scale2)
+    expected = np.concatenate([
+        pca_project(base.scale1, other.scale1.reshape(9, -1)),
+        pca_project(base.scale2, other.scale2.reshape(9, -1)),
+    ], axis=1)
+    assert z.shape == (9, base.dim)
+    assert np.array_equal(z, expected)

@@ -150,3 +150,52 @@ class TestGroupedCv:
         report = metrics.grouped_cv(X, y, pid, n_folds=5, rng=Rng(49))
         text = report.summary()
         assert "(±" in text and text.endswith(")")
+
+
+@pytest.fixture(scope="module")
+def annotated():
+    from anomkit import phantom, preprocess
+
+    items = []
+    for i, seed in enumerate((60, 61)):
+        vol, gt = phantom.generate_volume(phantom.test_config(seed), f"vol-{i}")
+        items.append((vol.volume_id, preprocess.preprocess_volume(vol.data), gt))
+    return items
+
+
+def _flat_pairs(scale1, scale2):
+    n = scale1.shape[0]
+    return np.concatenate([scale1.reshape(n, -1), scale2.reshape(n, -1)], axis=1)
+
+
+class TestBuildClassificationSet:
+    def test_balanced_rows_per_class(self, annotated):
+        feats, labels, pids = metrics.build_classification_set(
+            annotated, _flat_pairs, per_class_n=12, rng=Rng(62))
+        assert feats.shape == (36, 2 * 16 * 16)
+        for c in metrics.DEFAULT_CLASSES:
+            assert int(np.sum(labels == c)) == 12
+        assert set(pids.tolist()) <= {"vol-0", "vol-1"}
+
+    def test_short_class_rejected(self, annotated):
+        with pytest.raises(InputError):
+            metrics.build_classification_set(annotated, _flat_pairs, per_class_n=10**6)
+
+    def test_rows_are_embedded_oracle_pairs(self, annotated):
+        from oracles import pair_oracle
+
+        # every in-retina superpixel's oracle pair, keyed by its embedding
+        truth = {}
+        for vid, prep, gt in annotated:
+            for sp in prep.superpixels:
+                if not sp.in_retina:
+                    continue
+                center = (round(sp.centroid[0]), round(sp.centroid[1]))
+                o1, o2 = pair_oracle(prep.data[sp.slice_index], center, 16)
+                key = _flat_pairs(o1[None], o2[None])[0].tobytes()
+                kind = metrics.superpixel_majority_type(sp, gt.labels[sp.slice_index])
+                truth.setdefault(key, set()).add((vid, kind))
+        feats, labels, pids = metrics.build_classification_set(
+            annotated, _flat_pairs, per_class_n=12, rng=Rng(63))
+        for row, label, pid in zip(feats, labels, pids):
+            assert (pid, label) in truth[row.tobytes()]

@@ -7,52 +7,84 @@ from anomkit import patches, phantom, preprocess
 from anomkit.errors import InputError
 from anomkit.rng import Rng
 
+from oracles import pair_oracle
+
 
 class TestExtractPair:
+    """`cut_pairs` on single centres."""
+
     def test_constant_slice(self):
         img = np.full((64, 64), 0.3, np.float32)
-        pair = patches.extract_pair(img, (32, 32), "desk")
-        assert pair.scale1.shape == (16, 16)
-        assert pair.scale2.shape == (16, 16)
-        assert np.all(pair.scale1 == np.float32(0.3))
-        assert np.all(pair.scale2 == np.float32(0.3))
+        s1, s2 = patches.cut_pairs(img, [(32, 32)], "desk")
+        assert s1.shape == (1, 16, 16)
+        assert s2.shape == (1, 16, 16)
+        assert np.all(s1 == np.float32(0.3))
+        assert np.all(s2 == np.float32(0.3))
 
     def test_column_constant_scale2_equals_scale1(self):
         rng = Rng(50)
         col = rng.uniform(size=(64, 1))
         img = np.repeat(col, 64, axis=1)  # constant along columns
-        pair = patches.extract_pair(img, (32, 32), "desk")
-        assert np.abs(pair.scale2 - pair.scale1).max() <= 1e-6
+        s1, s2 = patches.cut_pairs(img, [(32, 32)], "desk")
+        assert np.abs(s2 - s1).max() <= 1e-6
 
     def test_scale2_matches_mean_pool_oracle(self):
         rng = Rng(51)
         img = rng.uniform(size=(80, 120))
         r, c = 40, 60
-        pair = patches.extract_pair(img, (r, c), "desk")
+        _, s2 = patches.cut_pairs(img, [(r, c)], "desk")
         s = 16
         wide = img[r - 8 : r + 8, c - 32 : c + 32]
         oracle = np.zeros((s, s))
         for i in range(s):
             for j in range(s):
                 oracle[i, j] = wide[i, 4 * j : 4 * j + 4].mean()
-        assert np.abs(pair.scale2 - oracle).max() <= 1e-6
+        assert np.abs(s2[0] - oracle).max() <= 1e-6
 
     def test_border_replication(self):
         img = np.zeros((20, 20), np.float32)
         img[0, :] = 1.0
-        pair = patches.extract_pair(img, (0, 10), "desk")
+        s1, _ = patches.cut_pairs(img, [(0, 10)], "desk")
         # rows above the image replicate row 0
-        assert np.all(pair.scale1[:9, :] == 1.0)
+        assert np.all(s1[0, :9, :] == 1.0)
 
     def test_center_must_be_inside(self):
         with pytest.raises(InputError):
-            patches.extract_pair(np.zeros((10, 10)), (10, 0), "desk")
+            patches.cut_pairs(np.zeros((10, 10)), [(10, 0)], "desk")
+        # one bad centre rejects the whole batch
+        with pytest.raises(InputError):
+            patches.cut_pairs(np.zeros((10, 10)), [(5, 5), (0, -1)], "desk")
 
     def test_paper_preset_shapes(self):
         img = np.zeros((200, 200), np.float32)
-        pair = patches.extract_pair(img, (100, 100), "paper")
-        assert pair.scale1.shape == (32, 32)
-        assert pair.scale2.shape == (32, 32)
+        s1, s2 = patches.cut_pairs(img, [(100, 100)], "paper")
+        assert s1.shape == (1, 32, 32)
+        assert s2.shape == (1, 32, 32)
+
+
+class TestCutPairsOracle:
+    @pytest.mark.parametrize("preset", ["desk", "paper"])
+    @pytest.mark.parametrize("shape", [(40, 70), (5, 7)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_per_pair_oracle(self, preset, shape, dtype):
+        rng = Rng(54)
+        img = rng.uniform(size=shape).astype(dtype)
+        h, w = shape
+        border = [(r, c) for r in (0, 1, h - 2, h - 1) for c in range(w)]
+        border += [(r, c) for r in range(h) for c in (0, 1, w - 2, w - 1)]
+        inner = [tuple(x) for x in rng.integers(0, [h, w], size=(20, 2))]
+        centers = border + inner
+        s1, s2 = patches.cut_pairs(img, centers, preset)
+        side = patches.get_preset(preset).side
+        for k, center in enumerate(centers):
+            o1, o2 = pair_oracle(img, center, side)
+            assert s1[k].dtype == o1.dtype and s2[k].dtype == o2.dtype
+            assert np.array_equal(s1[k], o1), center
+            assert np.array_equal(s2[k], o2), center
+
+    def test_no_centres_gives_empty_batches(self):
+        s1, s2 = patches.cut_pairs(np.zeros((10, 10)), np.zeros((0, 2)), "desk")
+        assert s1.shape == s2.shape == (0, 16, 16)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +136,24 @@ class TestBuildDataset:
         ds = patches.build_dataset([(vol.volume_id, prep)], "eval", "desk")
         for arr in (ds.scale1, ds.scale2):
             assert arr.min() >= 0.0 and arr.max() <= 1.0
+
+    def test_pairs_equal_oracle_cut_then_capped(self, prepped):
+        vol, gt, prep = prepped
+        sps = sorted((sp for sp in prep.superpixels if sp.in_retina),
+                     key=lambda sp: (sp.slice_index, sp.id))
+        pairs = [pair_oracle(prep.data[sp.slice_index],
+                             (round(sp.centroid[0]), round(sp.centroid[1])), 16)
+                 for sp in sps]
+        sources = [(vol.volume_id, sp.slice_index, sp.id) for sp in sps]
+        for cap in (None, 100):
+            ds = patches.build_dataset([(vol.volume_id, prep)], "eval", "desk",
+                                       rng=Rng(5), cap=cap)
+            keep = (range(len(sps)) if cap is None
+                    else np.sort(Rng(5).choice(len(sps), size=cap, replace=False)))
+            assert ds.sources == [sources[i] for i in keep]
+            assert ds.patient_ids == [vol.volume_id] * len(keep)
+            assert np.array_equal(ds.scale1, np.stack([pairs[i][0] for i in keep]))
+            assert np.array_equal(ds.scale2, np.stack([pairs[i][1] for i in keep]))
 
     def test_unknown_split_rejected(self, prepped):
         vol, gt, prep = prepped

@@ -143,73 +143,84 @@ class TestNormalizeSlice:
 class TestSlic:
     def test_constant_image_gives_grid(self):
         img = np.full((32, 32), 0.5)
-        sps = preprocess.slic_superpixels(img, target_area=16)
-        assert len(sps) == 64
-        areas = {sp.area for sp in sps}
-        assert areas == {16}
-        # grid-order ids: first superpixel occupies the top-left 4x4 cell
-        sp0 = min(sps, key=lambda s: s.id)
-        assert set(zip(sp0.rows.tolist(), sp0.cols.tolist())) == {
+        labels = preprocess.slic_superpixels(img, target_area=16)
+        assert labels.shape == (32, 32)
+        ids, areas = np.unique(labels, return_counts=True)
+        assert ids.size == 64
+        assert set(areas.tolist()) == {16}
+        # grid-order ids: the lowest id occupies the top-left 4x4 cell
+        assert set(map(tuple, np.argwhere(labels == ids[0]).tolist())) == {
             (r, c) for r in range(4) for c in range(4)
         }
 
     def test_partition_property(self):
         vol, _ = phantom.generate_volume(phantom.healthy_config(26))
         prep_img = vol.data[0]
-        sps = preprocess.slic_superpixels(prep_img, target_area=16)
+        labels = preprocess.slic_superpixels(prep_img, target_area=16)
+        surf = preprocess.segment_surfaces(vol.data[:1])
+        sps = preprocess.superpixel_records(labels, 0, surf)
+        assert [sp.id for sp in sps] == np.unique(labels).tolist()
         seen = np.zeros(prep_img.shape, dtype=int)
         for sp in sps:
             seen[sp.rows, sp.cols] += 1
+            assert np.all(labels[sp.rows, sp.cols] == sp.id)
         assert np.all(seen == 1)
 
     def test_mean_area_within_quarter_of_target(self):
         vol, _ = phantom.generate_volume(phantom.healthy_config(27))
         for s in range(0, 8, 3):
-            sps = preprocess.slic_superpixels(vol.data[s], target_area=16)
-            mean_area = np.mean([sp.area for sp in sps])
+            labels = preprocess.slic_superpixels(vol.data[s], target_area=16)
+            mean_area = labels.size / np.unique(labels).size
             assert 12.0 <= mean_area <= 20.0
 
     def test_connectivity(self):
         from scipy import ndimage
 
         vol, _ = phantom.generate_volume(phantom.test_config(28))
-        sps = preprocess.slic_superpixels(vol.data[2], target_area=16)
-        for sp in sps[::17]:  # spot-check a spread of superpixels
-            m = np.zeros(vol.data[2].shape, bool)
-            m[sp.rows, sp.cols] = True
-            _, n = ndimage.label(m)
+        labels = preprocess.slic_superpixels(vol.data[2], target_area=16)
+        for lab in np.unique(labels)[::17]:  # spot-check a spread of superpixels
+            _, n = ndimage.label(labels == lab)
             assert n == 1
 
     def test_tiny_image_single_superpixel(self):
-        sps = preprocess.slic_superpixels(np.ones((3, 3)), target_area=16)
-        assert len(sps) == 1
-        assert sps[0].area == 9
+        labels = preprocess.slic_superpixels(np.ones((3, 3)), target_area=16)
+        assert labels.shape == (3, 3)
+        assert np.unique(labels).size == 1
 
 
 class TestMarkRetina:
+    """The in-retina rule `superpixel_records` applies at each centroid."""
+
     def _surfaces(self):
         top = np.full((1, 32), 10)
         bottom = np.full((1, 32), 20)
         return preprocess.SurfacePair(top=top, bottom=bottom)
 
-    def _sp(self, row, col=16):
-        return preprocess.Superpixel(
-            id=0, slice_index=0, rows=np.array([int(row)]), cols=np.array([col]),
-            centroid=(float(row), float(col)),
-        )
+    def _in_retina(self, pixels, surf=None):
+        """in_retina of a superpixel (id 1) made of `pixels` in a 32x32 map."""
+        labels = np.zeros((32, 32), dtype=np.int64)
+        labels[tuple(np.transpose(pixels))] = 1
+        sps = preprocess.superpixel_records(labels, 0, surf or self._surfaces())
+        return next(sp for sp in sps if sp.id == 1).in_retina
 
     def test_above_top_false(self):
-        marked = preprocess.mark_retina([self._sp(5.0)], self._surfaces())
-        assert marked[0].in_retina is False
+        assert self._in_retina([(5, 16)]) is False
 
     def test_exactly_on_top_true(self):
-        marked = preprocess.mark_retina([self._sp(10.0)], self._surfaces())
-        assert marked[0].in_retina is True
+        assert self._in_retina([(10, 16)]) is True
 
     def test_exactly_on_bottom_true_below_false(self):
-        surf = self._surfaces()
-        assert preprocess.mark_retina([self._sp(20.0)], surf)[0].in_retina is True
-        assert preprocess.mark_retina([self._sp(20.5)], surf)[0].in_retina is False
+        assert self._in_retina([(20, 16)]) is True
+        assert self._in_retina([(20, 16), (21, 16)]) is False  # centroid row 20.5
+
+    def test_centroid_column_rounds_half_to_even(self):
+        # centroid (15.0, 16.5): Python's round picks column 16, not 17
+        top = np.full((1, 32), 10)
+        top[0, 17] = 18
+        surf = preprocess.SurfacePair(top=top, bottom=np.full((1, 32), 20))
+        assert self._in_retina([(15, 16), (15, 17)], surf) is True
+        top[0, 16], top[0, 17] = 18, 10
+        assert self._in_retina([(15, 16), (15, 17)], surf) is False
 
     def test_in_retina_fraction_tracks_band_fraction(self):
         vol, _ = phantom.generate_volume(phantom.healthy_config(29))
@@ -218,3 +229,21 @@ class TestMarkRetina:
         pixel_frac = band.mean()
         sp_frac = np.mean([sp.in_retina for sp in prep.superpixels])
         assert abs(sp_frac - pixel_frac) <= 0.05
+
+
+class TestPreprocessVolume:
+    def test_records_partition_every_slice(self):
+        vol, _ = phantom.generate_volume(phantom.test_config(30))
+        prep = preprocess.preprocess_volume(vol.data)
+        seen = np.zeros(prep.data.shape, dtype=int)
+        for sp in prep.superpixels:
+            seen[sp.slice_index, sp.rows, sp.cols] += 1
+        assert np.all(seen == 1)
+        keys = [(sp.slice_index, sp.id) for sp in prep.superpixels]
+        assert keys == sorted(set(keys))
+
+    def test_centroid_is_pixel_mean(self):
+        vol, _ = phantom.generate_volume(phantom.healthy_config(31))
+        prep = preprocess.preprocess_volume(vol.data)
+        for sp in prep.superpixels[::37]:
+            assert sp.centroid == (float(sp.rows.mean()), float(sp.cols.mean()))
