@@ -1,10 +1,14 @@
 """Two-scale convolutional autoencoders plus the fusion denoising autoencoder.
 
-Each scale gets its own encoder/decoder pair; both are optimized jointly,
-one step per mini-batch covering the two scales of the same patch pairs.
-After that stage, the per-scale encodings are concatenated and a one-hidden-
-layer denoising autoencoder is trained (encoders frozen, masking-noise
-corruption) to produce the final feature vector z from its hidden layer.
+Every autoencoder here is one `Autoencoder`: a numcore `Network` over an
+encoder layer list followed by a decoder layer list, whose `encode` runs the
+encoder layers alone. Each scale gets a `ScaleAutoencoder` (conv, pool and
+dense encoder; mirrored dense, unpool and deconv decoder); both are optimized
+jointly, one step per mini-batch covering the two scales of the same patch
+pairs. After that stage, the per-scale encodings are concatenated and the
+fusion `Autoencoder([Dense, Elu], [Dense])` is trained as a denoising
+autoencoder (encoders frozen, masking-noise corruption); its encoder output
+is the final feature vector z. Both stages run the same momentum-SGD loop.
 """
 
 from __future__ import annotations
@@ -71,7 +75,25 @@ class TrainConfig:
     fusion_epochs: int = 30
 
 
-class ScaleAutoencoder:
+class Autoencoder(nc.Network):
+    """Encoder layers followed by decoder layers, trained as one Network.
+
+    The layers stay in one Network because `init` and `forward` derive each
+    layer's RNG from its index: a separate decoder Network would renumber
+    its layers and so change every decoder weight and dropout mask.
+    `encode` runs a Network over the same encoder layer objects.
+    """
+
+    def __init__(self, encoder, decoder):
+        super().__init__(encoder + decoder)
+        self.encoder = nc.Network(encoder)
+
+    def encode(self, batch):
+        """Inference-mode output of the encoder layers."""
+        return self.encoder.forward(batch)[0]
+
+
+class ScaleAutoencoder(Autoencoder):
     """Mirrored conv autoencoder for one patch scale."""
 
     def __init__(self, preset: DcaePreset, dropout=0.2):
@@ -101,29 +123,7 @@ class ScaleAutoencoder:
             nc.Unpool2D(pool),
             nc.Deconv2D(p.conv_size, 1, p.conv_kernels),  # linear output
         ]
-        self.preset = p
-        self.net = nc.Network(encoder + decoder)
-        self.n_encoder_layers = len(encoder)
-
-    def init(self, rng: Rng):
-        self.net.init(rng)
-
-    def params(self):
-        return self.net.params()
-
-    def forward(self, batch, training, rng):
-        return self.net.forward(batch, training=training, rng=rng)
-
-    def backward(self, tape, grad):
-        return self.net.backward(tape, grad)
-
-    def encode(self, batch):
-        """Inference-mode encoding of [N, side, side, 1] patches."""
-        x = batch
-        tape = nc.GradTape(owner=None)
-        for layer in self.net.layers[: self.n_encoder_layers]:
-            x = layer.forward(x, tape, False, None)
-        return x
+        super().__init__(encoder, decoder)
 
 
 @dataclass
@@ -131,7 +131,7 @@ class DcaeModel:
     preset: DcaePreset
     scale1: ScaleAutoencoder
     scale2: ScaleAutoencoder
-    fusion: nc.Network  # Dense(2*code, fusion), Elu, Dense(fusion, 2*code)
+    fusion: Autoencoder  # [Dense(2*code, fusion), Elu] then [Dense(fusion, 2*code)]
     scales_trained: bool = False
     fusion_trained: bool = False
     scale_log: list = field(default_factory=list)  # (epoch, mean loss)
@@ -147,22 +147,46 @@ def build_model(preset, rng: Rng) -> DcaeModel:
     p = get_dcae_preset(preset)
     s1 = ScaleAutoencoder(p)
     s2 = ScaleAutoencoder(p)
-    fusion = nc.Network(
-        [
-            nc.Dense(2 * p.code_dim, p.fusion_dim),
-            nc.Elu(),
-            nc.Dense(p.fusion_dim, 2 * p.code_dim),
-        ]
-    )
+    fusion = Autoencoder([nc.Dense(2 * p.code_dim, p.fusion_dim), nc.Elu()],
+                         [nc.Dense(p.fusion_dim, 2 * p.code_dim)])
     s1.init(rng.derive(1))
     s2.init(rng.derive(2))
     fusion.init(rng.derive(3))
     return DcaeModel(preset=p, scale1=s1, scale2=s2, fusion=fusion)
 
 
-def _check_loss(loss, epoch, batch):
-    if not np.isfinite(loss):
-        raise TrainingError(f"non-finite loss {loss} at epoch {epoch}, batch {batch}")
+def _check_patch_side(model: DcaeModel, dataset: PatchDataset):
+    side = dataset.preset.side
+    if side != model.preset.patch_side:
+        raise UsageError(f"{side}px patches do not fit the {model.preset.name!r} model, "
+                         f"which takes {model.preset.patch_side}px patches")
+
+
+def _sgd_epochs(params, n, epochs, hyper: TrainConfig, rng: Rng, order_tag, step_tag, step):
+    """Momentum SGD over `epochs` shuffled passes of n rows.
+
+    Epoch e shuffles with rng.derive(order_tag + e); batch b of it calls
+    step(row indices, rng.derive(step_tag + e * 100_000 + b)), which returns
+    (loss, grads aligned with params). Returns the (epoch, mean loss) log.
+    """
+    velocity = None
+    bs = hyper.batch_size
+    log = []
+    for epoch in range(epochs):
+        order = rng.derive(order_tag + epoch).permutation(n)
+        losses = []
+        for bi, start in enumerate(range(0, n, bs)):
+            loss, grads = step(order[start : start + bs],
+                               rng.derive(step_tag + epoch * 100_000 + bi))
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite loss {loss} at epoch {epoch}, batch {bi}")
+            new_params, velocity = nc.sgd_step(params, grads, hyper.lr,
+                                               hyper.momentum, velocity)
+            for p, q in zip(params, new_params):
+                p[...] = q
+            losses.append(loss)
+        log.append((epoch, float(np.mean(losses))))
+    return log
 
 
 def train_dcae(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
@@ -170,104 +194,74 @@ def train_dcae(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
     """Jointly optimize both scale autoencoders on healthy patch pairs."""
     if dataset.split != "healthy-train":
         raise UsageError(f"train_dcae expects the healthy-train split, got {dataset.split!r}")
-    n = len(dataset)
+    _check_patch_side(model, dataset)
     x1 = dataset.scale1[..., None]
     x2 = dataset.scale2[..., None]
+
+    def step(idx, step_rng):
+        b1, b2 = x1[idx], x2[idx]
+        out1, tape1 = model.scale1.forward(b1, True, step_rng.derive(1))
+        out2, tape2 = model.scale2.forward(b2, True, step_rng.derive(2))
+        g1 = model.scale1.backward(tape1, nc.mse_grad(b1, out1))
+        g2 = model.scale2.backward(tape2, nc.mse_grad(b2, out2))
+        return 0.5 * (nc.mse(b1, out1) + nc.mse(b2, out2)), g1 + g2
+
     params = model.scale1.params() + model.scale2.params()
-    velocity = None
-    bs = hyper.batch_size
-    for epoch in range(hyper.epochs):
-        order = rng.derive(1000 + epoch).permutation(n)
-        losses = []
-        for bi, start in enumerate(range(0, n, bs)):
-            idx = order[start : start + bs]
-            step_rng = rng.derive(epoch * 100_000 + bi)
-            b1, b2 = x1[idx], x2[idx]
-            out1, tape1 = model.scale1.forward(b1, True, step_rng.derive(1))
-            out2, tape2 = model.scale2.forward(b2, True, step_rng.derive(2))
-            loss1, loss2 = nc.mse(b1, out1), nc.mse(b2, out2)
-            _check_loss(loss1 + loss2, epoch, bi)
-            g1 = model.scale1.backward(tape1, nc.mse_grad(b1, out1))
-            g2 = model.scale2.backward(tape2, nc.mse_grad(b2, out2))
-            new_params, velocity = nc.sgd_step(params, g1 + g2, hyper.lr,
-                                               hyper.momentum, velocity)
-            for p, q in zip(params, new_params):
-                p[...] = q
-            losses.append(0.5 * (loss1 + loss2))
-        model.scale_log.append((epoch, float(np.mean(losses))))
+    model.scale_log.extend(_sgd_epochs(params, len(dataset), hyper.epochs, hyper, rng,
+                                       1000, 0, step))
     model.scales_trained = True
     return model
 
 
-def _concat_encodings(model: DcaeModel, dataset: PatchDataset, batch=512):
-    outs = []
-    for start in range(0, len(dataset), batch):
-        b1 = dataset.scale1[start : start + batch][..., None]
-        b2 = dataset.scale2[start : start + batch][..., None]
-        z1 = model.scale1.encode(b1)
-        z2 = model.scale2.encode(b2)
-        outs.append(np.concatenate([z1, z2], axis=1))
-    return np.concatenate(outs, axis=0)
+def _batched(fn, model: DcaeModel, dataset: PatchDataset, batch=512):
+    """fn(model, scale1 rows, scale2 rows) over `batch`-row slices, stacked."""
+    return np.concatenate([fn(model, dataset.scale1[start : start + batch],
+                              dataset.scale2[start : start + batch])
+                           for start in range(0, len(dataset), batch)], axis=0)
+
+
+def _encode_scales(model: DcaeModel, scale1_batch, scale2_batch):
+    return np.concatenate([model.scale1.encode(scale1_batch[..., None]),
+                           model.scale2.encode(scale2_batch[..., None])], axis=1)
 
 
 def train_fusion(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
                  rng: Rng) -> DcaeModel:
     """Train the fusion DAE on frozen concatenated encodings."""
+    _check_patch_side(model, dataset)
     if not model.scales_trained:
         raise UsageError("scale encoders must be trained before the fusion DAE")
-    clean = _concat_encodings(model, dataset).astype(np.float32)
-    n = clean.shape[0]
-    params = model.fusion.params()
-    velocity = None
-    bs = hyper.batch_size
-    for epoch in range(hyper.fusion_epochs):
-        order = rng.derive(2_000_000 + epoch).permutation(n)
-        losses = []
-        for bi, start in enumerate(range(0, n, bs)):
-            idx = order[start : start + bs]
-            target = clean[idx]
-            step_rng = rng.derive(3_000_000 + epoch * 100_000 + bi)
-            if hyper.corruption > 0:
-                keep = (step_rng.random(target.shape) >= hyper.corruption)
-                corrupted = target * keep.astype(target.dtype)
-            else:
-                corrupted = target
-            out, tape = model.fusion.forward(corrupted, training=True)
-            loss = nc.mse(target, out)
-            _check_loss(loss, epoch, bi)
-            grads = model.fusion.backward(tape, nc.mse_grad(target, out))
-            new_params, velocity = nc.sgd_step(params, grads, hyper.lr,
-                                               hyper.momentum, velocity)
-            for p, q in zip(params, new_params):
-                p[...] = q
-            losses.append(loss)
-        model.fusion_log.append((epoch, float(np.mean(losses))))
+    clean = _batched(_encode_scales, model, dataset).astype(np.float32)
+
+    def step(idx, step_rng):
+        target = clean[idx]
+        if hyper.corruption > 0:
+            keep = step_rng.random(target.shape) >= hyper.corruption
+            corrupted = target * keep.astype(target.dtype)
+        else:
+            corrupted = target
+        out, tape = model.fusion.forward(corrupted, training=True)
+        return nc.mse(target, out), model.fusion.backward(tape, nc.mse_grad(target, out))
+
+    model.fusion_log.extend(_sgd_epochs(model.fusion.params(), clean.shape[0],
+                                        hyper.fusion_epochs, hyper, rng,
+                                        2_000_000, 3_000_000, step))
     model.fusion_trained = True
     return model
-
-
-def _fusion_hidden(model: DcaeModel, concat):
-    x = concat
-    tape = nc.GradTape(owner=None)
-    for layer in model.fusion.layers[:2]:  # Dense + Elu
-        x = layer.forward(x, tape, False, None)
-    return x
 
 
 def embed_pairs(model: DcaeModel, scale1_batch, scale2_batch):
     """Feature vectors z for stacked patch batches; pure inference."""
     if not (model.scales_trained and model.fusion_trained):
         raise UsageError("model is not fully trained")
-    z1 = model.scale1.encode(scale1_batch[..., None])
-    z2 = model.scale2.encode(scale2_batch[..., None])
-    return _fusion_hidden(model, np.concatenate([z1, z2], axis=1))
+    side = model.preset.patch_side
+    expected = (len(scale1_batch), side, side)
+    if np.shape(scale1_batch) != expected or np.shape(scale2_batch) != expected:
+        raise UsageError(f"embed_pairs expects two {expected} batches, "
+                         f"got {np.shape(scale1_batch)} and {np.shape(scale2_batch)}")
+    return model.fusion.encode(_encode_scales(model, scale1_batch, scale2_batch))
 
 
 def embed_dataset(model: DcaeModel, dataset: PatchDataset, batch=512):
-    outs = []
-    for start in range(0, len(dataset), batch):
-        outs.append(
-            embed_pairs(model, dataset.scale1[start : start + batch],
-                        dataset.scale2[start : start + batch])
-        )
-    return np.concatenate(outs, axis=0)
+    _check_patch_side(model, dataset)
+    return _batched(embed_pairs, model, dataset, batch)

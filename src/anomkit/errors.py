@@ -39,7 +39,3 @@ class ConvergenceError(AnomkitError):
 
 class UsageError(AnomkitError):
     """API misuse: wrong call order, stale state, or mismatched model."""
-
-
-class BundleError(AnomkitError):
-    """A model bundle is missing, locked, or fails its checksums."""

@@ -19,30 +19,27 @@ from . import ops
 
 
 class GradTape:
-    """Per-forward record of activations and pool switches.
+    """Per-forward record of activations and pool switches, keyed by layer.
 
     A tape is valid for exactly one backward pass of the network that
-    produced it.
+    produced it. Backward passes of parameter layers write their gradients
+    to `grads`, keyed the same way.
     """
 
     def __init__(self, owner):
         self.owner = owner
         self.saved = {}
+        self.grads = {}
         self.consumed = False
 
-    @staticmethod
-    def _norm(key):
-        # layer instances are keyed by identity; composite keys pass through
-        return ("layer", id(key)) if isinstance(key, Layer) else key
+    def put(self, layer, value):
+        self.saved[id(layer)] = value
 
-    def put(self, key, value):
-        self.saved[self._norm(key)] = value
-
-    def get(self, key):
+    def get(self, layer):
         try:
-            return self.saved[self._norm(key)]
+            return self.saved[id(layer)]
         except KeyError:
-            raise UsageError(f"tape holds no record for {key!r}") from None
+            raise UsageError(f"tape holds no record for {layer!r}") from None
 
 
 def glorot_uniform(rng: Rng, shape, fan_in, fan_out, dtype=np.float32):
@@ -55,9 +52,6 @@ class Layer:
     """Base layer. Stateless layers keep params() empty."""
 
     def params(self):
-        return []
-
-    def grads(self, tape):
         return []
 
     def init(self, rng: Rng):
@@ -96,11 +90,8 @@ class Conv2D(Layer):
     def backward(self, grad, tape):
         x = tape.get(self)
         grad_x, gk, gb = ops.conv2d_backward(grad, x, self.kernels)
-        tape.put((id(self), "grads"), [gk, gb])
+        tape.grads[id(self)] = [gk, gb]
         return grad_x
-
-    def grads(self, tape):
-        return tape.get((id(self), "grads"))
 
 
 class Deconv2D(Layer):
@@ -133,11 +124,8 @@ class Deconv2D(Layer):
         x = tape.get(self)
         grad_x, gk = ops.deconv2d_backward(grad, x, self.kernels)
         gb = grad.reshape(-1, grad.shape[-1]).astype(np.float64).sum(axis=0)
-        tape.put((id(self), "grads"), [gk, gb.astype(self.dtype)])
+        tape.grads[id(self)] = [gk, gb.astype(self.dtype)]
         return grad_x
-
-    def grads(self, tape):
-        return tape.get((id(self), "grads"))
 
 
 class MaxPool2D(Layer):
@@ -190,11 +178,8 @@ class Dense(Layer):
     def backward(self, grad, tape):
         x = tape.get(self)
         grad_x, gw, gb = ops.dense_backward(grad, x, self.weight)
-        tape.put((id(self), "grads"), [gw, gb])
+        tape.grads[id(self)] = [gw, gb]
         return grad_x
-
-    def grads(self, tape):
-        return tape.get((id(self), "grads"))
 
 
 class Elu(Layer):
@@ -263,7 +248,6 @@ class Network:
         for i, layer in enumerate(self.layers):
             lrng = rng.derive(i) if rng is not None else None
             x = layer.forward(x, tape, training, lrng)
-        tape.output = x
         return x, tape
 
     def backward(self, tape: GradTape, grad_out):
@@ -276,10 +260,7 @@ class Network:
         grad = grad_out
         for layer in reversed(self.layers):
             grad = layer.backward(grad, tape)
-        grads = []
-        for layer in self.layers:
-            grads.extend(layer.grads(tape))
-        return grads
+        return [g for layer in self.layers for g in tape.grads.get(id(layer), ())]
 
 
 def sgd_step(params, grads, lr, momentum=0.0, velocity=None):

@@ -18,7 +18,6 @@ cloud on the origin and collapse the origin-separating boundary to w = 0.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,13 +91,20 @@ def solve_nu_dual(X, nu, tol=1e-8, max_iter=200_000) -> DualSolution:
     return DualSolution(alpha=alpha, w=w, objective=objective, kkt_violation=violation, n_iter=it)
 
 
+def _free_support(alpha, cap):
+    """Mask of the support vectors strictly between 0 and the cap."""
+    margin = cap * 1e-8
+    return (alpha > margin) & (alpha < cap - margin)
+
+
 def _rho_from_solution(X, sol: DualSolution, nu):
-    """Offset rho: median decision value over free support vectors."""
+    """Offset rho: median decision value over free support vectors, else the
+    mean of the bound candidates."""
     n = X.shape[0]
     cap = 1.0 / (nu * n)
     g = X @ sol.w
     margin = cap * 1e-8
-    free = (sol.alpha > margin) & (sol.alpha < cap - margin)
+    free = _free_support(sol.alpha, cap)
     if free.any():
         return float(np.median(g[free]))
     at_cap = sol.alpha >= cap - margin
@@ -108,7 +114,6 @@ def _rho_from_solution(X, sol: DualSolution, nu):
         candidates.append(float(g[at_cap].max()))
     if at_zero.any():
         candidates.append(float(g[at_zero].min()))
-    warnings.warn("no free support vectors; rho taken from bound candidates", stacklevel=2)
     return float(np.mean(candidates))
 
 
@@ -128,6 +133,7 @@ class OcSvmModel:
     kkt_violation: float = 0.0
     n_iter: int = 0
     support_fraction: float = 0.0
+    free_support_vectors: int = 0  # 0: rho came from the bound candidates
 
     @property
     def dim(self) -> int:
@@ -163,7 +169,8 @@ def fit_ocsvm(features, nu=0.1, tol=1e-8, max_iter=200_000) -> OcSvmModel:
 
     sol = solve_nu_dual(Xs, nu, tol=tol, max_iter=max_iter)
     rho = _rho_from_solution(Xs, sol, nu)
-    support = float(np.mean(sol.alpha > (1.0 / (nu * n)) * 1e-8))
+    cap = 1.0 / (nu * n)
+    support = float(np.mean(sol.alpha > cap * 1e-8))
     return OcSvmModel(
         w=sol.w,
         rho=rho,
@@ -173,6 +180,7 @@ def fit_ocsvm(features, nu=0.1, tol=1e-8, max_iter=200_000) -> OcSvmModel:
         kkt_violation=sol.kkt_violation,
         n_iter=sol.n_iter,
         support_fraction=support,
+        free_support_vectors=int(np.count_nonzero(_free_support(sol.alpha, cap))),
     )
 
 

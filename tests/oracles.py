@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 
+from anomkit.numcore import GradTape, mse, mse_grad, sgd_step
+
 
 def nu_dual_oracle(X, nu):
     """Exhaustive active-set solution of the nu one-class dual (n <= ~8).
@@ -124,3 +126,98 @@ def pair_oracle(slice_img, center, side):
     wide = crop(r - side // 2, c - 2 * side, side, 4 * side)
     scale2 = wide.reshape(side, side, 4).mean(axis=2)
     return scale1.astype(np.float32), scale2.astype(np.float32)
+
+
+# The DCAE as it was written before its autoencoders became Networks and its
+# two training loops one: layer loops on a bare tape and two literal
+# momentum-SGD loops. The model code must reproduce them bit for bit.
+SCALE_ENCODER_LAYERS = 11  # conv, elu, dropout, pool, reshape, 2 x (dense, elu, dropout)
+FUSION_ENCODER_LAYERS = 2  # dense, elu
+
+
+def encode_oracle(layers, batch):
+    """Inference-mode pass of `batch` through `layers`, one layer at a time."""
+    x = batch
+    tape = GradTape(owner=None)
+    for layer in layers:
+        x = layer.forward(x, tape, False, None)
+    return x
+
+
+def _scale_codes_oracle(model, scale1, scale2):
+    z1 = encode_oracle(model.scale1.layers[:SCALE_ENCODER_LAYERS], scale1[..., None])
+    z2 = encode_oracle(model.scale2.layers[:SCALE_ENCODER_LAYERS], scale2[..., None])
+    return np.concatenate([z1, z2], axis=1)
+
+
+def embed_oracle(model, scale1, scale2, batch=512):
+    """Fusion hidden layer over per-batch concatenated scale codes."""
+    outs = []
+    for start in range(0, len(scale1), batch):
+        codes = _scale_codes_oracle(model, scale1[start : start + batch],
+                                    scale2[start : start + batch])
+        outs.append(encode_oracle(model.fusion.layers[:FUSION_ENCODER_LAYERS], codes))
+    return np.concatenate(outs, axis=0)
+
+
+def train_scales_oracle(model, dataset, hyper, rng):
+    """Joint momentum SGD of both scale nets; returns the (epoch, mean loss) log."""
+    n = len(dataset)
+    x1 = dataset.scale1[..., None]
+    x2 = dataset.scale2[..., None]
+    params = model.scale1.params() + model.scale2.params()
+    velocity = None
+    bs = hyper.batch_size
+    log = []
+    for epoch in range(hyper.epochs):
+        order = rng.derive(1000 + epoch).permutation(n)
+        losses = []
+        for bi, start in enumerate(range(0, n, bs)):
+            idx = order[start : start + bs]
+            step_rng = rng.derive(epoch * 100_000 + bi)
+            b1, b2 = x1[idx], x2[idx]
+            out1, tape1 = model.scale1.forward(b1, True, step_rng.derive(1))
+            out2, tape2 = model.scale2.forward(b2, True, step_rng.derive(2))
+            loss1, loss2 = mse(b1, out1), mse(b2, out2)
+            g1 = model.scale1.backward(tape1, mse_grad(b1, out1))
+            g2 = model.scale2.backward(tape2, mse_grad(b2, out2))
+            new_params, velocity = sgd_step(params, g1 + g2, hyper.lr, hyper.momentum,
+                                            velocity)
+            for p, q in zip(params, new_params):
+                p[...] = q
+            losses.append(0.5 * (loss1 + loss2))
+        log.append((epoch, float(np.mean(losses))))
+    return log
+
+
+def train_fusion_oracle(model, dataset, hyper, rng):
+    """Masking-noise momentum SGD of the fusion net on frozen scale codes;
+    returns the (epoch, mean loss) log."""
+    clean = np.concatenate(
+        [_scale_codes_oracle(model, dataset.scale1[start : start + 512],
+                             dataset.scale2[start : start + 512])
+         for start in range(0, len(dataset), 512)], axis=0).astype(np.float32)
+    n = clean.shape[0]
+    params = model.fusion.params()
+    velocity = None
+    bs = hyper.batch_size
+    log = []
+    for epoch in range(hyper.fusion_epochs):
+        order = rng.derive(2_000_000 + epoch).permutation(n)
+        losses = []
+        for bi, start in enumerate(range(0, n, bs)):
+            target = clean[order[start : start + bs]]
+            step_rng = rng.derive(3_000_000 + epoch * 100_000 + bi)
+            if hyper.corruption > 0:
+                keep = step_rng.random(target.shape) >= hyper.corruption
+                corrupted = target * keep.astype(target.dtype)
+            else:
+                corrupted = target
+            out, tape = model.fusion.forward(corrupted, training=True)
+            grads = model.fusion.backward(tape, mse_grad(target, out))
+            new_params, velocity = sgd_step(params, grads, hyper.lr, hyper.momentum, velocity)
+            for p, q in zip(params, new_params):
+                p[...] = q
+            losses.append(mse(target, out))
+        log.append((epoch, float(np.mean(losses))))
+    return log

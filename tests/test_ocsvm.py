@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anomkit import ocsvm
-from anomkit.errors import InputError, UsageError
+from anomkit.errors import ConvergenceError, InputError, UsageError
 from anomkit.rng import Rng
 
 from oracles import nu_dual_oracle
@@ -85,11 +85,14 @@ class TestNuProperty:
         model = ocsvm.fit_ocsvm(X, nu=0.5, tol=1e-10)
         frac = float(np.mean(ocsvm.decision_values(model, X) < 0))
         assert 0.4 <= frac <= 0.5
+        assert model.free_support_vectors == 0  # rho from the bound candidates
 
     def test_two_identical_points_sit_on_boundary(self):
         X = np.array([[1.5, -2.0], [1.5, -2.0]])
         for nu in (0.3, 0.7, 1.0):
             model = ocsvm.fit_ocsvm(X, nu=nu)
+            # at nu = 1 both alphas sit at the cap 1/(nu*n) = 1/2
+            assert model.free_support_vectors == (0 if nu == 1.0 else 2)
             label, val = ocsvm.score(model, X[0])
             assert abs(val) <= 1e-9
             assert label == ocsvm.NORMAL  # boundary counts as normal
@@ -97,6 +100,13 @@ class TestNuProperty:
     def test_single_point_rejected(self):
         with pytest.raises(InputError):
             ocsvm.fit_ocsvm(np.ones((1, 3)), nu=0.5)
+
+    def test_iteration_budget_exhausted(self):
+        X = Rng(40).normal(size=(100, 8)) + 2.0
+        with pytest.raises(ConvergenceError):
+            ocsvm.fit_ocsvm(X, nu=0.1, max_iter=5)
+        with pytest.raises(ConvergenceError):
+            ocsvm.solve_nu_dual(X, 0.1, max_iter=5)
 
 
 class TestScoring:
@@ -112,6 +122,7 @@ class TestScoring:
         scores = ocsvm.decision_values(model, X)
         near = np.abs(scores) <= 1e-6 * max(1.0, np.linalg.norm(model.w))
         assert near.any()
+        assert model.free_support_vectors > 0
 
     def test_far_along_w_is_normal_and_far_against_is_anomaly(self):
         model, X = self._model()

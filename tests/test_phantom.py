@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anomkit import phantom
-from anomkit.errors import InputError
+from anomkit.errors import GenerationError, InputError
 from anomkit.rng import Rng
 
 
@@ -42,6 +42,14 @@ class TestGenerateVolume:
     def test_mask_iff_typed(self):
         _, gt = phantom.generate_volume(phantom.test_config(17))
         assert np.array_equal(gt.mask, gt.labels != phantom.TYPE_NONE)
+
+    def test_unplaceable_anomalies_rejected(self):
+        # on two slices every window spans both; a 32-column volume has room
+        # for one 20-column deformation, so the second cannot be placed
+        spec = phantom.AnomalySpec("surface_deformation", count=(2, 2), size=(20, 20))
+        cfg = phantom.PhantomConfig(seed=3, anomalies=(spec,), n_slices=2, width=32)
+        with pytest.raises(GenerationError, match="surface_deformation"):
+            phantom.generate_volume(cfg)
 
     def test_layer_intensity_validation(self):
         cfg = phantom.PhantomConfig(layer_intensities=(0.5, 0.55, 0.9, 0.3),
