@@ -70,7 +70,6 @@ class TrainConfig:
     momentum: float = 0.9
     epochs: int = 12
     batch_size: int = 64
-    dropout: float = 0.2
     corruption: float = 0.2  # masking-noise probability for the fusion DAE
     fusion_epochs: int = 30
 

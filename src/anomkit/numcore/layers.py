@@ -63,6 +63,11 @@ class Layer:
     def backward(self, grad, tape):
         raise NotImplementedError
 
+    def _param_backward(self, grad, tape):
+        """Record parameter gradients only: `Network.backward` calls this for
+        its first layer, whose input is data and needs no gradient."""
+        self.backward(grad, tape)
+
 
 class Conv2D(Layer):
     def __init__(self, kernel_size, in_channels, out_channels, dtype=np.float32):
@@ -88,10 +93,11 @@ class Conv2D(Layer):
         return ops.conv2d_valid(x, self.kernels, self.bias)
 
     def backward(self, grad, tape):
-        x = tape.get(self)
-        grad_x, gk, gb = ops.conv2d_backward(grad, x, self.kernels)
-        tape.grads[id(self)] = [gk, gb]
-        return grad_x
+        self._param_backward(grad, tape)
+        return ops.deconv2d(grad, self.kernels)
+
+    def _param_backward(self, grad, tape):
+        tape.grads[id(self)] = list(ops.conv2d_param_grads(grad, tape.get(self), self.kernels))
 
 
 class Deconv2D(Layer):
@@ -201,12 +207,16 @@ class Dropout(Layer):
         self.rate = float(rate)
 
     def forward(self, x, tape, training, rng):
-        out, mask = ops.dropout(x, self.rate, rng, training=training)
+        if not training:  # the identity: record no all-ones mask
+            tape.put(self, None)
+            return x
+        out, mask = ops.dropout(x, self.rate, rng)
         tape.put(self, mask)
         return out
 
     def backward(self, grad, tape):
-        return ops.dropout_backward(grad, tape.get(self))
+        mask = tape.get(self)
+        return grad if mask is None else ops.dropout_backward(grad, mask)
 
 
 class Reshape(Layer):
@@ -258,8 +268,10 @@ class Network:
             raise UsageError("stale tape: backward was already called on it")
         tape.consumed = True
         grad = grad_out
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad, tape)
+        for layer in self.layers[:1]:  # its input is data: no input gradient
+            layer._param_backward(grad, tape)
         return [g for layer in self.layers for g in tape.grads.get(id(layer), ())]
 
 

@@ -4,6 +4,16 @@ All operations accept a single sample ([H,W,C] for spatial ops, [D] for dense)
 or a batch with one extra leading axis. Convolution sums are accumulated in
 64-bit and stored back in the input dtype, which bounds accumulation drift
 for float32 data.
+
+Exactness contract: a faster kernel must return, on finite inputs, values
+that are `np.array_equal` to the plain formula it replaces, in the same
+dtype, and the same pool switches. The pooling and ELU kernels therefore
+take no data-dependent branch and change no rounding: pooling reduces the
+p*p strided window views with `np.maximum` and finds the first maximum by
+equality sweeps; unpooling scatters and gathers through the same views;
+ELU adds max(x, 0) to alpha*expm1(min(x, 0)), of which one term is always
+zero. `tests/oracles.py` keeps the earlier argmax and `np.where` kernels,
+and the tests compare against them.
 """
 
 from __future__ import annotations
@@ -56,28 +66,25 @@ def conv2d_valid(x, kernels, bias):
         raise DimensionError(f"input {xb.shape[1:3]} smaller than kernel {k}")
     if bias.shape != (cout,):
         raise DimensionError(f"bias must be [Cout]={cout}, got {bias.shape}")
-    cols = _im2col(xb, k)
-    out = cols.astype(np.float64) @ kernels.reshape(-1, cout).astype(np.float64)
+    # cast before the window gather, so the windows are copied once, in 64-bit
+    cols = _im2col(xb.astype(np.float64), k)
+    out = cols @ kernels.reshape(-1, cout).astype(np.float64)
     out += bias.astype(np.float64)
     out = out.astype(xb.dtype)
     return out if batched else out[0]
 
 
-def conv2d_backward(grad_out, x, kernels):
-    """Gradients of conv2d_valid: returns (grad_x, grad_kernels, grad_bias)."""
-    xb, batched = _as_batch(x, 3)
+def conv2d_param_grads(grad_out, x, kernels):
+    """(grad_kernels, grad_bias) of conv2d_valid; its input gradient is
+    deconv2d(grad_out, kernels)."""
+    xb, _ = _as_batch(x, 3)
     gb, _ = _as_batch(grad_out, 3)
     k, _, cin, cout = kernels.shape
-    grad_x = deconv2d(gb, kernels)
-    cols = _im2col(xb, k).reshape(-1, k * k * cin)
-    gflat = gb.reshape(-1, cout)
-    grad_k = (cols.astype(np.float64).T @ gflat.astype(np.float64)).reshape(kernels.shape)
-    grad_b = gflat.astype(np.float64).sum(axis=0)
-    return (
-        grad_x if batched else grad_x[0],
-        grad_k.astype(kernels.dtype),
-        grad_b.astype(kernels.dtype),
-    )
+    cols = _im2col(xb.astype(np.float64), k).reshape(-1, k * k * cin)
+    gflat = gb.reshape(-1, cout).astype(np.float64)
+    grad_k = (cols.T @ gflat).reshape(kernels.shape)
+    grad_b = gflat.sum(axis=0)
+    return grad_k.astype(kernels.dtype), grad_b.astype(kernels.dtype)
 
 
 def deconv2d(x, kernels):
@@ -114,9 +121,9 @@ def deconv2d_backward(grad_out, x, kernels):
     k, _, cin, cout = kernels.shape
     grad_x = conv2d_valid(gb, kernels, np.zeros(cout, dtype=kernels.dtype))
     # grad_K[a,b,c,o] = sum_{n,i,j} x[n,i,j,o] * grad_out[n,i+a,j+b,c]
-    cols = _im2col(gb, k).reshape(-1, k * k * cin)  # positions align with x
+    cols = _im2col(gb.astype(np.float64), k).reshape(-1, k * k * cin)  # positions align with x
     xflat = xb.reshape(-1, cout)
-    gk = cols.astype(np.float64).T @ xflat.astype(np.float64)  # [k*k*Cin, Cout]
+    gk = cols.T @ xflat.astype(np.float64)  # [k*k*Cin, Cout]
     grad_k = gk.reshape(k, k, cin, cout)
     return (grad_x if batched else grad_x[0]), grad_k.astype(kernels.dtype)
 
@@ -127,6 +134,19 @@ class PoolSwitches(NamedTuple):
     index: np.ndarray  # [.., H//p, W//p, C] flat argmax within each p*p window
     pool: int
     in_shape: tuple  # unbatched input spatial shape (H, W, C)
+
+
+def _windows(xb, p, h2, w2):
+    """The p*p strided views [N, h2, w2, C] of xb, one per in-window offset,
+    in flat in-window order: view a*p + b holds xb[:, p*i + a, p*j + b, :]."""
+    return [xb[:, a : h2 * p : p, b : w2 * p : p, :] for a in range(p) for b in range(p)]
+
+
+def _bits(a):
+    """a's bit patterns as unsigned integers. Multiplying them by a boolean
+    keeps or zeroes each element exactly, whatever its value (-0.0 and
+    non-finite values included), which a float multiply would not."""
+    return a.view(f"u{a.dtype.itemsize}")
 
 
 def maxpool(x, p):
@@ -140,11 +160,18 @@ def maxpool(x, p):
     n, h, w, c = xb.shape
     if h < p or w < p:
         raise DimensionError(f"input {h}x{w} smaller than pool {p}")
-    h2, w2 = h // p, w // p
-    win = xb[:, : h2 * p, : w2 * p, :].reshape(n, h2, p, w2, p, c)
-    win = win.transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, p * p, c)
-    idx = win.argmax(axis=3)  # first max -> lowest flat index
-    out = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    views = _windows(xb, p, h // p, w // p)
+    out = views[0].copy()
+    for v in views[1:]:
+        np.maximum(v, out, out=out)
+    # the switch counts the window entries before the first one equal to the max
+    idx = np.zeros(out.shape, np.min_scalar_type(p * p - 1))
+    before = np.ones(out.shape, dtype=bool)
+    hit = np.empty(out.shape, dtype=bool)
+    for v in views[:-1]:
+        np.not_equal(v, out, out=hit)
+        before &= hit
+        idx += before
     if not batched:
         out, idx = out[0], idx[0]
     return out, PoolSwitches(index=idx, pool=p, in_shape=(h, w, c))
@@ -166,11 +193,12 @@ def unpool(x, switches):
     n, h2, w2, _ = xb.shape
     if (h2, w2) != (h // p, w // p):
         raise DimensionError(f"input {h2}x{w2} inconsistent with pooled {h}x{w} / {p}")
-    win = np.zeros((n, h2, w2, p * p, c), dtype=xb.dtype)
-    np.put_along_axis(win, idx[:, :, :, None, :], xb[:, :, :, None, :], axis=3)
-    out = np.zeros((n, h, w, c), dtype=xb.dtype)
-    blocks = win.reshape(n, h2, w2, p, p, c).transpose(0, 1, 3, 2, 4, 5)
-    out[:, : h2 * p, : w2 * p, :] = blocks.reshape(n, h2 * p, w2 * p, c)
+    out = np.empty((n, h, w, c), dtype=xb.dtype)
+    out[:, h2 * p :] = 0  # rows and columns past the last whole window
+    out[:, :, w2 * p :] = 0
+    bits = _bits(xb)
+    for k, view in enumerate(_windows(_bits(out), p, h2, w2)):
+        np.multiply(bits, idx == k, out=view)
     return out if batched else out[0]
 
 
@@ -180,14 +208,11 @@ def unpool_backward(grad_out, switches):
     idx, _ = _as_batch(switches.index, 3)
     p = switches.pool
     h, w, c = switches.in_shape
-    n = gb.shape[0]
-    h2, w2 = h // p, w // p
-    win = np.zeros((n, h2, w2, p, p, c), dtype=gb.dtype)
-    win[...] = (
-        gb[:, : h2 * p, : w2 * p, :].reshape(n, h2, p, w2, p, c).transpose(0, 1, 3, 2, 4, 5)
-    )
-    win = win.reshape(n, h2, w2, p * p, c)
-    out = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    views = _windows(_bits(gb), p, h // p, w // p)
+    out = views[0] * (idx == 0)
+    for k, view in enumerate(views[1:], start=1):
+        out |= view * (idx == k)  # exactly one k matches each element
+    out = out.view(gb.dtype)
     return out if batched else out[0]
 
 
@@ -196,14 +221,20 @@ def elu(x, alpha=1.0):
     if alpha <= 0:
         raise ParameterError(f"alpha must be > 0, got {alpha}")
     x = np.asarray(x)
-    return np.where(x > 0, x, (alpha * np.expm1(np.minimum(x, 0.0))).astype(x.dtype))
+    # one of the two terms is zero, so the sum rounds nothing
+    out = np.expm1(np.minimum(x, 0.0))
+    out *= alpha
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def elu_backward(grad_out, x, alpha=1.0):
     """ELU gradient: 1 where v > 0, alpha*exp(v) elsewhere."""
     x = np.asarray(x)
-    deriv = np.where(x > 0, 1.0, alpha * np.exp(np.minimum(x, 0.0)))
-    return (grad_out * deriv).astype(np.asarray(grad_out).dtype)
+    deriv = np.exp(np.minimum(x, 0.0))  # exactly 1 where v > 0
+    if alpha != 1.0:
+        deriv = np.where(x > 0, deriv, alpha * deriv)
+    return (grad_out * deriv).astype(np.asarray(grad_out).dtype, copy=False)
 
 
 def dropout(x, rate, rng: Rng, training=True):

@@ -4,7 +4,9 @@ import itertools
 
 import numpy as np
 
+from anomkit.errors import DimensionError, ParameterError
 from anomkit.numcore import GradTape, mse, mse_grad, sgd_step
+from anomkit.numcore.ops import PoolSwitches, _as_batch
 
 
 def nu_dual_oracle(X, nu):
@@ -160,6 +162,15 @@ def embed_oracle(model, scale1, scale2, batch=512):
     return np.concatenate(outs, axis=0)
 
 
+def backward_oracle(net, tape, grad_out):
+    """Backward through every layer, the first one's input gradient included;
+    returns the parameter gradients in params() order."""
+    grad = grad_out
+    for layer in reversed(net.layers):
+        grad = layer.backward(grad, tape)
+    return [g for layer in net.layers for g in tape.grads.get(id(layer), ())]
+
+
 def train_scales_oracle(model, dataset, hyper, rng):
     """Joint momentum SGD of both scale nets; returns the (epoch, mean loss) log."""
     n = len(dataset)
@@ -179,8 +190,8 @@ def train_scales_oracle(model, dataset, hyper, rng):
             out1, tape1 = model.scale1.forward(b1, True, step_rng.derive(1))
             out2, tape2 = model.scale2.forward(b2, True, step_rng.derive(2))
             loss1, loss2 = mse(b1, out1), mse(b2, out2)
-            g1 = model.scale1.backward(tape1, mse_grad(b1, out1))
-            g2 = model.scale2.backward(tape2, mse_grad(b2, out2))
+            g1 = backward_oracle(model.scale1, tape1, mse_grad(b1, out1))
+            g2 = backward_oracle(model.scale2, tape2, mse_grad(b2, out2))
             new_params, velocity = sgd_step(params, g1 + g2, hyper.lr, hyper.momentum,
                                             velocity)
             for p, q in zip(params, new_params):
@@ -214,10 +225,87 @@ def train_fusion_oracle(model, dataset, hyper, rng):
             else:
                 corrupted = target
             out, tape = model.fusion.forward(corrupted, training=True)
-            grads = model.fusion.backward(tape, mse_grad(target, out))
+            grads = backward_oracle(model.fusion, tape, mse_grad(target, out))
             new_params, velocity = sgd_step(params, grads, hyper.lr, hyper.momentum, velocity)
             for p, q in zip(params, new_params):
                 p[...] = q
             losses.append(mse(target, out))
         log.append((epoch, float(np.mean(losses))))
     return log
+
+
+# The pooling and ELU kernels as they were before they became branch-free:
+# argmax over a transposed copy, put/take_along_axis on a zero-filled window
+# buffer, and np.where. The kernels must match them value for value.
+
+
+def maxpool_oracle(x, p):
+    """p*p max pooling with stride p; trailing rows/cols beyond p*(dim//p) drop.
+
+    Returns (pooled, switches). Ties break to the lowest flat in-window index.
+    """
+    if p < 1:
+        raise ParameterError(f"pool size must be >= 1, got {p}")
+    xb, batched = _as_batch(x, 3)
+    n, h, w, c = xb.shape
+    if h < p or w < p:
+        raise DimensionError(f"input {h}x{w} smaller than pool {p}")
+    h2, w2 = h // p, w // p
+    win = xb[:, : h2 * p, : w2 * p, :].reshape(n, h2, p, w2, p, c)
+    win = win.transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, p * p, c)
+    idx = win.argmax(axis=3)  # first max -> lowest flat index
+    out = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    if not batched:
+        out, idx = out[0], idx[0]
+    return out, PoolSwitches(index=idx, pool=p, in_shape=(h, w, c))
+
+
+def unpool_oracle(x, switches):
+    """Place each value at its recorded argmax position; zeros elsewhere."""
+    xb, batched = _as_batch(x, 3)
+    idx, _ = _as_batch(switches.index, 3)
+    if xb.shape != idx.shape:
+        raise DimensionError(f"input {xb.shape} does not match switches {idx.shape}")
+    p = switches.pool
+    h, w, c = switches.in_shape
+    n, h2, w2, _ = xb.shape
+    if (h2, w2) != (h // p, w // p):
+        raise DimensionError(f"input {h2}x{w2} inconsistent with pooled {h}x{w} / {p}")
+    win = np.zeros((n, h2, w2, p * p, c), dtype=xb.dtype)
+    np.put_along_axis(win, idx[:, :, :, None, :], xb[:, :, :, None, :], axis=3)
+    out = np.zeros((n, h, w, c), dtype=xb.dtype)
+    blocks = win.reshape(n, h2, w2, p, p, c).transpose(0, 1, 3, 2, 4, 5)
+    out[:, : h2 * p, : w2 * p, :] = blocks.reshape(n, h2 * p, w2 * p, c)
+    return out if batched else out[0]
+
+
+def unpool_backward_oracle(grad_out, switches):
+    """Gather the gradient sitting at each recorded argmax position."""
+    gb, batched = _as_batch(grad_out, 3)
+    idx, _ = _as_batch(switches.index, 3)
+    p = switches.pool
+    h, w, c = switches.in_shape
+    n = gb.shape[0]
+    h2, w2 = h // p, w // p
+    win = np.zeros((n, h2, w2, p, p, c), dtype=gb.dtype)
+    win[...] = (
+        gb[:, : h2 * p, : w2 * p, :].reshape(n, h2, p, w2, p, c).transpose(0, 1, 3, 2, 4, 5)
+    )
+    win = win.reshape(n, h2, w2, p * p, c)
+    out = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    return out if batched else out[0]
+
+
+def elu_oracle(x, alpha=1.0):
+    """Exponential linear unit: v if v > 0 else alpha*(exp(v) - 1)."""
+    if alpha <= 0:
+        raise ParameterError(f"alpha must be > 0, got {alpha}")
+    x = np.asarray(x)
+    return np.where(x > 0, x, (alpha * np.expm1(np.minimum(x, 0.0))).astype(x.dtype))
+
+
+def elu_backward_oracle(grad_out, x, alpha=1.0):
+    """ELU gradient: 1 where v > 0, alpha*exp(v) elsewhere."""
+    x = np.asarray(x)
+    deriv = np.where(x > 0, 1.0, alpha * np.exp(np.minimum(x, 0.0)))
+    return (grad_out * deriv).astype(np.asarray(grad_out).dtype)
