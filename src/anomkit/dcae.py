@@ -230,7 +230,7 @@ def train_fusion(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
     _check_patch_side(model, dataset)
     if not model.scales_trained:
         raise UsageError("scale encoders must be trained before the fusion DAE")
-    clean = _batched(_encode_scales, model, dataset).astype(np.float32)
+    clean = _batched(_encode_scales, model, dataset)
 
     def step(idx, step_rng):
         target = clean[idx]

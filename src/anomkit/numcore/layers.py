@@ -129,8 +129,7 @@ class Deconv2D(Layer):
     def backward(self, grad, tape):
         x = tape.get(self)
         grad_x, gk = ops.deconv2d_backward(grad, x, self.kernels)
-        gb = grad.reshape(-1, grad.shape[-1]).astype(np.float64).sum(axis=0)
-        tape.grads[id(self)] = [gk, gb.astype(self.dtype)]
+        tape.grads[id(self)] = [gk, grad.reshape(-1, grad.shape[-1]).sum(axis=0)]
         return grad_x
 
 
@@ -291,6 +290,7 @@ def sgd_step(params, grads, lr, momentum=0.0, velocity=None):
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {i} (shape {p.shape})")
         v = momentum * v - lr * g
-        new_velocity.append(v.astype(p.dtype))
-        new_params.append(p + v.astype(p.dtype))
+        v = v.astype(p.dtype, copy=False)
+        new_velocity.append(v)
+        new_params.append(p + v)
     return new_params, new_velocity

@@ -1,13 +1,18 @@
 """Neural-network layer primitives with exact backward passes.
 
 All operations accept a single sample ([H,W,C] for spatial ops, [D] for dense)
-or a batch with one extra leading axis. Convolution sums are accumulated in
-64-bit and stored back in the input dtype, which bounds accumulation drift
-for float32 data.
+or a batch with one extra leading axis.
 
-Exactness contract: a faster kernel must return, on finite inputs, values
-that are `np.array_equal` to the plain formula it replaces, in the same
-dtype, and the same pool switches. The pooling and ELU kernels therefore
+Dtype policy: every op computes and returns in the common dtype of its
+operands, `np.result_type(x, weights)`, and casts nothing itself. A float32
+model on float32 data therefore runs float32 BLAS end to end, gradients
+included, and a float64 network (the finite-difference tests) stays float64.
+Sums accumulate in that dtype; the drift this allows in a float32 model is
+bounded by a test against a float64 twin of the same model.
+
+Exactness contract (pool, unpool and ELU): a faster kernel must return, on
+finite inputs, values that are `np.array_equal` to the plain formula it
+replaces, in the same dtype, and the same pool switches. These kernels therefore
 take no data-dependent branch and change no rounding: pooling reduces the
 p*p strided window views with `np.maximum` and finds the first maximum by
 equality sweeps; unpooling scatters and gathers through the same views;
@@ -66,11 +71,8 @@ def conv2d_valid(x, kernels, bias):
         raise DimensionError(f"input {xb.shape[1:3]} smaller than kernel {k}")
     if bias.shape != (cout,):
         raise DimensionError(f"bias must be [Cout]={cout}, got {bias.shape}")
-    # cast before the window gather, so the windows are copied once, in 64-bit
-    cols = _im2col(xb.astype(np.float64), k)
-    out = cols @ kernels.reshape(-1, cout).astype(np.float64)
-    out += bias.astype(np.float64)
-    out = out.astype(xb.dtype)
+    out = _im2col(xb, k) @ kernels.reshape(-1, cout)
+    out += bias
     return out if batched else out[0]
 
 
@@ -80,11 +82,9 @@ def conv2d_param_grads(grad_out, x, kernels):
     xb, _ = _as_batch(x, 3)
     gb, _ = _as_batch(grad_out, 3)
     k, _, cin, cout = kernels.shape
-    cols = _im2col(xb.astype(np.float64), k).reshape(-1, k * k * cin)
-    gflat = gb.reshape(-1, cout).astype(np.float64)
-    grad_k = (cols.T @ gflat).reshape(kernels.shape)
-    grad_b = gflat.sum(axis=0)
-    return grad_k.astype(kernels.dtype), grad_b.astype(kernels.dtype)
+    cols = _im2col(xb, k).reshape(-1, k * k * cin)
+    gflat = gb.reshape(-1, cout)
+    return (cols.T @ gflat).reshape(kernels.shape), gflat.sum(axis=0)
 
 
 def deconv2d(x, kernels):
@@ -102,15 +102,13 @@ def deconv2d(x, kernels):
         raise DimensionError(f"input channels {xb.shape[3]} != kernel Cout {cout}")
     n, h, w, _ = xb.shape
     # out[i+a, j+b, c] += x[i,j,o] * K[a,b,c,o]: one small matmul over the
-    # channel axis, then k*k shifted adds into a 64-bit accumulator
-    kmat = kernels.reshape(k * k * cin, cout).astype(np.float64)
-    per_pos = xb.reshape(-1, cout).astype(np.float64) @ kmat.T
+    # channel axis, then k*k shifted adds
+    per_pos = xb.reshape(-1, cout) @ kernels.reshape(k * k * cin, cout).T
     per_pos = per_pos.reshape(n, h, w, k, k, cin)
-    out = np.zeros((n, h + k - 1, w + k - 1, cin), dtype=np.float64)
+    out = np.zeros((n, h + k - 1, w + k - 1, cin), dtype=per_pos.dtype)
     for a in range(k):
         for b in range(k):
             out[:, a : a + h, b : b + w, :] += per_pos[:, :, :, a, b, :]
-    out = out.astype(xb.dtype)
     return out if batched else out[0]
 
 
@@ -121,11 +119,9 @@ def deconv2d_backward(grad_out, x, kernels):
     k, _, cin, cout = kernels.shape
     grad_x = conv2d_valid(gb, kernels, np.zeros(cout, dtype=kernels.dtype))
     # grad_K[a,b,c,o] = sum_{n,i,j} x[n,i,j,o] * grad_out[n,i+a,j+b,c]
-    cols = _im2col(gb.astype(np.float64), k).reshape(-1, k * k * cin)  # positions align with x
-    xflat = xb.reshape(-1, cout)
-    gk = cols.T @ xflat.astype(np.float64)  # [k*k*Cin, Cout]
-    grad_k = gk.reshape(k, k, cin, cout)
-    return (grad_x if batched else grad_x[0]), grad_k.astype(kernels.dtype)
+    cols = _im2col(gb, k).reshape(-1, k * k * cin)  # positions align with x
+    grad_k = (cols.T @ xb.reshape(-1, cout)).reshape(k, k, cin, cout)
+    return (grad_x if batched else grad_x[0]), grad_k
 
 
 class PoolSwitches(NamedTuple):
@@ -247,7 +243,7 @@ def dropout(x, rate, rng: Rng, training=True):
     x = np.asarray(x)
     if not training or rate == 0.0:
         return x, np.ones_like(x)
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
+    keep = (rng.random(x.shape, dtype=np.float32) >= np.float32(rate)).astype(x.dtype)
     mask = keep / np.asarray(1.0 - rate, dtype=x.dtype)
     return x * mask, mask
 
@@ -261,8 +257,9 @@ def dense(x, weight, bias):
     x = np.asarray(x)
     if x.shape[-1] != weight.shape[0]:
         raise DimensionError(f"input dim {x.shape[-1]} != weight rows {weight.shape[0]}")
-    out = x.astype(np.float64) @ weight.astype(np.float64) + bias.astype(np.float64)
-    return out.astype(x.dtype)
+    out = x @ weight
+    out += bias
+    return out
 
 
 def dense_backward(grad_out, x, weight):
@@ -271,10 +268,7 @@ def dense_backward(grad_out, x, weight):
     g = np.asarray(grad_out)
     x2 = x.reshape(-1, x.shape[-1])
     g2 = g.reshape(-1, g.shape[-1])
-    grad_w = (x2.astype(np.float64).T @ g2.astype(np.float64)).astype(weight.dtype)
-    grad_b = g2.astype(np.float64).sum(axis=0).astype(weight.dtype)
-    grad_x = (g.astype(np.float64) @ weight.astype(np.float64).T).astype(x.dtype)
-    return grad_x, grad_w, grad_b
+    return g @ weight.T, x2.T @ g2, g2.sum(axis=0)
 
 
 def mse(x, xhat):
@@ -291,4 +285,4 @@ def mse_grad(x, xhat):
     x, xhat = np.asarray(x), np.asarray(xhat)
     if x.shape != xhat.shape:
         raise DimensionError(f"shape mismatch {x.shape} vs {xhat.shape}")
-    return (2.0 / x.size) * (xhat.astype(np.float64) - x.astype(np.float64))
+    return (2.0 / x.size) * (xhat - x)

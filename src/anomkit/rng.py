@@ -38,8 +38,8 @@ class Rng:
     def integers(self, low, high=None, size=None):
         return self._gen.integers(low, high, size)
 
-    def random(self, size=None):
-        return self._gen.random(size)
+    def random(self, size=None, dtype=np.float64):
+        return self._gen.random(size, dtype)
 
     def permutation(self, x):
         return self._gen.permutation(x)

@@ -99,7 +99,8 @@ def test_elu_backward_matches_oracle(x, alpha, grad_dtype, data):
 def test_inference_dropout_layer_is_the_identity(x, grad_dtype, data):
     """Forward and backward in inference equal ops.dropout with its ones mask.
 
-    Gradients reach a layer in its input's dtype or in float64 (mse_grad)."""
+    Gradients reach a layer in its input's dtype; a float64 gradient reaching
+    a float32 layer is checked too."""
     grad_dtype = grad_dtype or x.dtype
     grad = data.draw(arrays(grad_dtype, x.shape, elements=values(grad_dtype)))
     want_out, mask = ops.dropout(x, 0.3, Rng(0), training=False)

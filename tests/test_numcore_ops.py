@@ -205,6 +205,14 @@ class TestDropout:
         _, m2 = nc.dropout(x, 0.3, Rng(7), training=True)
         assert np.array_equal(m1, m2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mask_comes_from_float32_draws(self, dtype):
+        x = np.ones((40, 25), dtype)
+        _, mask = nc.dropout(x, 0.3, Rng(7), training=True)
+        keep = Rng(7).random(x.shape, dtype=np.float32) >= np.float32(0.3)
+        assert mask.dtype == dtype
+        assert np.array_equal(mask, keep / dtype(0.7))
+
 
 class TestMse:
     def test_zero_on_equal(self):
