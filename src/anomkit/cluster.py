@@ -167,16 +167,6 @@ def select_k(features, k_range=(2, 30), rng: Rng | None = None, restarts=5,
     return ClusterModel(centroids=res_best.centroids, k=k_best, db_trace=trace)
 
 
-def assign(model: ClusterModel, z) -> int:
-    """Nearest-centroid id by cosine similarity; ties to the lowest id."""
-    z = np.asarray(z, dtype=np.float64)
-    norm = np.linalg.norm(z)
-    if norm == 0 or not np.isfinite(norm):
-        raise InputError("cannot assign a zero or non-finite vector")
-    sims = model.centroids @ (z / norm)
-    return int(np.argmax(sims))
-
-
 def assign_batch(model: ClusterModel, features):
     xu = _unit_rows(features)
     return np.argmax(xu @ model.centroids.T, axis=1)

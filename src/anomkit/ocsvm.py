@@ -24,10 +24,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionError, InputError, UsageError
 
-NORMAL = "normal"
-ANOMALY = "anomaly"
-
-
 @dataclass
 class DualSolution:
     alpha: np.ndarray  # [n]
@@ -66,7 +62,7 @@ def solve_nu_dual(X, nu, tol=1e-8, max_iter=200_000) -> DualSolution:
         gj = np.where(down, g, -np.inf)
         i = int(np.argmin(gi))
         j = int(np.argmax(gj))
-        violation = float(g[j] - g[i])
+        violation = max(float(g[j] - g[i]), 0.0)  # below 0: strictly optimal
         if violation <= tol:
             break
         denom = sq[i] + sq[j] - 2.0 * float(X[i] @ X[j])
@@ -185,24 +181,11 @@ def fit_ocsvm(features, nu=0.1, tol=1e-8, max_iter=200_000) -> OcSvmModel:
 
 
 def decision_values(model: OcSvmModel, features):
-    """Raw scores w.x' - rho for one or many feature vectors."""
-    X = np.asarray(features, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None]
+    """Raw scores w.x' - rho of [n, d] feature rows; below 0 is an anomaly."""
+    X = as_feature_matrix(features)
     if X.shape[1] != model.dim:
         raise UsageError(f"feature dim {X.shape[1]} != model dim {model.dim}")
-    scores = model.standardize(X) @ model.w - model.rho
-    return scores[0] if single else scores
-
-
-def score(model: OcSvmModel, z):
-    """Classify one feature vector; the boundary itself counts as normal."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1:
-        raise UsageError(f"score expects a single vector, got shape {z.shape}")
-    val = float(decision_values(model, z))
-    return (ANOMALY if val < 0.0 else NORMAL), val
+    return model.standardize(X) @ model.w - model.rho
 
 
 @dataclass

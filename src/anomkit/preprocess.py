@@ -5,10 +5,16 @@ slice (dynamic programming on vertical-gradient cost images), flatten every
 column onto the deepest bottom row, normalize each slice's intensity into
 [0,1] by robust percentiles, then oversegment each slice into superpixels.
 
-SLIC yields an int label map per slice. `superpixel_records` turns that map
-into complete `Superpixel` records in one pass: pixel lists from one stable
-argsort, centroids from `np.bincount`, and the in-retina flag from one
-vectorized band comparison at the rounded centroid column.
+SLIC yields an int label map per slice, made connected by an orphan merge:
+each label keeps its largest 4-connected component (ties to the lowest
+component id), and the other components settle in rounds, each taking the
+label of its largest already-settled neighbour by original area (ties to
+the lowest component id), so the result does not depend on visiting order.
+`superpixel_records` turns the stacked [S, H, W] label volume into complete
+`Superpixel` records in one pass, keyed by slice * n_ids + id: pixel lists
+from one stable argsort, centroids from sums over each key's run, and the
+in-retina flag from one vectorized band comparison at the rounded centroid
+column.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ class SurfacePair:
 
     def band_mask(self, height):
         """Boolean [slices, height, width] mask of rows in [top, bottom]."""
-        s, w = self.top.shape
         rows = np.arange(height)[None, :, None]
         return (rows >= self.top[:, None, :]) & (rows <= self.bottom[:, None, :])
 
@@ -125,15 +130,10 @@ def flatten(volume_data, surfaces: SurfacePair):
     exactly. Returns (flattened volume, surfaces in flattened coordinates).
     """
     vol = np.asarray(volume_data)
-    n_slices, h, w = vol.shape
     target = int(surfaces.bottom.max())
     shift = target - surfaces.bottom  # [slices, w], >= 0
-    out = np.zeros_like(vol)
-    rows = np.arange(h)[:, None]
-    for s in range(n_slices):
-        src = rows - shift[s][None, :]  # source row feeding each output row
-        valid = src >= 0
-        out[s][valid] = vol[s][src.clip(min=0), np.broadcast_to(np.arange(w), (h, w))][valid]
+    src = np.arange(vol.shape[1])[None, :, None] - shift[:, None, :]  # source row per voxel
+    out = np.where(src >= 0, np.take_along_axis(vol, src.clip(min=0), axis=1), 0)
     new_top = surfaces.top + shift
     new_bottom = np.full_like(surfaces.bottom, target)
     return out, SurfacePair(top=new_top, bottom=new_bottom)
@@ -177,61 +177,40 @@ def _connected_regions(labels):
 
 
 def _enforce_connectivity(labels):
-    """Keep each label's largest component; merge orphans into the adjacent
-    component with the largest area (ties to the lowest component id)."""
-    h, w = labels.shape
+    """Make every label one 4-connected region.
+
+    Each label keeps its largest component (ties to the lowest component
+    id); the other components, the orphans, settle in rounds: every orphan
+    that touches a settled component takes the label of its largest such
+    neighbour by original area, ties to the lowest component id.
+    """
     n_comp, comp = _connected_regions(labels)
     flat_comp = comp.ravel()
-    flat_lab = labels.ravel()
     areas = np.bincount(flat_comp, minlength=n_comp)
-    # representative label per component
-    first = np.full(n_comp, -1, dtype=np.int64)
-    order = np.argsort(flat_comp, kind="stable")
-    starts = np.searchsorted(flat_comp[order], np.arange(n_comp))
-    first = flat_lab[order[starts]]
-    # the main (largest) component of each label wins; ties to lowest comp id
-    keep = {}
-    for cid in range(n_comp):
-        lab = int(first[cid])
-        if lab not in keep or areas[cid] > areas[keep[lab]]:
-            keep[lab] = cid
-    main = np.zeros(n_comp, dtype=bool)
-    for cid in keep.values():
-        main[cid] = True
+    comp_label = np.empty(n_comp, dtype=labels.dtype)
+    comp_label[flat_comp] = labels.ravel()
+    # stable sort: within a label, the largest component first, then the lowest id
+    by_label = np.lexsort((-areas, comp_label))
+    sorted_label = comp_label[by_label]
+    settled = np.zeros(n_comp, dtype=bool)
+    settled[by_label[np.r_[True, sorted_label[1:] != sorted_label[:-1]]]] = True
 
-    # adjacency between components
-    pairs = set()
-    a, b = comp[:, :-1], comp[:, 1:]
-    diff = a != b
-    pairs.update(zip(a[diff].tolist(), b[diff].tolist()))
-    a, b = comp[:-1, :], comp[1:, :]
-    diff = a != b
-    pairs.update(zip(a[diff].tolist(), b[diff].tolist()))
-    neighbors = [[] for _ in range(n_comp)]
-    for x, y in pairs:
-        neighbors[x].append(y)
-        neighbors[y].append(x)
-
-    new_label_of_comp = first.copy()
-    # orphans in ascending component id order; repeat until stable since an
-    # orphan may first see only other orphans
-    resolved = main.copy()
-    for _ in range(n_comp):
-        changed = False
-        for cid in range(n_comp):
-            if resolved[cid]:
-                continue
-            cands = [nb for nb in neighbors[cid] if resolved[nb]]
-            if not cands:
-                continue
-            best = max(cands, key=lambda nb: (areas[nb], -nb))
-            new_label_of_comp[cid] = new_label_of_comp[best]
-            areas[best] += areas[cid]
-            resolved[cid] = True
-            changed = True
-        if not changed:
-            break
-    return new_label_of_comp[comp]
+    # touching component pairs from the right and down neighbours, both directions
+    a = np.concatenate([comp[:, :-1].ravel(), comp[:-1].ravel()])
+    b = np.concatenate([comp[:, 1:].ravel(), comp[1:].ravel()])
+    touch = a != b
+    orphan = np.concatenate([a[touch], b[touch]])
+    nb = np.concatenate([b[touch], a[touch]])
+    # the component graph of a slice is connected, so each round settles one or more
+    while not settled.all():
+        edge = ~settled[orphan] & settled[nb]
+        o, n = orphan[edge], nb[edge]
+        pick = np.lexsort((n, -areas[n], o))
+        o, n = o[pick], n[pick]
+        first = np.r_[True, o[1:] != o[:-1]]
+        comp_label[o[first]] = comp_label[n[first]]
+        settled[o[first]] = True
+    return comp_label[comp]
 
 
 def slic_superpixels(slice_img, target_area=16, compactness=0.1, n_iter=10):
@@ -295,29 +274,34 @@ def slic_superpixels(slice_img, target_area=16, compactness=0.1, n_iter=10):
     return _enforce_connectivity(labels)
 
 
-def superpixel_records(labels, slice_index, surfaces: SurfacePair) -> list:
-    """Complete `Superpixel` records of one slice's label map, in id order.
+def superpixel_records(labels, surfaces: SurfacePair) -> list:
+    """Complete `Superpixel` records of an [S, H, W] label volume, in (slice, id) order.
 
     Each record's pixels are in raster order. A superpixel is in the retina
     when its centroid row lies in [top, bottom] at the centroid column,
     rounded half to even as Python's `round` does.
     """
-    w = labels.shape[1]
-    flat = labels.ravel()
-    order = np.argsort(flat, kind="stable")
-    sorted_lab = flat[order]
-    ids, starts, counts = np.unique(sorted_lab, return_index=True, return_counts=True)
-    rows, cols = order // w, order % w
-    centroid_r = np.bincount(sorted_lab, weights=rows)[ids] / counts
-    centroid_c = np.bincount(sorted_lab, weights=cols)[ids] / counts
+    labels = np.asarray(labels)
+    if labels.ndim != 3:
+        raise DimensionError(f"labels must be [slices, H, W], got {labels.shape}")
+    n_slices, h, w = labels.shape
+    n_ids = int(labels.max(initial=0)) + 1
+    key = (np.arange(n_slices)[:, None, None] * n_ids + labels).ravel()
+    order = np.argsort(key, kind="stable")
+    keys, starts, counts = np.unique(key[order], return_index=True, return_counts=True)
+    slices, ids = np.divmod(keys, n_ids)
+    order %= h * w  # pixel index within its slice
+    rows, cols = np.divmod(order, w)
+    centroid_r = np.add.reduceat(rows, starts) / counts
+    centroid_c = np.add.reduceat(cols, starts) / counts
     col = np.clip(np.rint(centroid_c), 0, w - 1).astype(np.int64)
-    in_retina = ((surfaces.top[slice_index, col] <= centroid_r)
-                 & (centroid_r <= surfaces.bottom[slice_index, col]))
+    in_retina = ((surfaces.top[slices, col] <= centroid_r)
+                 & (centroid_r <= surfaces.bottom[slices, col]))
     return [
-        Superpixel(id=lab, slice_index=slice_index, rows=rows[a:b], cols=cols[a:b],
+        Superpixel(id=lab, slice_index=s, rows=rows[a:b], cols=cols[a:b],
                    centroid=(r, c), in_retina=inside)
-        for lab, a, b, r, c, inside in zip(
-            ids.tolist(), starts.tolist(), (starts + counts).tolist(),
+        for lab, s, a, b, r, c, inside in zip(
+            ids.tolist(), slices.tolist(), starts.tolist(), (starts + counts).tolist(),
             centroid_r.tolist(), centroid_c.tolist(), in_retina.tolist())
     ]
 
@@ -337,11 +321,8 @@ def preprocess_volume(volume_data, target_area=16, compactness=0.1,
     surfaces = segment_surfaces(volume_data, smoothness=smoothness, min_gap=min_gap)
     flat, fsurf = flatten(volume_data, surfaces)
     band = fsurf.band_mask(flat.shape[1])
-    n_slices = flat.shape[0]
-    norm = np.empty_like(flat, dtype=np.float64)
-    superpixels = []
-    for s in range(n_slices):
-        norm[s] = normalize_slice(flat[s], band[s])
-        labels = slic_superpixels(norm[s], target_area=target_area, compactness=compactness)
-        superpixels.extend(superpixel_records(labels, s, fsurf))
-    return PreprocessedVolume(data=norm.astype(np.float32), surfaces=fsurf, superpixels=superpixels)
+    norm = np.stack([normalize_slice(img, mask) for img, mask in zip(flat, band)])
+    labels = np.stack([slic_superpixels(img, target_area=target_area, compactness=compactness)
+                       for img in norm])
+    return PreprocessedVolume(data=norm.astype(np.float32), surfaces=fsurf,
+                              superpixels=superpixel_records(labels, fsurf))

@@ -7,6 +7,7 @@ import numpy as np
 from anomkit.errors import DimensionError, ParameterError
 from anomkit.numcore import GradTape, mse, mse_grad, sgd_step
 from anomkit.numcore.ops import PoolSwitches, _as_batch
+from anomkit.preprocess import Superpixel
 
 
 def nu_dual_oracle(X, nu):
@@ -128,6 +129,30 @@ def pair_oracle(slice_img, center, side):
     wide = crop(r - side // 2, c - 2 * side, side, 4 * side)
     scale2 = wide.reshape(side, side, 4).mean(axis=2)
     return scale1.astype(np.float32), scale2.astype(np.float32)
+
+
+def superpixel_records_oracle(labels, slice_index, surfaces):
+    """`Superpixel` records of one slice's [H, W] label map, as they were built
+    one slice at a time: id order, raster-order pixels, in-retina at the
+    half-to-even rounded centroid column."""
+    w = labels.shape[1]
+    flat = labels.ravel()
+    order = np.argsort(flat, kind="stable")
+    sorted_lab = flat[order]
+    ids, starts, counts = np.unique(sorted_lab, return_index=True, return_counts=True)
+    rows, cols = order // w, order % w
+    centroid_r = np.bincount(sorted_lab, weights=rows)[ids] / counts
+    centroid_c = np.bincount(sorted_lab, weights=cols)[ids] / counts
+    col = np.clip(np.rint(centroid_c), 0, w - 1).astype(np.int64)
+    in_retina = ((surfaces.top[slice_index, col] <= centroid_r)
+                 & (centroid_r <= surfaces.bottom[slice_index, col]))
+    return [
+        Superpixel(id=lab, slice_index=slice_index, rows=rows[a:b], cols=cols[a:b],
+                   centroid=(r, c), in_retina=inside)
+        for lab, a, b, r, c, inside in zip(
+            ids.tolist(), starts.tolist(), (starts + counts).tolist(),
+            centroid_r.tolist(), centroid_c.tolist(), in_retina.tolist())
+    ]
 
 
 # The DCAE as it was written before its autoencoders became Networks and its

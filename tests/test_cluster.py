@@ -142,20 +142,18 @@ class TestAssign:
 
     def test_centroid_assigns_to_itself(self):
         model, _ = self._model()
-        for i, c in enumerate(model.centroids):
-            assert cluster.assign(model, c) == i
+        assert np.array_equal(cluster.assign_batch(model, model.centroids), np.arange(model.k))
 
     def test_scale_invariance(self):
         model, X = self._model()
-        for z in X[:20]:
-            base = cluster.assign(model, z)
-            for a in (0.01, 1.0, 250.0):
-                assert cluster.assign(model, a * z) == base
+        base = cluster.assign_batch(model, X[:20])
+        for a in (0.01, 1.0, 250.0):
+            assert np.array_equal(cluster.assign_batch(model, a * X[:20]), base)
 
     def test_zero_vector_rejected(self):
         model, _ = self._model()
         with pytest.raises(InputError):
-            cluster.assign(model, np.zeros(model.centroids.shape[1]))
+            cluster.assign_batch(model, np.zeros((1, model.centroids.shape[1])))
 
     def test_training_features_replay(self):
         X = three_cones(Rng(22))

@@ -88,18 +88,32 @@ class TestNuProperty:
         assert model.free_support_vectors == 0  # rho from the bound candidates
 
     def test_two_identical_points_sit_on_boundary(self):
+        from anomkit.preprocess import Superpixel
+
         X = np.array([[1.5, -2.0], [1.5, -2.0]])
+        sp = Superpixel(id=0, slice_index=0, rows=np.array([0]), cols=np.array([0]),
+                        centroid=(0.0, 0.0), in_retina=True)
         for nu in (0.3, 0.7, 1.0):
             model = ocsvm.fit_ocsvm(X, nu=nu)
             # at nu = 1 both alphas sit at the cap 1/(nu*n) = 1/2
             assert model.free_support_vectors == (0 if nu == 1.0 else 2)
-            label, val = ocsvm.score(model, X[0])
+            (val,) = ocsvm.decision_values(model, X[:1])
             assert abs(val) <= 1e-9
-            assert label == ocsvm.NORMAL  # boundary counts as normal
+            amap = ocsvm.segment_volume(model, X[:1], [sp], volume_shape=(1, 1, 1))
+            assert amap.labels.tolist() == [False]  # boundary counts as normal
 
     def test_single_point_rejected(self):
         with pytest.raises(InputError):
             ocsvm.fit_ocsvm(np.ones((1, 3)), nu=0.5)
+
+    def test_kkt_violation_is_never_negative(self):
+        # at a strictly optimal point the largest gradient among alphas that
+        # can shrink lies below the smallest among those that can grow
+        X = Rng(7).normal(size=(100, 8)) + 2.0
+        model = ocsvm.fit_ocsvm(X, nu=0.3, tol=1e-10)
+        assert 0.0 <= model.kkt_violation <= 1e-10
+        sol = ocsvm.solve_nu_dual(X, 0.3, tol=1e-10)
+        assert 0.0 <= sol.kkt_violation <= 1e-10
 
     def test_iteration_budget_exhausted(self):
         X = Rng(40).normal(size=(100, 8)) + 2.0
@@ -128,13 +142,14 @@ class TestScoring:
         model, X = self._model()
         z_plus = model.w / np.linalg.norm(model.w) * 1e5 * model.scale
         z_minus = -z_plus
-        assert ocsvm.score(model, z_plus)[0] == ocsvm.NORMAL
-        assert ocsvm.score(model, z_minus)[0] == ocsvm.ANOMALY
+        plus, minus = ocsvm.decision_values(model, np.stack([z_plus, z_minus]))
+        assert plus >= 0.0  # normal
+        assert minus < 0.0  # anomaly
 
     def test_dimension_mismatch(self):
         model, _ = self._model()
         with pytest.raises(UsageError):
-            ocsvm.score(model, np.ones(5))
+            ocsvm.decision_values(model, np.ones((1, 5)))
 
     def test_constant_dimension_contributes_nothing(self):
         rng = Rng(37)
@@ -145,7 +160,8 @@ class TestScoring:
         assert abs(m_aug.w[-1] * m_aug.standardize(X_aug[0])[-1]) <= 1e-12
         z = np.abs(rng.normal(size=6)) + 1.0
         z_aug = np.concatenate([z, [7.3]])
-        assert abs(ocsvm.score(m_base, z)[1] - ocsvm.score(m_aug, z_aug)[1]) <= 1e-9
+        base = ocsvm.decision_values(m_base, z[None])[0]
+        assert abs(base - ocsvm.decision_values(m_aug, z_aug[None])[0]) <= 1e-9
 
 
 class TestSegmentVolume:

@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from anomkit import phantom, preprocess
 from anomkit.errors import InputError, SegmentationError
 from anomkit.rng import Rng
+
+from oracles import superpixel_records_oracle
 
 
 class TestSegmentSurfaces:
@@ -158,7 +164,7 @@ class TestSlic:
         prep_img = vol.data[0]
         labels = preprocess.slic_superpixels(prep_img, target_area=16)
         surf = preprocess.segment_surfaces(vol.data[:1])
-        sps = preprocess.superpixel_records(labels, 0, surf)
+        sps = preprocess.superpixel_records(labels[None], surf)
         assert [sp.id for sp in sps] == np.unique(labels).tolist()
         seen = np.zeros(prep_img.shape, dtype=int)
         for sp in sps:
@@ -188,6 +194,110 @@ class TestSlic:
         assert np.unique(labels).size == 1
 
 
+def _grown_box(box, shape):
+    """A find_objects box grown by one pixel on every side, inside `shape`."""
+    return tuple(slice(max(b.start - 1, 0), min(b.stop + 1, n)) for b, n in zip(box, shape))
+
+
+def check_merge(before, after):
+    """The orphan-merge contract, from independent 4-connected component maps."""
+    assert set(np.unique(after).tolist()) == set(np.unique(before).tolist())
+    for lab, box in enumerate(ndimage.find_objects(after + 1)):
+        if box is not None:
+            assert ndimage.label(after[box] == lab)[1] == 1, f"label {lab} is split"
+    for lab, box in enumerate(ndimage.find_objects(before + 1)):
+        if box is None:
+            continue
+        box = _grown_box(box, before.shape)
+        comps, n = ndimage.label(before[box] == lab)
+        # components are numbered in raster order, so argmax ties to the lowest id
+        main = int(np.argmax(np.bincount(comps.ravel())[1:])) + 1
+        assert np.all(after[box][comps == main] == lab)
+        for k in range(1, n + 1):
+            if k == main:
+                continue
+            orphan = comps == k
+            ring = ndimage.binary_dilation(orphan) & ~orphan
+            taken = np.unique(after[box][orphan])
+            assert taken.size == 1 and taken[0] in after[box][ring]
+
+
+def slic_before_and_after_merge(img):
+    """(pre-merge SLIC labels, connected labels) of one slice."""
+    seen = []
+
+    def capture(labels):
+        seen.append(labels)
+        return merge(labels)
+
+    merge = preprocess._enforce_connectivity
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(preprocess, "_enforce_connectivity", capture)
+        after = preprocess.slic_superpixels(img, target_area=16)
+    return seen[0], after
+
+
+class TestOrphanMerge:
+    """Rule of `_enforce_connectivity` on hand-made label maps: component ids
+    follow raster order of each component's first pixel."""
+
+    def merge(self, row):
+        return preprocess._enforce_connectivity(np.array([row])).ravel().tolist()
+
+    def test_orphan_joins_the_larger_neighbour(self):
+        # the label-2 orphan touches comp 0 (label 1, area 2) and comp 2 (label 0, area 3)
+        assert self.merge([1, 1, 2, 0, 0, 0, 2, 2, 2, 2]) == [1, 1, 0, 0, 0, 0, 2, 2, 2, 2]
+
+    def test_equal_areas_go_to_the_lower_component_id(self):
+        # comp 0 (label 1) and comp 2 (label 0) both have area 2
+        assert self.merge([1, 1, 2, 0, 0, 2, 2, 2]) == [1, 1, 1, 0, 0, 2, 2, 2]
+
+    def test_orphan_touching_only_an_orphan_settles_in_round_two(self):
+        # the label-2 orphan at 0 touches only the label-3 orphan at 1, which
+        # settles into label 0 in round 1; the first one follows in round 2
+        assert self.merge([2, 3, 0, 0, 0, 3, 3, 3, 2, 2]) == [0, 0, 0, 0, 0, 3, 3, 3, 2, 2]
+
+    def test_tied_main_components_keep_the_lower_id(self):
+        # label 2 has two components of area 2: the first stays, the second
+        # is an orphan and joins label 1 (area 4) over label 0 (area 3)
+        assert (self.merge([2, 2, 0, 0, 0, 2, 2, 1, 1, 1, 1])
+                == [2, 2, 0, 0, 0, 1, 1, 1, 1, 1, 1])
+
+    def test_areas_are_the_original_areas(self):
+        # the first orphan joins comp 1 (label 0, area 3); the second still
+        # sees areas 3 and 4 and joins comp 3 (label 1)
+        assert (self.merge([2, 0, 0, 0, 3, 1, 1, 1, 1, 2, 2, 3, 3])
+                == [0, 0, 0, 0, 1, 1, 1, 1, 1, 2, 2, 3, 3])
+
+    def test_orphans_settled_in_the_same_round_are_not_candidates(self):
+        # in round 1 the label-2 orphan (area 2) joins label 0, and the
+        # label-3 orphan next to it sees only comp 3 (label 1, area 1)
+        assert (self.merge([0, 0, 0, 2, 2, 3, 1, 2, 2, 2, 3, 3])
+                == [0, 0, 0, 0, 0, 1, 1, 2, 2, 2, 3, 3])
+
+    def test_two_dimensional_map(self):
+        before = np.array([[0, 0, 1, 1],
+                           [2, 0, 1, 1],
+                           [0, 2, 2, 2]])
+        after = preprocess._enforce_connectivity(before)
+        check_merge(before, after)
+        assert after.tolist() == [[0, 0, 1, 1], [0, 0, 1, 1], [2, 2, 2, 2]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.int64, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                  elements=st.integers(0, 4)))
+    def test_properties_on_random_maps(self, before):
+        check_merge(before, preprocess._enforce_connectivity(before))
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.sampled_from([28, 29]), st.integers(0, 7))
+    def test_properties_on_phantom_slic_slices(self, seed, s):
+        vol, _ = phantom.generate_volume(phantom.test_config(seed))
+        before, after = slic_before_and_after_merge(vol.data[s])
+        assert not np.array_equal(before, after)  # the slice has orphans to merge
+        check_merge(before, after)
+
+
 class TestMarkRetina:
     """The in-retina rule `superpixel_records` applies at each centroid."""
 
@@ -200,7 +310,7 @@ class TestMarkRetina:
         """in_retina of a superpixel (id 1) made of `pixels` in a 32x32 map."""
         labels = np.zeros((32, 32), dtype=np.int64)
         labels[tuple(np.transpose(pixels))] = 1
-        sps = preprocess.superpixel_records(labels, 0, surf or self._surfaces())
+        sps = preprocess.superpixel_records(labels[None], surf or self._surfaces())
         return next(sp for sp in sps if sp.id == 1).in_retina
 
     def test_above_top_false(self):
@@ -241,6 +351,26 @@ class TestPreprocessVolume:
         assert np.all(seen == 1)
         keys = [(sp.slice_index, sp.id) for sp in prep.superpixels]
         assert keys == sorted(set(keys))
+
+    def test_volume_records_equal_per_slice_records(self):
+        vol, _ = phantom.generate_volume(phantom.test_config(32))
+        surf = preprocess.segment_surfaces(vol.data)
+        labels = np.stack([preprocess.slic_superpixels(img) for img in vol.data])
+        records = preprocess.superpixel_records(labels, surf)
+        expected = [sp for s in range(labels.shape[0])
+                    for sp in superpixel_records_oracle(labels[s], s, surf)]
+        assert len(records) == len(expected)
+        for got, want in zip(records, expected):
+            assert (got.id, got.slice_index, got.centroid, got.in_retina) == (
+                want.id, want.slice_index, want.centroid, want.in_retina)
+            assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+
+    def test_slice_label_map_rejected(self):
+        from anomkit.errors import DimensionError
+
+        surf = preprocess.SurfacePair(top=np.zeros((1, 4), int), bottom=np.full((1, 4), 3))
+        with pytest.raises(DimensionError):
+            preprocess.superpixel_records(np.zeros((4, 4), dtype=np.int64), surf)
 
     def test_centroid_is_pixel_mean(self):
         vol, _ = phantom.generate_volume(phantom.healthy_config(31))
