@@ -9,10 +9,32 @@ pairs. After that stage, the per-scale encodings are concatenated and the
 fusion `Autoencoder([Dense, Elu], [Dense])` is trained as a denoising
 autoencoder (encoders frozen, masking-noise corruption); its encoder output
 is the final feature vector z. Both stages run the same momentum-SGD loop.
+
+The two scales run at the same time: wherever both are needed (a training
+step, or encoding a batch of pairs), scale 1's half runs on one worker
+thread and scale 2's half on the caller's thread. The halves share no
+layer, tape or generator, each draws its own RNG stream (`derive(1)` or
+`derive(2)` of the step's), and their results are joined in scale order;
+numpy's ufuncs, sgemm and Philox fills release the GIL, so the halves
+overlap on two cores and the outputs are bit-identical to running them one
+after the other. A failed half raises its own error once both have finished,
+scale 1's first.
+
+Inference runs in 128-row batches. Embedding one 4,526-pair desk volume on a
+2-core Xeon (2 MiB L2 per core, one BLAS thread; medians of 11) took
+0.59 / 0.42 / 0.42 / 0.38 s at 512 / 256 / 128 / 64 rows with the scales one
+after the other and 0.35 / 0.23 / 0.25 / 0.29 s with them in parallel; on one
+core, parallel took 0.36 s against 0.35 s serial at 128 rows. At 128 rows one
+ELU temporary (2.4 MB) is about one L2 cache. At 512 rows, the two encodes at
+once raised the benchmark's peak RSS from 176 to 215 MB (`screen`) and from
+227 to 261 MB (`fit`); at 128 rows it is 155 and 215 MB. Every batch size
+gives the same output.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,6 +176,31 @@ def build_model(preset, rng: Rng) -> DcaeModel:
     return DcaeModel(preset=p, scale1=s1, scale2=s2, fusion=fusion)
 
 
+def _new_scale1_worker():
+    global _SCALE1_WORKER
+    _SCALE1_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dcae-scale1")
+
+
+_new_scale1_worker()
+# a forked child inherits the executor but not its thread, and would wait forever
+os.register_at_fork(after_in_child=_new_scale1_worker)
+
+
+def _both_scales(half1, half2):
+    """(half1(), half2()), with half1 on the scale-1 worker and half2 here.
+
+    Both halves have finished before this returns or raises; an error of
+    half1 takes precedence, as it would if the halves ran in scale order.
+    """
+    future = _SCALE1_WORKER.submit(half1)
+    try:
+        second = half2()
+    except BaseException:
+        future.result()
+        raise
+    return future.result(), second
+
+
 def _check_patch_side(model: DcaeModel, dataset: PatchDataset):
     side = dataset.preset.side
     if side != model.preset.patch_side:
@@ -197,13 +244,16 @@ def train_dcae(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
     x1 = dataset.scale1[..., None]
     x2 = dataset.scale2[..., None]
 
+    def half(net, x, step_rng):
+        out, tape = net.forward(x, True, step_rng)
+        grads = net.backward(tape, nc.mse_grad(x, out))
+        return nc.mse(x, out), grads
+
     def step(idx, step_rng):
-        b1, b2 = x1[idx], x2[idx]
-        out1, tape1 = model.scale1.forward(b1, True, step_rng.derive(1))
-        out2, tape2 = model.scale2.forward(b2, True, step_rng.derive(2))
-        g1 = model.scale1.backward(tape1, nc.mse_grad(b1, out1))
-        g2 = model.scale2.backward(tape2, nc.mse_grad(b2, out2))
-        return 0.5 * (nc.mse(b1, out1) + nc.mse(b2, out2)), g1 + g2
+        (l1, g1), (l2, g2) = _both_scales(
+            lambda: half(model.scale1, x1[idx], step_rng.derive(1)),
+            lambda: half(model.scale2, x2[idx], step_rng.derive(2)))
+        return 0.5 * (l1 + l2), g1 + g2
 
     params = model.scale1.params() + model.scale2.params()
     model.scale_log.extend(_sgd_epochs(params, len(dataset), hyper.epochs, hyper, rng,
@@ -212,16 +262,20 @@ def train_dcae(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
     return model
 
 
-def _batched(fn, model: DcaeModel, dataset: PatchDataset, batch=512):
-    """fn(model, scale1 rows, scale2 rows) over `batch`-row slices, stacked."""
+def _batched(fn, model: DcaeModel, dataset: PatchDataset, batch=128):
+    """fn(model, scale1 rows, scale2 rows) over `batch`-row slices, stacked;
+    an empty dataset is one zero-row call, so the result keeps fn's width."""
+    if batch < 1:
+        raise ParameterError(f"batch must be >= 1, got {batch}")
     return np.concatenate([fn(model, dataset.scale1[start : start + batch],
                               dataset.scale2[start : start + batch])
-                           for start in range(0, len(dataset), batch)], axis=0)
+                           for start in range(0, len(dataset), batch) or [0]], axis=0)
 
 
 def _encode_scales(model: DcaeModel, scale1_batch, scale2_batch):
-    return np.concatenate([model.scale1.encode(scale1_batch[..., None]),
-                           model.scale2.encode(scale2_batch[..., None])], axis=1)
+    return np.concatenate(_both_scales(lambda: model.scale1.encode(scale1_batch[..., None]),
+                                       lambda: model.scale2.encode(scale2_batch[..., None])),
+                          axis=1)
 
 
 def train_fusion(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
@@ -261,6 +315,6 @@ def embed_pairs(model: DcaeModel, scale1_batch, scale2_batch):
     return model.fusion.encode(_encode_scales(model, scale1_batch, scale2_batch))
 
 
-def embed_dataset(model: DcaeModel, dataset: PatchDataset, batch=512):
+def embed_dataset(model: DcaeModel, dataset: PatchDataset, batch=128):
     _check_patch_side(model, dataset)
     return _batched(embed_pairs, model, dataset, batch)
