@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .errors import ParameterError, TrainingError, UsageError
+from .errors import InputError, ParameterError, TrainingError, UsageError
 from .patches import PatchDataset
 from .rng import Rng
 
@@ -215,6 +215,8 @@ def _sgd_epochs(params, n, epochs, hyper: TrainConfig, rng: Rng, order_tag, step
     step(row indices, rng.derive(step_tag + e * 100_000 + b)), which returns
     (loss, grads aligned with params). Returns the (epoch, mean loss) log.
     """
+    if n == 0:
+        raise InputError("cannot train on a dataset with no rows")
     velocity = None
     bs = hyper.batch_size
     log = []

@@ -188,15 +188,12 @@ class Dense(Layer):
 
 
 class Elu(Layer):
-    def __init__(self, alpha=1.0):
-        self.alpha = float(alpha)
-
     def forward(self, x, tape, training, rng):
         tape.put(self, x)
-        return ops.elu(x, self.alpha)
+        return ops.elu(x)
 
     def backward(self, grad, tape):
-        return ops.elu_backward(grad, tape.get(self), self.alpha)
+        return ops.elu_backward(grad, tape.get(self))
 
 
 class Dropout(Layer):

@@ -16,7 +16,7 @@ replaces, in the same dtype, and the same pool switches. These kernels therefore
 take no data-dependent branch and change no rounding: pooling reduces the
 p*p strided window views with `np.maximum` and finds the first maximum by
 equality sweeps; unpooling scatters and gathers through the same views;
-ELU adds max(x, 0) to alpha*expm1(min(x, 0)), of which one term is always
+ELU adds max(x, 0) to expm1(min(x, 0)), of which one term is always
 zero. `tests/oracles.py` keeps the earlier argmax and `np.where` kernels,
 and the tests compare against them.
 """
@@ -212,36 +212,28 @@ def unpool_backward(grad_out, switches):
     return out if batched else out[0]
 
 
-def elu(x, alpha=1.0):
-    """Exponential linear unit: v if v > 0 else alpha*(exp(v) - 1)."""
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be > 0, got {alpha}")
+def elu(x):
+    """Exponential linear unit: v if v > 0 else exp(v) - 1."""
     x = np.asarray(x)
     # one of the two terms is zero, so the sum rounds nothing
     out = np.expm1(np.minimum(x, 0.0))
-    out *= alpha
     out += np.maximum(x, 0.0)
     return out
 
 
-def elu_backward(grad_out, x, alpha=1.0):
-    """ELU gradient: 1 where v > 0, alpha*exp(v) elsewhere."""
-    x = np.asarray(x)
-    deriv = np.exp(np.minimum(x, 0.0))  # exactly 1 where v > 0
-    if alpha != 1.0:
-        deriv = np.where(x > 0, deriv, alpha * deriv)
+def elu_backward(grad_out, x):
+    """ELU gradient: 1 where v > 0, exp(v) elsewhere."""
+    deriv = np.exp(np.minimum(np.asarray(x), 0.0))  # exactly 1 where v > 0
     return (grad_out * deriv).astype(np.asarray(grad_out).dtype, copy=False)
 
 
-def dropout(x, rate, rng: Rng, training=True):
-    """Inverted dropout: zero with probability `rate`, scale survivors by 1/(1-rate).
-
-    Inference (training=False) is the identity. Returns (output, mask).
-    """
+def dropout(x, rate, rng: Rng):
+    """Inverted dropout in training: zero with probability `rate`, scale
+    survivors by 1/(1-rate). Returns (output, mask)."""
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0,1), got {rate}")
     x = np.asarray(x)
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x, np.ones_like(x)
     keep = (rng.random(x.shape, dtype=np.float32) >= np.float32(rate)).astype(x.dtype)
     mask = keep / np.asarray(1.0 - rate, dtype=x.dtype)

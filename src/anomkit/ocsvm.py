@@ -14,6 +14,9 @@ Features are standardized by per-dimension scale (1/std) before fitting.
 The scale-only choice is deliberate: dividing by the spread removes kernel
 scale sensitivity, while subtracting the mean would centre the training
 cloud on the origin and collapse the origin-separating boundary to w = 0.
+A correct nu-solution flags at most nu*n training vectors plus about d free
+support vectors, so a fit that flags more than nu + d/n of its training set
+is degenerate (a cloud around the origin) and raises FittingError.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, InputError, UsageError
+from .errors import ConvergenceError, DimensionError, FittingError, InputError, UsageError
 
 @dataclass
 class DualSolution:
@@ -165,6 +168,10 @@ def fit_ocsvm(features, nu=0.1, tol=1e-8, max_iter=200_000) -> OcSvmModel:
 
     sol = solve_nu_dual(Xs, nu, tol=tol, max_iter=max_iter)
     rho = _rho_from_solution(Xs, sol, nu)
+    flagged = float(np.mean(Xs @ sol.w - rho < 0.0))
+    if flagged > nu + d / n:
+        raise FittingError(f"degenerate boundary: it flags {flagged:.4f} of the training "
+                           f"set, above nu + d/n = {nu + d / n:.4f}")
     cap = 1.0 / (nu * n)
     support = float(np.mean(sol.alpha > cap * 1e-8))
     return OcSvmModel(

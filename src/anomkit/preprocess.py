@@ -1,20 +1,29 @@
 """Per-volume normalization pipeline.
 
-Order of operations for one volume: find the top/bottom retina surfaces per
-slice (dynamic programming on vertical-gradient cost images), flatten every
-column onto the deepest bottom row, normalize each slice's intensity into
-[0,1] by robust percentiles, then oversegment each slice into superpixels.
+Order of operations for one volume: find the top/bottom retina surfaces
+(dynamic programming on vertical-gradient cost images), flatten every column
+onto the deepest bottom row, normalize each slice's intensity into [0,1] by
+robust percentiles, then oversegment each slice into superpixels. The
+functions take only their data; their settings are module constants. The
+surface search covers the whole [S, H, W] volume at once: one in-slice box
+filter of side SMOOTH_WINDOW and one vertical gradient, then one column sweep
+of the dynamic program for the top surfaces of all slices and one for the
+bottom surfaces, which keep MIN_GAP rows below the top; both change by at
+most SMOOTHNESS rows from one column to the next.
 
-SLIC yields an int label map per slice, made connected by an orphan merge:
-each label keeps its largest 4-connected component (ties to the lowest
-component id), and the other components settle in rounds, each taking the
-label of its largest already-settled neighbour by original area (ties to
-the lowest component id), so the result does not depend on visiting order.
-`superpixel_records` turns the stacked [S, H, W] label volume into complete
-`Superpixel` records in one pass, keyed by slice * n_ids + id: pixel lists
-from one stable argsort, centroids from sums over each key's run, and the
-in-retina flag from one vectorized band comparison at the rounded centroid
-column.
+SLIC runs N_ITER k-means iterations from a grid of STEP-pixel cells, with
+spatial weight COMPACTNESS, each pixel restricted to the centres of its 3x3
+neighbouring cells; those candidates depend only on the slice shape, so they
+are built once per slice before the iterations. The label map is made
+connected by an orphan merge: each label keeps its largest 4-connected
+component (ties to the lowest component id), and the other components settle
+in rounds, each taking the label of its largest already-settled neighbour by
+original area (ties to the lowest component id), so the result does not
+depend on visiting order. `superpixel_records` turns the stacked [S, H, W]
+label volume into complete `Superpixel` records in one pass, keyed by
+slice * n_ids + id: pixel lists from one stable argsort, centroids from sums
+over each key's run, and the in-retina flag from one vectorized band
+comparison at the rounded centroid column.
 """
 
 from __future__ import annotations
@@ -22,10 +31,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage, sparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionError, InputError, SegmentationError
+
+SMOOTHNESS = 2
+MIN_GAP = 2
+SMOOTH_WINDOW = 3
+STEP = 4
+COMPACTNESS = 0.1
+N_ITER = 10
 
 
 @dataclass
@@ -51,74 +68,59 @@ class Superpixel:
     in_retina: bool
 
 
-def _min_cost_path(cost, bound):
-    """Min-cost left-to-right path with per-column row change <= bound.
+def _min_cost_paths(cost):
+    """Min-cost left-to-right path through each slice of cost [S, H, W].
 
-    Ties break toward the smallest row offset, then the smallest row, so the
-    result is deterministic. Raises SegmentationError when no finite path
-    survives the cost mask.
+    The row changes by at most SMOOTHNESS per column. Ties break toward the
+    smallest row offset, then the smallest row, so the result is
+    deterministic. Returns [S, W] rows; raises SegmentationError when a
+    slice has no finite path under the cost mask.
     """
-    h, w = cost.shape
-    dist = np.empty((h, w))
-    dist[:, 0] = cost[:, 0]
-    back = np.zeros((h, w), dtype=np.int8)
-    offsets = list(range(-bound, bound + 1))
-    stack = np.empty((len(offsets), h))
+    n_slices, h, w = cost.shape
+    b = SMOOTHNESS
+    cols = np.moveaxis(cost, 2, 0)  # [W, S, H]
+    padded = np.full((n_slices, h + 2 * b), np.inf)
+    windows = sliding_window_view(padded, 2 * b + 1, axis=1)  # [S, H, k]: row r + k - b
+    back = np.empty((w, n_slices, h), dtype=np.int8)
+    dist = cols[0]
     for c in range(1, w):
-        prev = dist[:, c - 1]
-        stack.fill(np.inf)
-        for oi, dr in enumerate(offsets):
-            if dr > 0:
-                stack[oi, : h - dr] = prev[dr:]
-            elif dr < 0:
-                stack[oi, -dr:] = prev[:dr]
-            else:
-                stack[oi] = prev
-        best = np.argmin(stack, axis=0)
-        dist[:, c] = cost[:, c] + stack[best, np.arange(h)]
-        back[:, c] = np.asarray(offsets, dtype=np.int8)[best]
-        if not np.isfinite(dist[:, c]).any():
-            raise SegmentationError(f"no path within smoothness bound at column {c}")
-    if not np.isfinite(dist[:, -1]).any():
-        raise SegmentationError("no finite-cost path")
-    path = np.empty(w, dtype=np.int64)
-    r = int(np.argmin(dist[:, -1]))
-    path[-1] = r
+        padded[:, b : b + h] = dist
+        k = windows.argmin(axis=2)
+        dist = cols[c] + np.take_along_axis(windows, k[..., None], axis=2)[..., 0]
+        back[c] = k - b
+    lost = ~np.isfinite(dist).any(axis=1)
+    if lost.any():
+        raise SegmentationError(f"slice {np.argmax(lost)}: no finite-cost path")
+    paths = np.empty((n_slices, w), dtype=np.int64)
+    paths[:, -1] = dist.argmin(axis=1)
+    every = np.arange(n_slices)
     for c in range(w - 1, 0, -1):
-        r = r + int(back[r, c])
-        path[c - 1] = r
-    return path
+        paths[:, c - 1] = paths[:, c] + back[c, every, paths[:, c]]
+    return paths
 
 
-def segment_surfaces(volume_data, smoothness=2, min_gap=2, smooth_window=3) -> SurfacePair:
+def segment_surfaces(volume_data) -> SurfacePair:
     """Locate top and bottom retina surfaces in every slice.
 
     The top surface follows the strongest dark-to-bright vertical transition,
-    the bottom the strongest bright-to-dark transition below the top.
+    the bottom the strongest bright-to-dark transition at least MIN_GAP rows
+    below the top.
     """
     vol = np.asarray(volume_data, dtype=np.float64)
     if vol.ndim != 3:
         raise DimensionError(f"volume must be [slices, H, W], got {vol.shape}")
-    n_slices, h, w = vol.shape
+    h = vol.shape[1]
     if h < 8:
         raise DimensionError(f"need at least 8 rows per column, got {h}")
 
-    top = np.empty((n_slices, w), dtype=np.int64)
-    bottom = np.empty((n_slices, w), dtype=np.int64)
-    for s in range(n_slices):
-        img = ndimage.uniform_filter(vol[s], size=smooth_window, mode="nearest")
-        grad = np.gradient(img, axis=0)
-        if np.abs(grad).max() < 1e-9:
-            raise SegmentationError(f"slice {s}: no gradient evidence (constant image)")
-        top_path = _min_cost_path(-grad, smoothness)
-
-        cost_bottom = grad.copy()
-        rows = np.arange(h)[:, None]
-        cost_bottom[rows < (top_path[None, :] + min_gap)] = np.inf
-        bottom_path = _min_cost_path(cost_bottom, smoothness)
-
-        top[s] = top_path
-        bottom[s] = bottom_path
+    img = ndimage.uniform_filter(vol, size=(1, SMOOTH_WINDOW, SMOOTH_WINDOW), mode="nearest")
+    grad = np.gradient(img, axis=1)
+    flat = np.abs(grad).max(axis=(1, 2)) < 1e-9
+    if flat.any():
+        raise SegmentationError(f"slice {np.argmax(flat)}: no gradient evidence (constant image)")
+    top = _min_cost_paths(-grad)
+    rows = np.arange(h)[None, :, None]
+    bottom = _min_cost_paths(np.where(rows < top[:, None, :] + MIN_GAP, np.inf, grad))
     return SurfacePair(top=top, bottom=bottom)
 
 
@@ -213,51 +215,52 @@ def _enforce_connectivity(labels):
     return comp_label[comp]
 
 
-def slic_superpixels(slice_img, target_area=16, compactness=0.1, n_iter=10):
-    """SLIC oversegmentation of one slice into ~target_area superpixels.
+def slic_superpixels(slice_img):
+    """SLIC oversegmentation of one slice into superpixels of about STEP**2 pixels.
 
     k-means in (intensity, row, col) with distance
-    sqrt(d_int^2 + (m/S)^2 * d_spatial^2), S = sqrt(target_area), initialized
-    on a regular S-grid and restricted to the 3x3 neighborhood of each
-    pixel's grid cell. Connectivity is enforced afterwards. Returns the
-    [H, W] int label map; superpixel ids follow grid order and need not be
-    contiguous. The procedure is deterministic.
+    sqrt(d_int^2 + (COMPACTNESS/STEP)^2 * d_spatial^2), initialized on a
+    regular STEP-grid and restricted to the 3x3 neighbourhood of each pixel's
+    grid cell, for N_ITER iterations. Connectivity is enforced afterwards.
+    Returns the [H, W] int label map; superpixel ids follow grid order and
+    need not be contiguous. The procedure is deterministic.
     """
     img = np.asarray(slice_img, dtype=np.float64)
-    if target_area < 4:
-        raise InputError(f"target_area must be >= 4, got {target_area}")
     h, w = img.shape
-    step = max(int(round(np.sqrt(target_area))), 1)
-    if h <= step or w <= step:
+    if h <= STEP or w <= STEP:
         return np.zeros((h, w), dtype=np.int64)
 
-    grid_rows = np.arange(step // 2, h, step)
-    grid_cols = np.arange(step // 2, w, step)
+    grid_rows = np.arange(STEP // 2, h, STEP)
+    grid_cols = np.arange(STEP // 2, w, STEP)
     gr, gc = len(grid_rows), len(grid_cols)
     c_row = np.repeat(grid_rows, gc).astype(np.float64)
     c_col = np.tile(grid_cols, gr).astype(np.float64)
     c_int = img[c_row.astype(int), c_col.astype(int)].copy()
 
     rr, cc = np.mgrid[0:h, 0:w]
-    cell_r = np.clip(rr // step, 0, gr - 1)
-    cell_c = np.clip(cc // step, 0, gc - 1)
-    spatial_w = (compactness / step) ** 2
+    cell_r = np.clip(rr // STEP, 0, gr - 1)
+    cell_c = np.clip(cc // STEP, 0, gc - 1)
+    spatial_w = (COMPACTNESS / STEP) ** 2
 
-    labels = (cell_r * gc + cell_c).astype(np.int64)
     # own cell first so ties stay on the initialization grid
     offsets = [(0, 0)] + [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
-    for _ in range(n_iter):
+    # each pixel's candidate centres depend only on the slice shape; an
+    # off-grid candidate is centre 0, blocked at infinite distance
+    cands, blocked = [], []
+    for dr, dc in offsets:
+        nr, nc = cell_r + dr, cell_c + dc
+        ok = (nr >= 0) & (nr < gr) & (nc >= 0) & (nc < gc)
+        cands.append(np.where(ok, nr * gc + nc, 0))
+        blocked.append(~ok)
+    labels = cands[0]
+    for _ in range(N_ITER):
         best_d = np.full((h, w), np.inf)
-        best_l = labels.copy()
-        for dr, dc in offsets:
-            nr = cell_r + dr
-            nc = cell_c + dc
-            ok = (nr >= 0) & (nr < gr) & (nc >= 0) & (nc < gc)
-            cand = np.where(ok, nr * gc + nc, 0)
+        best_l = labels
+        for cand, off in zip(cands, blocked):
             d = (img - c_int[cand]) ** 2 + spatial_w * (
                 (rr - c_row[cand]) ** 2 + (cc - c_col[cand]) ** 2
             )
-            d = np.where(ok, d, np.inf)
+            d[off] = np.inf
             better = d < best_d
             best_d = np.where(better, d, best_d)
             best_l = np.where(better, cand, best_l)
@@ -315,14 +318,12 @@ class PreprocessedVolume:
     superpixels: list  # Superpixel, all slices, ids unique per (slice, id)
 
 
-def preprocess_volume(volume_data, target_area=16, compactness=0.1,
-                      smoothness=2, min_gap=2) -> PreprocessedVolume:
+def preprocess_volume(volume_data) -> PreprocessedVolume:
     """Full pipeline for one volume: surfaces, flatten, normalize, superpixels."""
-    surfaces = segment_surfaces(volume_data, smoothness=smoothness, min_gap=min_gap)
+    surfaces = segment_surfaces(volume_data)
     flat, fsurf = flatten(volume_data, surfaces)
     band = fsurf.band_mask(flat.shape[1])
     norm = np.stack([normalize_slice(img, mask) for img, mask in zip(flat, band)])
-    labels = np.stack([slic_superpixels(img, target_area=target_area, compactness=compactness)
-                       for img in norm])
+    labels = np.stack([slic_superpixels(img) for img in norm])
     return PreprocessedVolume(data=norm.astype(np.float32), surfaces=fsurf,
                               superpixels=superpixel_records(labels, fsurf))

@@ -3,8 +3,10 @@
 import itertools
 
 import numpy as np
+from scipy import ndimage
 
-from anomkit.errors import DimensionError, ParameterError
+from anomkit import preprocess
+from anomkit.errors import DimensionError, ParameterError, SegmentationError
 from anomkit.numcore import GradTape, mse, mse_grad, sgd_step
 from anomkit.numcore.ops import PoolSwitches, _as_batch
 from anomkit.preprocess import Superpixel
@@ -153,6 +155,111 @@ def superpixel_records_oracle(labels, slice_index, surfaces):
             ids.tolist(), starts.tolist(), (starts + counts).tolist(),
             centroid_r.tolist(), centroid_c.tolist(), in_retina.tolist())
     ]
+
+
+def _min_cost_path_oracle(cost, bound):
+    """One slice's min-cost left-to-right path, one DP column at a time; ties
+    go to the smallest row offset, then the smallest row."""
+    h, w = cost.shape
+    dist = np.empty((h, w))
+    dist[:, 0] = cost[:, 0]
+    back = np.zeros((h, w), dtype=np.int8)
+    offsets = list(range(-bound, bound + 1))
+    stack = np.empty((len(offsets), h))
+    for c in range(1, w):
+        prev = dist[:, c - 1]
+        stack.fill(np.inf)
+        for oi, dr in enumerate(offsets):
+            if dr > 0:
+                stack[oi, : h - dr] = prev[dr:]
+            elif dr < 0:
+                stack[oi, -dr:] = prev[:dr]
+            else:
+                stack[oi] = prev
+        best = np.argmin(stack, axis=0)
+        dist[:, c] = cost[:, c] + stack[best, np.arange(h)]
+        back[:, c] = np.asarray(offsets, dtype=np.int8)[best]
+        if not np.isfinite(dist[:, c]).any():
+            raise SegmentationError(f"no path within smoothness bound at column {c}")
+    if not np.isfinite(dist[:, -1]).any():
+        raise SegmentationError("no finite-cost path")
+    path = np.empty(w, dtype=np.int64)
+    r = int(np.argmin(dist[:, -1]))
+    path[-1] = r
+    for c in range(w - 1, 0, -1):
+        r = r + int(back[r, c])
+        path[c - 1] = r
+    return path
+
+
+def segment_surfaces_oracle(volume_data):
+    """Top and bottom surfaces found one slice at a time, as `segment_surfaces`
+    did before it searched the whole volume at once."""
+    vol = np.asarray(volume_data, dtype=np.float64)
+    if vol.ndim != 3:
+        raise DimensionError(f"volume must be [slices, H, W], got {vol.shape}")
+    n_slices, h, w = vol.shape
+    if h < 8:
+        raise DimensionError(f"need at least 8 rows per column, got {h}")
+    top = np.empty((n_slices, w), dtype=np.int64)
+    bottom = np.empty((n_slices, w), dtype=np.int64)
+    for s in range(n_slices):
+        img = ndimage.uniform_filter(vol[s], size=preprocess.SMOOTH_WINDOW, mode="nearest")
+        grad = np.gradient(img, axis=0)
+        if np.abs(grad).max() < 1e-9:
+            raise SegmentationError(f"slice {s}: no gradient evidence (constant image)")
+        top[s] = _min_cost_path_oracle(-grad, preprocess.SMOOTHNESS)
+        cost_bottom = grad.copy()
+        cost_bottom[np.arange(h)[:, None] < top[s][None, :] + preprocess.MIN_GAP] = np.inf
+        bottom[s] = _min_cost_path_oracle(cost_bottom, preprocess.SMOOTHNESS)
+    return preprocess.SurfacePair(top=top, bottom=bottom)
+
+
+def slic_oracle(slice_img):
+    """`slic_superpixels` as it was, recomputing each pixel's candidate centres
+    and their validity in every iteration."""
+    img = np.asarray(slice_img, dtype=np.float64)
+    h, w = img.shape
+    step = preprocess.STEP
+    if h <= step or w <= step:
+        return np.zeros((h, w), dtype=np.int64)
+    grid_rows = np.arange(step // 2, h, step)
+    grid_cols = np.arange(step // 2, w, step)
+    gr, gc = len(grid_rows), len(grid_cols)
+    c_row = np.repeat(grid_rows, gc).astype(np.float64)
+    c_col = np.tile(grid_cols, gr).astype(np.float64)
+    c_int = img[c_row.astype(int), c_col.astype(int)].copy()
+    rr, cc = np.mgrid[0:h, 0:w]
+    cell_r = np.clip(rr // step, 0, gr - 1)
+    cell_c = np.clip(cc // step, 0, gc - 1)
+    spatial_w = (preprocess.COMPACTNESS / step) ** 2
+    labels = (cell_r * gc + cell_c).astype(np.int64)
+    offsets = [(0, 0)] + [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
+    for _ in range(preprocess.N_ITER):
+        best_d = np.full((h, w), np.inf)
+        best_l = labels.copy()
+        for dr, dc in offsets:
+            nr = cell_r + dr
+            nc = cell_c + dc
+            ok = (nr >= 0) & (nr < gr) & (nc >= 0) & (nc < gc)
+            cand = np.where(ok, nr * gc + nc, 0)
+            d = (img - c_int[cand]) ** 2 + spatial_w * (
+                (rr - c_row[cand]) ** 2 + (cc - c_col[cand]) ** 2
+            )
+            d = np.where(ok, d, np.inf)
+            better = d < best_d
+            best_d = np.where(better, d, best_d)
+            best_l = np.where(better, cand, best_l)
+        labels = best_l
+        counts = np.bincount(labels.ravel(), minlength=gr * gc)
+        sums_i = np.bincount(labels.ravel(), weights=img.ravel(), minlength=gr * gc)
+        sums_r = np.bincount(labels.ravel(), weights=rr.ravel(), minlength=gr * gc)
+        sums_c = np.bincount(labels.ravel(), weights=cc.ravel(), minlength=gr * gc)
+        nz = counts > 0
+        c_int[nz] = sums_i[nz] / counts[nz]
+        c_row[nz] = sums_r[nz] / counts[nz]
+        c_col[nz] = sums_c[nz] / counts[nz]
+    return preprocess._enforce_connectivity(labels)
 
 
 # The DCAE as it was written before its autoencoders became Networks and its
@@ -321,16 +428,14 @@ def unpool_backward_oracle(grad_out, switches):
     return out if batched else out[0]
 
 
-def elu_oracle(x, alpha=1.0):
-    """Exponential linear unit: v if v > 0 else alpha*(exp(v) - 1)."""
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be > 0, got {alpha}")
+def elu_oracle(x):
+    """Exponential linear unit: v if v > 0 else exp(v) - 1."""
     x = np.asarray(x)
-    return np.where(x > 0, x, (alpha * np.expm1(np.minimum(x, 0.0))).astype(x.dtype))
+    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)).astype(x.dtype))
 
 
-def elu_backward_oracle(grad_out, x, alpha=1.0):
-    """ELU gradient: 1 where v > 0, alpha*exp(v) elsewhere."""
+def elu_backward_oracle(grad_out, x):
+    """ELU gradient: 1 where v > 0, exp(v) elsewhere."""
     x = np.asarray(x)
-    deriv = np.where(x > 0, 1.0, alpha * np.exp(np.minimum(x, 0.0)))
+    deriv = np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
     return (grad_out * deriv).astype(np.asarray(grad_out).dtype)

@@ -179,6 +179,23 @@ def test_embed_dataset_shape(healthy, trained):
     assert np.array_equal(z, dcae.embed_pairs(trained, healthy.scale1, healthy.scale2))
 
 
+class TestZeroRows:
+    """Training on an empty dataset raises a typed error, not a NaN loss log
+    (every warning fails a test, so a `Mean of empty slice` would too)."""
+
+    def test_train_dcae(self, healthy):
+        model = dcae.build_model(TINY, Rng(92))
+        with pytest.raises(InputError, match="no rows"):
+            dcae.train_dcae(model, _rows(healthy, np.arange(0)), HYPER, Rng(93))
+        assert model.scale_log == [] and not model.scales_trained
+
+    def test_train_fusion(self, healthy, trained):
+        model = dataclasses.replace(trained, fusion_log=[])
+        with pytest.raises(InputError, match="no rows"):
+            dcae.train_fusion(model, _rows(healthy, np.arange(0)), HYPER, Rng(94))
+        assert model.fusion_log == []
+
+
 class TestCallOrder:
     def test_fusion_before_scales(self, healthy):
         model = dcae.build_model(TINY, Rng(83))

@@ -71,9 +71,6 @@ def test_unpool_and_backward_match_oracle(case, data):
     assert_same_bits(ops.unpool_backward(grad, sw), unpool_backward_oracle(grad, want_sw))
 
 
-ALPHAS = st.sampled_from([1.0, 0.5, 1.7])
-
-
 @st.composite
 def elu_inputs(draw):
     dtype = draw(DTYPES)
@@ -82,29 +79,28 @@ def elu_inputs(draw):
 
 
 @settings(deadline=None)
-@given(elu_inputs(), ALPHAS)
-def test_elu_matches_oracle(x, alpha):
-    assert_same(nc.elu(x, alpha), elu_oracle(x, alpha))
+@given(elu_inputs())
+def test_elu_matches_oracle(x):
+    assert_same(nc.elu(x), elu_oracle(x))
 
 
 @settings(deadline=None)
-@given(elu_inputs(), ALPHAS, DTYPES, st.data())
-def test_elu_backward_matches_oracle(x, alpha, grad_dtype, data):
+@given(elu_inputs(), DTYPES, st.data())
+def test_elu_backward_matches_oracle(x, grad_dtype, data):
     grad = data.draw(arrays(grad_dtype, x.shape, elements=values(grad_dtype)))
-    assert_same(nc.elu_backward(grad, x, alpha), elu_backward_oracle(grad, x, alpha))
+    assert_same(nc.elu_backward(grad, x), elu_backward_oracle(grad, x))
 
 
 @settings(deadline=None)
 @given(elu_inputs(), st.sampled_from([np.float64, None]), st.data())
 def test_inference_dropout_layer_is_the_identity(x, grad_dtype, data):
-    """Forward and backward in inference equal ops.dropout with its ones mask.
+    """Forward and backward in inference return their input unchanged.
 
     Gradients reach a layer in its input's dtype; a float64 gradient reaching
     a float32 layer is checked too."""
     grad_dtype = grad_dtype or x.dtype
     grad = data.draw(arrays(grad_dtype, x.shape, elements=values(grad_dtype)))
-    want_out, mask = ops.dropout(x, 0.3, Rng(0), training=False)
     layer = nc.Dropout(0.3)
     tape = nc.GradTape(owner=None)
-    assert_same(layer.forward(x, tape, False, Rng(0)), want_out)
-    assert_same(layer.backward(grad, tape), ops.dropout_backward(grad, mask))
+    assert_same_bits(layer.forward(x, tape, False, Rng(0)), x)
+    assert_same_bits(layer.backward(grad, tape), grad)

@@ -165,30 +165,21 @@ class TestElu:
 
     def test_continuous_and_monotone(self):
         xs = np.linspace(-4, 4, 2001)
-        ys = nc.elu(xs, alpha=1.0)
+        ys = nc.elu(xs)
         assert np.all(np.diff(ys) > 0)
         assert abs(nc.elu(np.float64(1e-9)) - nc.elu(np.float64(-1e-9))) < 1e-8
-
-    def test_alpha_validation(self):
-        with pytest.raises(ParameterError):
-            nc.elu(np.zeros(3), alpha=0.0)
 
 
 class TestDropout:
     def test_rate_zero_identity(self):
         x = np.ones((10, 10), np.float32)
-        out, mask = nc.dropout(x, 0.0, Rng(0), training=True)
+        out, mask = nc.dropout(x, 0.0, Rng(0))
         assert np.array_equal(out, x)
         assert np.all(mask == 1)
 
-    def test_inference_identity(self):
-        x = np.ones((10, 10), np.float32)
-        out, _ = nc.dropout(x, 0.9, Rng(0), training=False)
-        assert np.array_equal(out, x)
-
     def test_inverted_scaling_mean(self):
         x = np.ones(100_000, np.float32)
-        out, _ = nc.dropout(x, 0.5, Rng(42), training=True)
+        out, _ = nc.dropout(x, 0.5, Rng(42))
         assert abs(out.mean() - 1.0) <= 0.02
         survivors = out[out != 0]
         assert np.allclose(survivors, 2.0)
@@ -201,14 +192,14 @@ class TestDropout:
 
     def test_same_seed_same_mask(self):
         x = np.ones(1000, np.float32)
-        _, m1 = nc.dropout(x, 0.3, Rng(7), training=True)
-        _, m2 = nc.dropout(x, 0.3, Rng(7), training=True)
+        _, m1 = nc.dropout(x, 0.3, Rng(7))
+        _, m2 = nc.dropout(x, 0.3, Rng(7))
         assert np.array_equal(m1, m2)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_mask_comes_from_float32_draws(self, dtype):
         x = np.ones((40, 25), dtype)
-        _, mask = nc.dropout(x, 0.3, Rng(7), training=True)
+        _, mask = nc.dropout(x, 0.3, Rng(7))
         keep = Rng(7).random(x.shape, dtype=np.float32) >= np.float32(0.3)
         assert mask.dtype == dtype
         assert np.array_equal(mask, keep / dtype(0.7))

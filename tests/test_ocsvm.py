@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anomkit import ocsvm
-from anomkit.errors import ConvergenceError, InputError, UsageError
+from anomkit.errors import ConvergenceError, FittingError, InputError, UsageError
 from anomkit.rng import Rng
 
 from oracles import nu_dual_oracle
@@ -65,16 +67,45 @@ class TestNuProperty:
         assert outlier_fraction <= nu + slack
         assert model.support_fraction >= nu - slack
 
-    def test_exactly_centered_data_collapses_to_zero_scores(self):
+    def test_exactly_centered_data_raises(self):
         # mean-zero clouds make the origin reachable by capped combinations:
-        # the optimum is w = 0 and every training score sits on the boundary
+        # the optimum is w = 0, which flags about half the training set
         rng = Rng(39)
         X = rng.normal(size=(500, 8))
         X = X - X.mean(axis=0)
-        model = ocsvm.fit_ocsvm(X, nu=0.2, tol=1e-10)
+        with pytest.raises(FittingError, match="degenerate"):
+            ocsvm.fit_ocsvm(X, nu=0.2, tol=1e-10)
+
+    @pytest.mark.parametrize("shift, fits", [(0.0, False), (0.3, False), (1.0, True)])
+    def test_clouds_near_the_origin_raise(self, shift, fits):
+        # at shift 0 and 0.3 the boundary flags about 0.50 and 0.13 of the
+        # training set, above nu + d/n = 0.116; at shift 1 it flags 0.100
+        X = Rng(41).normal(size=(2000, 32)) + shift
+        if fits:
+            model = ocsvm.fit_ocsvm(X, nu=0.1)
+            assert float(np.mean(ocsvm.decision_values(model, X) < 0)) <= 0.1 + 32 / 2000
+        else:
+            with pytest.raises(FittingError):
+                ocsvm.fit_ocsvm(X, nu=0.1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(40, 300), st.integers(1, 8),
+           st.floats(0.05, 0.6), st.floats(4.0, 6.0), st.booleans())
+    def test_nu_property_on_shifted_and_anisotropic_clouds(self, seed, n, d, nu, shift,
+                                                          anisotropic):
+        # nu bounds the share of outliers from above and of support vectors
+        # from below (Schoelkopf et al. 2001, Prop. 4); the cloud sits `shift`
+        # standard deviations off the origin in every dimension, far enough
+        # that no capped combination of its points reaches the origin
+        rng = Rng(seed)
+        X = rng.normal(size=(n, d))
+        if anisotropic:  # correlated dimensions with spreads over two decades
+            X = X @ (rng.normal(size=(d, d)) * np.logspace(-1, 1, d)[:, None])
+        X += shift * X.std(axis=0) * rng.choice([-1.0, 1.0], size=d)
+        model = ocsvm.fit_ocsvm(X, nu=nu, tol=1e-10)
         scores = ocsvm.decision_values(model, X)
-        assert np.abs(scores).max() <= 1e-6
-        assert float(np.mean(scores < -1e-6)) == 0.0  # no true outliers
+        assert float(np.mean(scores < -1e-6)) <= nu
+        assert model.support_fraction >= nu - 1.0 / n
 
     def test_outlier_fraction_near_nu(self):
         # skewed positive-cone features, the regime the pipeline produces

@@ -8,10 +8,10 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from anomkit import phantom, preprocess
-from anomkit.errors import InputError, SegmentationError
+from anomkit.errors import AnomkitError, InputError, SegmentationError
 from anomkit.rng import Rng
 
-from oracles import superpixel_records_oracle
+from oracles import segment_surfaces_oracle, slic_oracle, superpixel_records_oracle
 
 
 class TestSegmentSurfaces:
@@ -44,16 +44,69 @@ class TestSegmentSurfaces:
 
     def test_ordering_and_smoothness_by_construction(self):
         vol, _ = phantom.generate_volume(phantom.test_config(12))
-        surf = preprocess.segment_surfaces(vol.data, smoothness=2)
+        surf = preprocess.segment_surfaces(vol.data)
         assert np.all(surf.top < surf.bottom)
-        assert np.abs(np.diff(surf.top, axis=1)).max() <= 2
-        assert np.abs(np.diff(surf.bottom, axis=1)).max() <= 2
+        assert np.abs(np.diff(surf.top, axis=1)).max() <= preprocess.SMOOTHNESS
+        assert np.abs(np.diff(surf.bottom, axis=1)).max() <= preprocess.SMOOTHNESS
 
     def test_too_few_rows(self):
         from anomkit.errors import DimensionError
 
         with pytest.raises(DimensionError):
             preprocess.segment_surfaces(np.zeros((1, 4, 16)))
+
+
+def outcome(fn, data):
+    """fn(data), or the type of the package error it raised."""
+    try:
+        return fn(data)
+    except AnomkitError as err:
+        return type(err)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, type):
+        assert got is want
+    elif isinstance(want, preprocess.SurfacePair):
+        assert np.array_equal(got.top, want.top) and got.top.dtype == want.top.dtype
+        assert np.array_equal(got.bottom, want.bottom)
+    else:
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+
+
+# coarse levels make constant slices and ties common
+LEVELS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestAgainstOracles:
+    """The whole-volume surface search and the prebuilt SLIC candidates
+    against the per-slice loop and the per-iteration candidates they replaced."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 10_000),
+           st.sampled_from([(6, 61, 77), (3, 96, 128), (2, 128, 128), (4, 50, 90)]))
+    def test_phantoms(self, seed, shape):
+        n_slices, height, width = shape
+        vol, _ = phantom.generate_volume(
+            phantom.healthy_config(seed, n_slices=n_slices, height=height, width=width))
+        assert_same_outcome(preprocess.segment_surfaces(vol.data),
+                            segment_surfaces_oracle(vol.data))
+        for img in vol.data:
+            assert_same_outcome(preprocess.slic_superpixels(img), slic_oracle(img))
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(8, 14),
+                                        st.integers(1, 10)), elements=LEVELS))
+    def test_random_volumes_surfaces(self, vol):
+        assert_same_outcome(outcome(preprocess.segment_surfaces, vol),
+                            outcome(segment_surfaces_oracle, vol))
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 3 * preprocess.STEP + 1),
+                                        st.integers(1, 3 * preprocess.STEP + 1)),
+                  elements=LEVELS))
+    def test_random_slices_slic(self, img):
+        assert_same_outcome(preprocess.slic_superpixels(img), slic_oracle(img))
 
 
 class TestFlatten:
@@ -149,7 +202,7 @@ class TestNormalizeSlice:
 class TestSlic:
     def test_constant_image_gives_grid(self):
         img = np.full((32, 32), 0.5)
-        labels = preprocess.slic_superpixels(img, target_area=16)
+        labels = preprocess.slic_superpixels(img)
         assert labels.shape == (32, 32)
         ids, areas = np.unique(labels, return_counts=True)
         assert ids.size == 64
@@ -162,7 +215,7 @@ class TestSlic:
     def test_partition_property(self):
         vol, _ = phantom.generate_volume(phantom.healthy_config(26))
         prep_img = vol.data[0]
-        labels = preprocess.slic_superpixels(prep_img, target_area=16)
+        labels = preprocess.slic_superpixels(prep_img)
         surf = preprocess.segment_surfaces(vol.data[:1])
         sps = preprocess.superpixel_records(labels[None], surf)
         assert [sp.id for sp in sps] == np.unique(labels).tolist()
@@ -175,7 +228,7 @@ class TestSlic:
     def test_mean_area_within_quarter_of_target(self):
         vol, _ = phantom.generate_volume(phantom.healthy_config(27))
         for s in range(0, 8, 3):
-            labels = preprocess.slic_superpixels(vol.data[s], target_area=16)
+            labels = preprocess.slic_superpixels(vol.data[s])
             mean_area = labels.size / np.unique(labels).size
             assert 12.0 <= mean_area <= 20.0
 
@@ -183,13 +236,13 @@ class TestSlic:
         from scipy import ndimage
 
         vol, _ = phantom.generate_volume(phantom.test_config(28))
-        labels = preprocess.slic_superpixels(vol.data[2], target_area=16)
+        labels = preprocess.slic_superpixels(vol.data[2])
         for lab in np.unique(labels)[::17]:  # spot-check a spread of superpixels
             _, n = ndimage.label(labels == lab)
             assert n == 1
 
     def test_tiny_image_single_superpixel(self):
-        labels = preprocess.slic_superpixels(np.ones((3, 3)), target_area=16)
+        labels = preprocess.slic_superpixels(np.ones((3, 3)))
         assert labels.shape == (3, 3)
         assert np.unique(labels).size == 1
 
@@ -233,7 +286,7 @@ def slic_before_and_after_merge(img):
     merge = preprocess._enforce_connectivity
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(preprocess, "_enforce_connectivity", capture)
-        after = preprocess.slic_superpixels(img, target_area=16)
+        after = preprocess.slic_superpixels(img)
     return seen[0], after
 
 
