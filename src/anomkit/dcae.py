@@ -9,6 +9,8 @@ pairs. After that stage, the per-scale encodings are concatenated and the
 fusion `Autoencoder([Dense, Elu], [Dense])` is trained as a denoising
 autoencoder (encoders frozen, masking-noise corruption); its encoder output
 is the final feature vector z. Both stages run the same momentum-SGD loop.
+Every layer size comes from the preset (`presets.DcaePreset`, re-exported
+here with `PRESETS`); the dropout rate is the module constant DROPOUT.
 
 The two scales run at the same time: wherever both are needed (a training
 step, or encoding a batch of pairs), scale 1's half runs on one worker
@@ -42,48 +44,11 @@ import numpy as np
 from . import numcore as nc
 from .errors import InputError, ParameterError, TrainingError, UsageError
 from .patches import PatchDataset
+from .presets import PRESETS, DcaePreset, get_preset  # noqa: F401  PRESETS is re-exported
 from .rng import Rng
 
 
-@dataclass(frozen=True)
-class DcaePreset:
-    name: str
-    patch_side: int
-    conv_kernels: int
-    conv_size: int
-    pool: int
-    dense_hidden: int
-    code_dim: int
-    fusion_dim: int
-
-    @property
-    def conv_out(self):  # spatial side after the valid convolution
-        return self.patch_side - self.conv_size + 1
-
-    @property
-    def pooled(self):  # spatial side after pooling
-        return self.conv_out // self.pool
-
-    @property
-    def flat_dim(self):
-        return self.pooled * self.pooled * self.conv_kernels
-
-
-PRESETS = {
-    "paper": DcaePreset("paper", patch_side=32, conv_kernels=512, conv_size=9,
-                        pool=3, dense_hidden=2048, code_dim=512, fusion_dim=256),
-    "desk": DcaePreset("desk", patch_side=16, conv_kernels=32, conv_size=5,
-                       pool=2, dense_hidden=128, code_dim=64, fusion_dim=32),
-}
-
-
-def get_dcae_preset(name) -> DcaePreset:
-    if isinstance(name, DcaePreset):
-        return name
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise ParameterError(f"unknown preset {name!r}; know {sorted(PRESETS)}") from None
+DROPOUT = 0.2  # rate of every Dropout layer in a scale autoencoder
 
 
 @dataclass
@@ -117,29 +82,28 @@ class Autoencoder(nc.Network):
 class ScaleAutoencoder(Autoencoder):
     """Mirrored conv autoencoder for one patch scale."""
 
-    def __init__(self, preset: DcaePreset, dropout=0.2):
-        p = preset
+    def __init__(self, p: DcaePreset):
         pool = nc.MaxPool2D(p.pool)
         encoder = [
             nc.Conv2D(p.conv_size, 1, p.conv_kernels),
             nc.Elu(),
-            nc.Dropout(dropout),
+            nc.Dropout(DROPOUT),
             pool,
             nc.Reshape((p.flat_dim,)),
             nc.Dense(p.flat_dim, p.dense_hidden),
             nc.Elu(),
-            nc.Dropout(dropout),
+            nc.Dropout(DROPOUT),
             nc.Dense(p.dense_hidden, p.code_dim),
             nc.Elu(),
-            nc.Dropout(dropout),
+            nc.Dropout(DROPOUT),
         ]
         decoder = [
             nc.Dense(p.code_dim, p.dense_hidden),
             nc.Elu(),
-            nc.Dropout(dropout),
+            nc.Dropout(DROPOUT),
             nc.Dense(p.dense_hidden, p.flat_dim),
             nc.Elu(),
-            nc.Dropout(dropout),
+            nc.Dropout(DROPOUT),
             nc.Reshape((p.pooled, p.pooled, p.conv_kernels)),
             nc.Unpool2D(pool),
             nc.Deconv2D(p.conv_size, 1, p.conv_kernels),  # linear output
@@ -158,14 +122,10 @@ class DcaeModel:
     scale_log: list = field(default_factory=list)  # (epoch, mean loss)
     fusion_log: list = field(default_factory=list)
 
-    @property
-    def feature_dim(self):
-        return self.preset.fusion_dim
-
 
 def build_model(preset, rng: Rng) -> DcaeModel:
     """Construct and deterministically initialize the full model."""
-    p = get_dcae_preset(preset)
+    p = get_preset(preset)
     s1 = ScaleAutoencoder(p)
     s2 = ScaleAutoencoder(p)
     fusion = Autoencoder([nc.Dense(2 * p.code_dim, p.fusion_dim), nc.Elu()],
@@ -202,7 +162,7 @@ def _both_scales(half1, half2):
 
 
 def _check_patch_side(model: DcaeModel, dataset: PatchDataset):
-    side = dataset.preset.side
+    side = dataset.preset.patch_side
     if side != model.preset.patch_side:
         raise UsageError(f"{side}px patches do not fit the {model.preset.name!r} model, "
                          f"which takes {model.preset.patch_side}px patches")

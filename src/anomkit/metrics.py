@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, UsageError
-from .patches import cut_at_centroids, get_preset
-from .phantom import TYPE_CYST, TYPE_FLUID, TYPE_NONE
+from .patches import cut_at_centroids
+from .phantom import TYPE_CYST, TYPE_FLUID, TYPE_NAMES, TYPE_NONE
+from .presets import get_preset
 from .rng import Rng
 
 
@@ -205,7 +206,8 @@ def build_classification_set(items, embedder, per_class_n=500, rng: Rng | None =
                              classes=DEFAULT_CLASSES, preset="desk"):
     """Balanced (feature, label, patient) triples from annotated volumes.
 
-    `items` is a list of (volume_id, PreprocessedVolume, GroundTruth);
+    `items` is a list of (volume_id, PreprocessedVolume, GT labels in its
+    flattened coordinates, as `preprocess.flat_labels` gives them);
     `embedder(scale1_batch, scale2_batch) -> [n, d]` maps patch batches to
     features. Each class contributes exactly `per_class_n` superpixels whose
     majority ground-truth type equals that class.
@@ -214,11 +216,11 @@ def build_classification_set(items, embedder, per_class_n=500, rng: Rng | None =
         rng = Rng(0)
     p = get_preset(preset)
     by_class = {c: [] for c in classes}
-    for vid, prep, gt in items:
+    for vid, prep, flat in items:
         for sp in prep.superpixels:
             if not sp.in_retina:
                 continue
-            t = superpixel_majority_type(sp, gt.labels[sp.slice_index])
+            t = superpixel_majority_type(sp, flat[sp.slice_index])
             if t in by_class:
                 by_class[t].append((vid, prep, sp))
 
@@ -226,8 +228,6 @@ def build_classification_set(items, embedder, per_class_n=500, rng: Rng | None =
     for ci, c in enumerate(classes):
         pool = by_class[c]
         if len(pool) < per_class_n:
-            from .phantom import TYPE_NAMES
-
             name = TYPE_NAMES.get(c, f"type-{c}")
             raise InputError(
                 f"class {name}: only {len(pool)} superpixels available, "

@@ -97,8 +97,10 @@ def _free_support(alpha, cap):
 
 
 def _rho_from_solution(X, sol: DualSolution, nu):
-    """Offset rho: median decision value over free support vectors, else the
-    mean of the bound candidates."""
+    """Offset rho: median decision value over free support vectors, else in
+    [max g at the cap, min g at zero], where the primal objective's slope in
+    rho is k/(nu*n) - 1 for k alphas at the cap: the lower end when
+    k > nu*n, the upper end when k < nu*n, the midpoint when k = nu*n."""
     n = X.shape[0]
     cap = 1.0 / (nu * n)
     g = X @ sol.w
@@ -108,10 +110,11 @@ def _rho_from_solution(X, sol: DualSolution, nu):
         return float(np.median(g[free]))
     at_cap = sol.alpha >= cap - margin
     at_zero = sol.alpha <= margin
+    k = int(np.count_nonzero(at_cap))
     candidates = []
-    if at_cap.any():
+    if k and k >= nu * n:
         candidates.append(float(g[at_cap].max()))
-    if at_zero.any():
+    if at_zero.any() and k <= nu * n:
         candidates.append(float(g[at_zero].min()))
     return float(np.mean(candidates))
 

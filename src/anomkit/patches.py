@@ -3,7 +3,8 @@
 Each in-retina superpixel yields one pair: a side x side crop around the
 rounded centroid, and a 4x-wider crop at the same center whose width is
 averaged down to the same size. Both scales therefore share the center
-pixel exactly; borders are handled by edge replication.
+pixel exactly; borders are handled by edge replication. The side is the
+preset's `patch_side` (`presets.PRESETS`); the 4x width is this module's own.
 
 `cut_pairs` cuts every pair of one slice at once: the slice is edge-padded
 once and all crops are gathered by fancy indexing. `build_dataset` orders
@@ -18,32 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ParameterError
+from .presets import DcaePreset, get_preset
 from .rng import Rng
-
-
-@dataclass(frozen=True)
-class PatchPreset:
-    name: str
-    side: int  # scale-1 crop side; scale-2 source is (side x 4*side)
-
-    @property
-    def wide(self) -> int:
-        return 4 * self.side
-
-
-PRESETS = {
-    "paper": PatchPreset("paper", 32),
-    "desk": PatchPreset("desk", 16),
-}
-
-
-def get_preset(name) -> PatchPreset:
-    if isinstance(name, PatchPreset):
-        return name
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise ParameterError(f"unknown patch preset {name!r}; know {sorted(PRESETS)}") from None
 
 
 def cut_pairs(slice_img, centers, preset):
@@ -59,11 +36,11 @@ def cut_pairs(slice_img, centers, preset):
     outside = (r < 0) | (r >= img.shape[0]) | (c < 0) | (c >= img.shape[1])
     if outside.any():
         raise InputError(f"center {tuple(centers[outside][0].tolist())} outside slice {img.shape}")
-    s, pad = p.side, p.wide // 2  # pad covers the widest crop reach on every side
+    s, pad = p.patch_side, 2 * p.patch_side  # pad: the 4x-wide crop's reach on every side
     padded = np.pad(img, pad, mode="edge")
     rows = (r + pad - s // 2)[:, None, None] + np.arange(s)[None, :, None]
     cols1 = (c + pad - s // 2)[:, None, None] + np.arange(s)
-    cols2 = (c + pad - p.wide // 2)[:, None, None] + np.arange(p.wide)
+    cols2 = c[:, None, None] + np.arange(4 * s)  # starts pad columns left of c
     scale1 = padded[rows, cols1]
     scale2 = padded[rows, cols2].reshape(-1, s, s, 4).mean(axis=3)  # 1x4 average pooling
     return scale1.astype(np.float32), scale2.astype(np.float32)
@@ -73,7 +50,7 @@ def cut_at_centroids(rows, preset):
     """Pairs for (PreprocessedVolume, Superpixel) rows, cut at each rounded
     centroid one slice at a time; output rows follow `rows`."""
     p = get_preset(preset)
-    scale1 = np.empty((len(rows), p.side, p.side), dtype=np.float32)
+    scale1 = np.empty((len(rows), p.patch_side, p.patch_side), dtype=np.float32)
     scale2 = np.empty_like(scale1)
     by_slice = {}  # (id of the volume, slice index) -> (volume, row indices)
     for i, (prep, sp) in enumerate(rows):
@@ -89,9 +66,8 @@ class PatchDataset:
     scale1: np.ndarray  # [n, side, side] float32
     scale2: np.ndarray  # [n, side, side] float32
     sources: list  # (volume_id, slice index, superpixel id) per row
-    patient_ids: list  # one per row
     split: str  # healthy-train | anomaly-train | eval
-    preset: PatchPreset
+    preset: DcaePreset
 
     def __len__(self):
         return self.scale1.shape[0]
@@ -135,7 +111,6 @@ def build_dataset(preps, split, preset, rng: Rng | None = None, cap=None,
         scale1=scale1,
         scale2=scale2,
         sources=[(vid, sp.slice_index, sp.id) for vid, _, sp in rows],
-        patient_ids=[vid for vid, _, _ in rows],
         split=split,
         preset=p,
     )

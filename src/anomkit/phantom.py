@@ -43,10 +43,6 @@ class Volume:
     data: np.ndarray  # [slices, H, W] float32
     volume_id: str = ""
 
-    @property
-    def shape(self):
-        return self.data.shape
-
 
 @dataclass
 class GroundTruth:

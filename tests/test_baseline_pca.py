@@ -6,24 +6,27 @@ import pytest
 from anomkit import baseline_pca, patches
 from anomkit.errors import FittingError, ParameterError
 from anomkit.numcore import pca_project
+from anomkit.presets import PRESETS
 from anomkit.rng import Rng
 
 
-def _dataset(n, split="healthy-train", rank=None, seed=70):
-    """Random desk-sized patch pairs; with `rank`, each scale is a mix of
-    `rank` fixed patterns plus a little noise."""
+def _dataset(n, split="healthy-train", rank=None, seed=70, preset="desk"):
+    """Random patch pairs of the preset's side; with `rank`, each scale is a
+    mix of `rank` fixed patterns plus a little noise."""
     rng = Rng(seed)
+    p = PRESETS[preset]
+    side = p.patch_side
     scales = []
     for s in range(2):
         if rank is None:
-            x = rng.uniform(size=(n, 16 * 16))
+            x = rng.uniform(size=(n, side * side))
         else:
-            x = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, 16 * 16))
+            x = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, side * side))
             x += 1e-3 * rng.normal(size=x.shape)
-        scales.append(x.reshape(n, 16, 16).astype(np.float32))
+        scales.append(x.reshape(n, side, side).astype(np.float32))
     return patches.PatchDataset(
         scale1=scales[0], scale2=scales[1], sources=[("v", 0, i) for i in range(n)],
-        patient_ids=["v"] * n, split=split, preset=patches.get_preset("desk"),
+        split=split, preset=p,
     )
 
 
@@ -37,10 +40,12 @@ def _variance_components(x, frac=0.95):
 
 class TestFit:
     def test_fixed_mode_dims(self):
-        base = baseline_pca.fit_pca_baseline(_dataset(60), "fixed")
-        k = baseline_pca.FIXED_COMPONENTS["desk"]
-        assert base.scale1.n_components == base.scale2.n_components == k
-        assert base.dim == 2 * k
+        # the PCA comparison is exactly as wide as the DCAE's feature vector z
+        for name, n in (("desk", 60), ("paper", 140)):
+            base = baseline_pca.fit_pca_baseline(_dataset(n, preset=name), "fixed")
+            fusion_dim = PRESETS[name].fusion_dim
+            assert base.scale1.n_components == base.scale2.n_components == fusion_dim // 2
+            assert base.dim == fusion_dim
 
     def test_variance_mode_dims(self):
         ds = _dataset(80, rank=5)
@@ -56,7 +61,7 @@ class TestFit:
 
     def test_fewer_samples_than_components_rejected(self):
         with pytest.raises(FittingError):
-            baseline_pca.fit_pca_baseline(_dataset(baseline_pca.FIXED_COMPONENTS["desk"] - 1),
+            baseline_pca.fit_pca_baseline(_dataset(PRESETS["desk"].fusion_dim // 2 - 1),
                                           "fixed")
 
     def test_unknown_mode_rejected(self):

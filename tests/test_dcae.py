@@ -89,8 +89,7 @@ def test_matches_the_written_out_loops(healthy, preset, hyper):
 def _rows(ds, index):
     """The rows `index` of ds as a dataset of their own."""
     return patches.PatchDataset(ds.scale1[index], ds.scale2[index],
-                                [ds.sources[i] for i in index],
-                                [ds.patient_ids[i] for i in index], ds.split, ds.preset)
+                                [ds.sources[i] for i in index], ds.split, ds.preset)
 
 
 class TestScaleHalves:
@@ -214,7 +213,7 @@ class TestCallOrder:
         model = dcae.build_model(TINY, Rng(87))
         for split in ("anomaly-train", "eval"):
             ds = patches.PatchDataset(healthy.scale1, healthy.scale2, healthy.sources,
-                                      healthy.patient_ids, split, healthy.preset)
+                                      split, healthy.preset)
             with pytest.raises(UsageError):
                 dcae.train_dcae(model, ds, HYPER, Rng(88))
 

@@ -159,8 +159,33 @@ def annotated():
     items = []
     for i, seed in enumerate((60, 61)):
         vol, gt = phantom.generate_volume(phantom.test_config(seed), f"vol-{i}")
-        items.append((vol.volume_id, preprocess.preprocess_volume(vol.data), gt))
+        items.append((vol.volume_id, preprocess.preprocess_volume(vol.data),
+                      preprocess.flat_labels(vol.data, gt.labels), gt.labels))
     return items
+
+
+def _items(annotated):
+    """build_classification_set's (volume id, volume, flattened GT) items."""
+    return [(vid, prep, flat) for vid, prep, flat, _ in annotated]
+
+
+def _truth(annotated, raw=False):
+    """{embedded oracle pair: {(volume id, majority type)}} over every
+    in-retina superpixel, with types read from the flattened or the raw GT."""
+    from oracles import pair_oracle
+
+    truth = {}
+    for vid, prep, flat, labels in annotated:
+        for sp in prep.superpixels:
+            if not sp.in_retina:
+                continue
+            center = (round(sp.centroid[0]), round(sp.centroid[1]))
+            o1, o2 = pair_oracle(prep.data[sp.slice_index], center, 16)
+            key = _flat_pairs(o1[None], o2[None])[0].tobytes()
+            kind = metrics.superpixel_majority_type(
+                sp, (labels if raw else flat)[sp.slice_index])
+            truth.setdefault(key, set()).add((vid, kind))
+    return truth
 
 
 def _flat_pairs(scale1, scale2):
@@ -171,7 +196,7 @@ def _flat_pairs(scale1, scale2):
 class TestBuildClassificationSet:
     def test_balanced_rows_per_class(self, annotated):
         feats, labels, pids = metrics.build_classification_set(
-            annotated, _flat_pairs, per_class_n=12, rng=Rng(62))
+            _items(annotated), _flat_pairs, per_class_n=12, rng=Rng(62))
         assert feats.shape == (36, 2 * 16 * 16)
         for c in metrics.DEFAULT_CLASSES:
             assert int(np.sum(labels == c)) == 12
@@ -179,23 +204,22 @@ class TestBuildClassificationSet:
 
     def test_short_class_rejected(self, annotated):
         with pytest.raises(InputError):
-            metrics.build_classification_set(annotated, _flat_pairs, per_class_n=10**6)
+            metrics.build_classification_set(_items(annotated), _flat_pairs,
+                                             per_class_n=10**6)
 
     def test_rows_are_embedded_oracle_pairs(self, annotated):
-        from oracles import pair_oracle
-
-        # every in-retina superpixel's oracle pair, keyed by its embedding
-        truth = {}
-        for vid, prep, gt in annotated:
-            for sp in prep.superpixels:
-                if not sp.in_retina:
-                    continue
-                center = (round(sp.centroid[0]), round(sp.centroid[1]))
-                o1, o2 = pair_oracle(prep.data[sp.slice_index], center, 16)
-                key = _flat_pairs(o1[None], o2[None])[0].tobytes()
-                kind = metrics.superpixel_majority_type(sp, gt.labels[sp.slice_index])
-                truth.setdefault(key, set()).add((vid, kind))
+        truth = _truth(annotated)
         feats, labels, pids = metrics.build_classification_set(
-            annotated, _flat_pairs, per_class_n=12, rng=Rng(63))
+            _items(annotated), _flat_pairs, per_class_n=12, rng=Rng(63))
         for row, label, pid in zip(feats, labels, pids):
             assert (pid, label) in truth[row.tobytes()]
+
+    def test_labels_come_from_flattened_ground_truth(self, annotated):
+        # superpixels live in flattened coordinates: reading the raw GT at
+        # their pixels gives some of them another majority type
+        truth, raw = _truth(annotated), _truth(annotated, raw=True)
+        feats, labels, pids = metrics.build_classification_set(
+            _items(annotated), _flat_pairs, per_class_n=100, rng=Rng(64))
+        rows = [(row.tobytes(), (pid, label)) for row, label, pid in zip(feats, labels, pids)]
+        assert all(pair in truth[key] for key, pair in rows)
+        assert any(pair not in raw[key] for key, pair in rows)

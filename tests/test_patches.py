@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anomkit import patches, phantom, preprocess
+from anomkit.presets import PRESETS
 from anomkit.errors import InputError
 from anomkit.rng import Rng
 
@@ -75,7 +76,7 @@ class TestCutPairsOracle:
         inner = [tuple(x) for x in rng.integers(0, [h, w], size=(20, 2))]
         centers = border + inner
         s1, s2 = patches.cut_pairs(img, centers, preset)
-        side = patches.get_preset(preset).side
+        side = PRESETS[preset].patch_side
         for k, center in enumerate(centers):
             o1, o2 = pair_oracle(img, center, side)
             assert s1[k].dtype == o1.dtype and s2[k].dtype == o2.dtype
@@ -100,7 +101,7 @@ class TestBuildDataset:
         ds = patches.build_dataset([(vol.volume_id, prep)], "healthy-train", "desk")
         n_in = sum(1 for sp in prep.superpixels if sp.in_retina)
         assert len(ds) == n_in
-        assert all(p == "vol-a" for p in ds.patient_ids)
+        assert all(vid == "vol-a" for vid, _, _ in ds.sources)
 
     def test_cap_subsampling_deterministic(self, prepped):
         vol, gt, prep = prepped
@@ -151,7 +152,6 @@ class TestBuildDataset:
             keep = (range(len(sps)) if cap is None
                     else np.sort(Rng(5).choice(len(sps), size=cap, replace=False)))
             assert ds.sources == [sources[i] for i in keep]
-            assert ds.patient_ids == [vol.volume_id] * len(keep)
             assert np.array_equal(ds.scale1, np.stack([pairs[i][0] for i in keep]))
             assert np.array_equal(ds.scale2, np.stack([pairs[i][1] for i in keep]))
 

@@ -144,6 +144,21 @@ class TestFlatten:
         after = flat[s, fsurf.top[s, c] : fsurf.bottom[s, c] + 1, c]
         assert sorted(before.tolist()) == sorted(after.tolist())
 
+    def test_flat_labels_keep_every_voxel_the_shift_keeps_in_frame(self):
+        vol, gt = phantom.generate_volume(phantom.test_config(5, n_slices=4, height=96,
+                                                              width=128))
+        flat = preprocess.flat_labels(vol.data, gt.labels)
+        bottom = preprocess.segment_surfaces(vol.data).bottom
+        shift = bottom.max() - bottom
+        s, r, c = np.nonzero(gt.labels)
+        moved = r + shift[s, c]
+        in_frame = moved < gt.labels.shape[1]
+        assert in_frame.any() and shift.any()
+        assert flat.dtype == gt.labels.dtype
+        assert np.array_equal(flat[s[in_frame], moved[in_frame], c[in_frame]],
+                              gt.labels[s[in_frame], r[in_frame], c[in_frame]])
+        assert np.count_nonzero(flat) == in_frame.sum()
+
 
 class TestNormalizeSlice:
     def test_affine_invariance(self):
