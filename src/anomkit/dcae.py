@@ -22,14 +22,20 @@ overlap on two cores and the outputs are bit-identical to running them one
 after the other. A failed half raises its own error once both have finished,
 scale 1's first.
 
-Inference runs in 128-row batches. Embedding one 4,526-pair desk volume on a
-2-core Xeon (2 MiB L2 per core, one BLAS thread; medians of 11) took
-0.59 / 0.42 / 0.42 / 0.38 s at 512 / 256 / 128 / 64 rows with the scales one
-after the other and 0.35 / 0.23 / 0.25 / 0.29 s with them in parallel; on one
-core, parallel took 0.36 s against 0.35 s serial at 128 rows. At 128 rows one
-ELU temporary (2.4 MB) is about one L2 cache. At 512 rows, the two encodes at
-once raised the benchmark's peak RSS from 176 to 215 MB (`screen`) and from
-227 to 261 MB (`fit`); at 128 rows it is 155 and 215 MB. Every batch size
+Encoding runs each encoder's inference plan (`numcore.Network.infer`): no
+tape, no RNG and no Dropout, and the first ELU after a max pool that keeps no
+switches, so it sees a quarter of the elements. The output is bit-identical
+to the layers' inference forward. Training runs the full layer list, where
+dropout sits between that ELU and the pool, and is unchanged.
+
+Inference runs in 128-row batches. Embedding one 4,671-pair desk volume on a
+2-core Xeon (one BLAS thread; medians of 11, median of three runs) took
+0.20 / 0.20 / 0.21 / 0.21 s at 512 / 256 / 128 / 64 rows with the scales one
+after the other and 0.12 / 0.12 / 0.13 / 0.16 s with them in parallel; the
+layer-by-layer forward the plan replaced took 0.33 s and 0.19 s at 128 rows.
+On one core, parallel took 0.21 s against 0.19 s serial at 128 rows. Larger
+batches gain little, and at 512 rows the layer-by-layer forward had raised
+the benchmark's peak RSS by 35-40 MB, so 128 rows stay. Every batch size
 gives the same output.
 """
 
@@ -75,8 +81,8 @@ class Autoencoder(nc.Network):
         self.encoder = nc.Network(encoder)
 
     def encode(self, batch):
-        """Inference-mode output of the encoder layers."""
-        return self.encoder.forward(batch)[0]
+        """Inference-mode output of the encoder layers, by their plan."""
+        return self.encoder.infer(batch)
 
 
 class ScaleAutoencoder(Autoencoder):

@@ -5,6 +5,15 @@ intermediate needed for the backward pass on a `GradTape`; `backward`
 consumes that tape exactly once and returns parameter gradients. Unpool
 layers read the argmax switches recorded by their partner pool layer, so
 an encoder/decoder pair shares pooling geometry through the tape.
+
+`Network.infer` runs the inference plan compiled from the layer list at
+construction: each layer's `infer`, with no tape and no RNG, Dropout layers
+(the identity outside training) left out, and every (Elu, MaxPool2D) pair
+run as (MaxPool2D, Elu). The pool then keeps no switches and the ELU sees
+1/p**2 of the elements. The swap is exact because ELU is non-decreasing on
+every pair of floats, so the max of the ELUs is the ELU of the max: the
+plan's output is `np.array_equal` to `forward(x, training=False)`. The plan
+holds layers, not their arrays, so it follows `init` and weight updates.
 """
 
 from __future__ import annotations
@@ -60,6 +69,10 @@ class Layer:
     def forward(self, x, tape, training, rng):
         raise NotImplementedError
 
+    def infer(self, x):
+        """Inference output with no tape and no RNG; equal to forward's."""
+        raise UsageError(f"{type(self).__name__} has no inference pass")
+
     def backward(self, grad, tape):
         raise NotImplementedError
 
@@ -90,6 +103,9 @@ class Conv2D(Layer):
 
     def forward(self, x, tape, training, rng):
         tape.put(self, x)
+        return self.infer(x)
+
+    def infer(self, x):
         return ops.conv2d_valid(x, self.kernels, self.bias)
 
     def backward(self, grad, tape):
@@ -124,6 +140,9 @@ class Deconv2D(Layer):
 
     def forward(self, x, tape, training, rng):
         tape.put(self, x)
+        return self.infer(x)
+
+    def infer(self, x):
         return ops.deconv2d(x, self.kernels) + self.bias
 
     def backward(self, grad, tape):
@@ -141,6 +160,9 @@ class MaxPool2D(Layer):
         out, switches = ops.maxpool(x, self.pool)
         tape.put(self, switches)
         return out
+
+    def infer(self, x):
+        return ops.pool_max(x, self.pool)
 
     def backward(self, grad, tape):
         return ops.maxpool_backward(grad, tape.get(self))
@@ -178,6 +200,9 @@ class Dense(Layer):
 
     def forward(self, x, tape, training, rng):
         tape.put(self, x)
+        return self.infer(x)
+
+    def infer(self, x):
         return ops.dense(x, self.weight, self.bias)
 
     def backward(self, grad, tape):
@@ -190,6 +215,9 @@ class Dense(Layer):
 class Elu(Layer):
     def forward(self, x, tape, training, rng):
         tape.put(self, x)
+        return self.infer(x)
+
+    def infer(self, x):
         return ops.elu(x)
 
     def backward(self, grad, tape):
@@ -223,6 +251,9 @@ class Reshape(Layer):
 
     def forward(self, x, tape, training, rng):
         tape.put(self, x.shape)
+        return self.infer(x)
+
+    def infer(self, x):
         return x.reshape((x.shape[0],) + self.shape)
 
     def backward(self, grad, tape):
@@ -238,6 +269,10 @@ class Network:
 
     def __init__(self, layers):
         self.layers = list(layers)
+        self.plan = [layer for layer in self.layers if not isinstance(layer, Dropout)]
+        for i in range(len(self.plan) - 1):
+            if isinstance(self.plan[i], Elu) and isinstance(self.plan[i + 1], MaxPool2D):
+                self.plan[i], self.plan[i + 1] = self.plan[i + 1], self.plan[i]
 
     def init(self, rng: Rng):
         for i, layer in enumerate(self.layers):
@@ -255,6 +290,12 @@ class Network:
             lrng = rng.derive(i) if rng is not None else None
             x = layer.forward(x, tape, training, lrng)
         return x, tape
+
+    def infer(self, x):
+        """The inference plan's output: `forward(x, training=False)[0]`."""
+        for layer in self.plan:
+            x = layer.infer(x)
+        return x
 
     def backward(self, tape: GradTape, grad_out):
         """Exact reverse-mode gradients; returns them in params() order."""

@@ -15,7 +15,9 @@ finite inputs, values that are `np.array_equal` to the plain formula it
 replaces, in the same dtype, and the same pool switches. These kernels therefore
 take no data-dependent branch and change no rounding: pooling reduces the
 p*p strided window views with `np.maximum` and finds the first maximum by
-equality sweeps; unpooling scatters and gathers through the same views;
+equality sweeps (`first_equal`; `pool_max` skips them for inference, and
+SLIC reuses them to pick its nearest centre); unpooling scatters and
+gathers through the same views;
 ELU adds max(x, 0) to expm1(min(x, 0)), of which one term is always
 zero. `tests/oracles.py` keeps the earlier argmax and `np.where` kernels,
 and the tests compare against them.
@@ -145,11 +147,23 @@ def _bits(a):
     return a.view(f"u{a.dtype.itemsize}")
 
 
-def maxpool(x, p):
-    """p*p max pooling with stride p; trailing rows/cols beyond p*(dim//p) drop.
+def first_equal(arrays, target):
+    """Elementwise index of the first of `arrays` equal to `target`: the count
+    of leading arrays not equal to it, so len(arrays) - 1 when none of the
+    others is. Equality sweeps take no data-dependent branch, and the lowest
+    index wins every tie."""
+    idx = np.zeros(target.shape, np.min_scalar_type(len(arrays) - 1))
+    before = np.ones(target.shape, dtype=bool)
+    hit = np.empty(target.shape, dtype=bool)
+    for a in arrays[:-1]:
+        np.not_equal(a, target, out=hit)
+        before &= hit
+        idx += before
+    return idx
 
-    Returns (pooled, switches). Ties break to the lowest flat in-window index.
-    """
+
+def _pool_views(x, p):
+    """(batched x, had_batch, its p*p window views, their elementwise max)."""
     if p < 1:
         raise ParameterError(f"pool size must be >= 1, got {p}")
     xb, batched = _as_batch(x, 3)
@@ -160,17 +174,25 @@ def maxpool(x, p):
     out = views[0].copy()
     for v in views[1:]:
         np.maximum(v, out, out=out)
-    # the switch counts the window entries before the first one equal to the max
-    idx = np.zeros(out.shape, np.min_scalar_type(p * p - 1))
-    before = np.ones(out.shape, dtype=bool)
-    hit = np.empty(out.shape, dtype=bool)
-    for v in views[:-1]:
-        np.not_equal(v, out, out=hit)
-        before &= hit
-        idx += before
+    return xb, batched, views, out
+
+
+def pool_max(x, p):
+    """The pooled values of `maxpool` alone, without switches: inference."""
+    _, batched, _, out = _pool_views(x, p)
+    return out if batched else out[0]
+
+
+def maxpool(x, p):
+    """p*p max pooling with stride p; trailing rows/cols beyond p*(dim//p) drop.
+
+    Returns (pooled, switches). Ties break to the lowest flat in-window index.
+    """
+    xb, batched, views, out = _pool_views(x, p)
+    idx = first_equal(views, out)
     if not batched:
         out, idx = out[0], idx[0]
-    return out, PoolSwitches(index=idx, pool=p, in_shape=(h, w, c))
+    return out, PoolSwitches(index=idx, pool=p, in_shape=xb.shape[1:])
 
 
 def maxpool_backward(grad_out, switches):

@@ -7,7 +7,11 @@ pixel exactly; borders are handled by edge replication. The side is the
 preset's `patch_side` (`presets.PRESETS`); the 4x width is this module's own.
 
 `cut_pairs` cuts every pair of one slice at once: the slice is edge-padded
-once and all crops are gathered by fancy indexing. `build_dataset` orders
+once, the 1x4 means of the padded slice are taken once with a sliding
+window, and all crops are gathered by fancy indexing, the wide scale from
+those means at column stride 4. Each mean is `np.mean` over the same four
+values as a per-pair 1x4 average, so the pairs are bit-identical to cropping
+each one and averaging it (`tests/oracles.pair_oracle`). `build_dataset` orders
 the in-retina superpixel records, applies `cap` to those rows, and only
 then cuts pairs for the rows it keeps, one slice at a time.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, ParameterError
 from .presets import DcaePreset, get_preset
@@ -38,12 +43,13 @@ def cut_pairs(slice_img, centers, preset):
         raise InputError(f"center {tuple(centers[outside][0].tolist())} outside slice {img.shape}")
     s, pad = p.patch_side, 2 * p.patch_side  # pad: the 4x-wide crop's reach on every side
     padded = np.pad(img, pad, mode="edge")
+    # means[i, j] is the mean of padded[i, j : j + 4]: 1x4 average pooling of
+    # every wide crop at once, each crop reading every 4th column
+    means = sliding_window_view(padded, 4, axis=1).mean(axis=-1)
     rows = (r + pad - s // 2)[:, None, None] + np.arange(s)[None, :, None]
     cols1 = (c + pad - s // 2)[:, None, None] + np.arange(s)
-    cols2 = c[:, None, None] + np.arange(4 * s)  # starts pad columns left of c
-    scale1 = padded[rows, cols1]
-    scale2 = padded[rows, cols2].reshape(-1, s, s, 4).mean(axis=3)  # 1x4 average pooling
-    return scale1.astype(np.float32), scale2.astype(np.float32)
+    cols2 = c[:, None, None] + 4 * np.arange(s)  # starts pad columns left of c
+    return padded[rows, cols1].astype(np.float32), means[rows, cols2].astype(np.float32)
 
 
 def cut_at_centroids(rows, preset):

@@ -9,13 +9,26 @@ surface search covers the whole [S, H, W] volume at once: one in-slice box
 filter of side SMOOTH_WINDOW and one vertical gradient, then one column sweep
 of the dynamic program for the top surfaces of all slices and one for the
 bottom surfaces, which keep MIN_GAP rows below the top; both change by at
-most SMOOTHNESS rows from one column to the next.
+most SMOOTHNESS rows from one column to the next. A non-finite voxel is
+rejected with InputError before any of this.
 
 SLIC runs N_ITER k-means iterations from a grid of STEP-pixel cells, with
 spatial weight COMPACTNESS, each pixel restricted to the centres of its 3x3
-neighbouring cells; those candidates depend only on the slice shape, so they
-are built once per slice before the iterations. The label map is made
-connected by an orphan merge: each label keeps its largest 4-connected
+neighbouring cells (Achanta et al., TPAMI 2012). It takes no data-dependent
+branch per pixel: on a 128x128 float64 slice, an `np.where` select took
+78 us against 6 us for `np.minimum` (2-core Xeon, numpy 2.4), and two
+selects per candidate were most of the earlier loop's time. The slice
+is laid out once as [row phase, col phase, grid row, grid col], pixel
+(STEP*i + a, STEP*j + b) at [a, b, i, j]; rows and columns clipped into the
+last cell are extra phases, and positions no pixel fills are virtual and
+dropped on the way back to raster order. Each candidate's centres are then
+one slice of a centre grid with a one-cell border whose row is inf, so an
+off-grid candidate lies at infinite distance, and the row and column terms
+are computed per phase of their own axis. Each pixel takes the first of its
+nine candidates whose distance equals their minimum, the tie rule of a
+sequential strict `<` sweep, and the centres are updated from sums over the
+labels in raster order, as the sequential loop added them. The label map is
+made connected by an orphan merge: each label keeps its largest 4-connected
 component (ties to the lowest component id), and the other components settle
 in rounds, each taking the label of its largest already-settled neighbour by
 original area (ties to the lowest component id), so the result does not
@@ -36,6 +49,7 @@ from scipy import ndimage, sparse
 from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionError, InputError, SegmentationError
+from .numcore.ops import first_equal
 
 SMOOTHNESS = 2
 MIN_GAP = 2
@@ -99,6 +113,14 @@ def _min_cost_paths(cost):
     return paths
 
 
+def _check_finite(data):
+    """Raise InputError naming the first non-finite value of `data`, if any."""
+    finite = np.isfinite(data)
+    if not finite.all():
+        at = np.unravel_index(np.argmin(finite), data.shape)
+        raise InputError(f"non-finite value {data[at]} at index {tuple(map(int, at))}")
+
+
 def segment_surfaces(volume_data) -> SurfacePair:
     """Locate top and bottom retina surfaces in every slice.
 
@@ -112,6 +134,7 @@ def segment_surfaces(volume_data) -> SurfacePair:
     h = vol.shape[1]
     if h < 8:
         raise DimensionError(f"need at least 8 rows per column, got {h}")
+    _check_finite(vol)
 
     img = ndimage.uniform_filter(vol, size=(1, SMOOTH_WINDOW, SMOOTH_WINDOW), mode="nearest")
     grad = np.gradient(img, axis=1)
@@ -222,66 +245,99 @@ def _enforce_connectivity(labels):
     return comp_label[comp]
 
 
+# each candidate centre's cell offset (dr, dc); own cell first so ties stay
+# on the initialization grid
+_OFFSETS = [(0, 0)] + [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
+
+
+def _axis_phases(n):
+    """Phase layout of one axis of n > STEP pixels.
+
+    Grid cells are STEP pixels wide; pixels past the last grid point's cell
+    are clipped into it, so the last cell holds STEP // 2 + 1 to
+    STEP // 2 + STEP pixels. Returns (cells, pos): pos[a, i] is pixel STEP * i + a, phase a of
+    cell i, for phases up to the widest cell; a position no pixel fills is
+    virtual and holds n.
+    """
+    cells = len(range(STEP // 2, n, STEP))
+    last = n - STEP * (cells - 1)
+    phase = np.arange(max(STEP, last))[:, None]
+    cell = np.arange(cells)
+    pos = STEP * cell + phase
+    real = np.where(cell == cells - 1, phase < last, phase < STEP)
+    return cells, np.where(real, pos, n)
+
+
 def slic_superpixels(slice_img):
     """SLIC oversegmentation of one slice into superpixels of about STEP**2 pixels.
 
     k-means in (intensity, row, col) with distance
     sqrt(d_int^2 + (COMPACTNESS/STEP)^2 * d_spatial^2), initialized on a
     regular STEP-grid and restricted to the 3x3 neighbourhood of each pixel's
-    grid cell, for N_ITER iterations. Connectivity is enforced afterwards.
-    Returns the [H, W] int label map; superpixel ids follow grid order and
-    need not be contiguous. The procedure is deterministic.
+    grid cell, for N_ITER iterations; each pixel takes its nearest candidate,
+    the first in `_OFFSETS` order on ties. Connectivity is enforced
+    afterwards. Returns the [H, W] int label map; superpixel ids follow grid
+    order and need not be contiguous. The procedure is deterministic.
+
+    Runs in the phase layout of the module docstring. Raises InputError on a
+    non-finite pixel. The labels equal those of the sequential candidate
+    sweep (`tests/oracles.slic_oracle`) on every slice whose squared
+    intensity differences stay finite.
     """
     img = np.asarray(slice_img, dtype=np.float64)
+    _check_finite(img)
     h, w = img.shape
     if h <= STEP or w <= STEP:
         return np.zeros((h, w), dtype=np.int64)
 
+    gr, pos_r = _axis_phases(h)
+    gc, pos_c = _axis_phases(w)
+    # pixel (STEP*i + a, STEP*j + b) sits at [a, b, i, j]; virtual positions
+    # read the zero pad at row h or column w
+    at = (pos_r[:, None, :, None], pos_c[None, :, None, :])
+    phased = np.pad(img, ((0, 1), (0, 1)))[at]
+    rows, cols = (p.astype(np.float64) for p in at)
+    where = np.empty((h + 1, w + 1), dtype=np.int64)
+    where[at] = np.arange(phased.size).reshape(phased.shape)
+    to_raster = where[:h, :w].ravel()  # phase-layout index of each raster pixel
+
+    # centre grids with a one-cell border; a candidate's label is its pixel's
+    # own cell id plus its shift
+    c_int = np.zeros((gr + 2, gc + 2))
+    c_row = np.full((gr + 2, gc + 2), np.inf)
+    c_col = np.zeros((gr + 2, gc + 2))
+    inner = (slice(1, gr + 1), slice(1, gc + 1))
     grid_rows = np.arange(STEP // 2, h, STEP)
     grid_cols = np.arange(STEP // 2, w, STEP)
-    gr, gc = len(grid_rows), len(grid_cols)
-    c_row = np.repeat(grid_rows, gc).astype(np.float64)
-    c_col = np.tile(grid_cols, gr).astype(np.float64)
-    c_int = img[c_row.astype(int), c_col.astype(int)].copy()
+    c_row[inner] = grid_rows[:, None]
+    c_col[inner] = grid_cols
+    c_int[inner] = img[np.ix_(grid_rows, grid_cols)]
+    own = np.arange(gr * gc).reshape(gr, gc)
+    shift = np.array([dr * gc + dc for dr, dc in _OFFSETS])
 
-    rr, cc = np.mgrid[0:h, 0:w]
-    cell_r = np.clip(rr // STEP, 0, gr - 1)
-    cell_c = np.clip(cc // STEP, 0, gc - 1)
+    weights = [img.ravel()] + [a.ravel().astype(np.float64) for a in np.mgrid[0:h, 0:w]]
     spatial_w = (COMPACTNESS / STEP) ** 2
-
-    # own cell first so ties stay on the initialization grid
-    offsets = [(0, 0)] + [(dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1) if (dr, dc) != (0, 0)]
-    # each pixel's candidate centres depend only on the slice shape; an
-    # off-grid candidate is centre 0, blocked at infinite distance
-    cands, blocked = [], []
-    for dr, dc in offsets:
-        nr, nc = cell_r + dr, cell_c + dc
-        ok = (nr >= 0) & (nr < gr) & (nc >= 0) & (nc < gc)
-        cands.append(np.where(ok, nr * gc + nc, 0))
-        blocked.append(~ok)
-    labels = cands[0]
+    dist = np.empty((len(_OFFSETS),) + phased.shape)
+    nearest = np.empty(phased.shape)
     for _ in range(N_ITER):
-        best_d = np.full((h, w), np.inf)
-        best_l = labels
-        for cand, off in zip(cands, blocked):
-            d = (img - c_int[cand]) ** 2 + spatial_w * (
-                (rr - c_row[cand]) ** 2 + (cc - c_col[cand]) ** 2
-            )
-            d[off] = np.inf
-            better = d < best_d
-            best_d = np.where(better, d, best_d)
-            best_l = np.where(better, cand, best_l)
-        labels = best_l
-        counts = np.bincount(labels.ravel(), minlength=gr * gc)
-        sums_i = np.bincount(labels.ravel(), weights=img.ravel(), minlength=gr * gc)
-        sums_r = np.bincount(labels.ravel(), weights=rr.ravel(), minlength=gr * gc)
-        sums_c = np.bincount(labels.ravel(), weights=cc.ravel(), minlength=gr * gc)
+        for d, (dr, dc) in zip(dist, _OFFSETS):
+            near = (slice(1 + dr, 1 + dr + gr), slice(1 + dc, 1 + dc + gc))
+            np.subtract(phased, c_int[near], out=d)
+            np.square(d, out=d)
+            spatial = (rows - c_row[near]) ** 2 + (cols - c_col[near]) ** 2
+            spatial *= spatial_w
+            d += spatial
+        np.min(dist, axis=0, out=nearest)
+        labels = np.take(own + np.take(shift, first_equal(dist, nearest)), to_raster)
+        counts = np.bincount(labels, minlength=gr * gc)
         nz = counts > 0
-        c_int[nz] = sums_i[nz] / counts[nz]
-        c_row[nz] = sums_r[nz] / counts[nz]
-        c_col[nz] = sums_c[nz] / counts[nz]
+        for grid, weight in zip((c_int, c_row, c_col), weights):
+            sums = np.bincount(labels, weights=weight, minlength=gr * gc)
+            flat = grid[inner].ravel()
+            flat[nz] = sums[nz] / counts[nz]
+            grid[inner] = flat.reshape(gr, gc)
 
-    return _enforce_connectivity(labels)
+    return _enforce_connectivity(labels.reshape(h, w))
 
 
 def superpixel_records(labels, surfaces: SurfacePair) -> list:

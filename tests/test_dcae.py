@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from anomkit import dcae, patches, phantom, preprocess
+from anomkit import numcore as nc
 from anomkit.errors import DimensionError, InputError, ParameterError, UsageError
 from anomkit.rng import Rng
 
@@ -84,6 +85,28 @@ def test_matches_the_written_out_loops(healthy, preset, hyper):
     tiled = _rows(healthy, np.tile(np.arange(len(healthy)), 5))
     assert np.array_equal(dcae.embed_dataset(trained, tiled),
                           embed_oracle(ref, tiled.scale1, tiled.scale2))
+
+
+@pytest.mark.parametrize("preset, hyper", [(TINY, HYPER), (dcae.PRESETS["desk"], DESK_HYPER)],
+                         ids=["tiny", "desk"])
+def test_encode_plan_equals_the_inference_forward(healthy, preset, hyper):
+    """The trained encoders' plans (no dropout, max-only pool, ELU after the
+    pool) against their layers' inference forward, in float32 and float64,
+    on the patches and on them scaled into ELU's linear and saturated ends."""
+    model = _trained(healthy, preset=preset, hyper=hyper)
+    for net, x in ((model.scale1, healthy.scale1), (model.scale2, healthy.scale2)):
+        for dtype in (np.float32, np.float64):
+            for scale in (1e-3, 1.0, 100.0):
+                batch = (scale * x[..., None]).astype(dtype)
+                want = nc.Network(net.encoder.layers).forward(batch, training=False)[0]
+                got = net.encode(batch)
+                assert got.dtype == want.dtype == dtype
+                assert np.array_equal(got, want)
+    codes = dcae._encode_scales(model, healthy.scale1, healthy.scale2)
+    for dtype in (np.float32, np.float64):
+        batch = codes.astype(dtype)
+        want = nc.Network(model.fusion.encoder.layers).forward(batch, training=False)[0]
+        assert np.array_equal(model.fusion.encode(batch), want)
 
 
 def _rows(ds, index):

@@ -1,12 +1,15 @@
 """The branch-free pooling, ELU and dropout kernels against the kernels they
-replaced: equal values, dtypes and pool switches on finite inputs."""
+replaced: equal values, dtypes and pool switches on finite inputs; and the
+inference plan against the inference forward it replaces."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from anomkit import numcore as nc
+from anomkit.errors import UsageError
 from anomkit.numcore import ops
 from anomkit.rng import Rng
 
@@ -104,3 +107,37 @@ def test_inference_dropout_layer_is_the_identity(x, grad_dtype, data):
     tape = nc.GradTape(owner=None)
     assert_same_bits(layer.forward(x, tape, False, Rng(0)), x)
     assert_same_bits(layer.backward(grad, tape), grad)
+
+
+@settings(deadline=None)
+@given(DTYPES, st.data())
+def test_elu_is_non_decreasing_on_adjacent_floats(dtype, data):
+    """The plan runs ELU after the max pool; that is exact only if ELU never
+    decreases from one float to the next. Checked on runs of adjacent floats
+    near 0, near the -1 saturation and from the tie values."""
+    width = 32 if dtype == np.float32 else 64
+    start = data.draw(st.one_of(st.floats(-2.0**-20, 2.0**-20, width=width),
+                                st.floats(-64.0, -8.0, width=width), TIES))
+    run = [dtype(start)]
+    for _ in range(64):
+        run.append(np.nextafter(run[-1], dtype(np.inf)))
+    out = nc.elu(np.array(run, dtype=dtype))
+    assert out.dtype == dtype
+    assert np.all(out[1:] >= out[:-1])
+
+
+def test_plan_drops_dropout_and_pools_before_elu():
+    conv, elu, drop, pool = nc.Conv2D(3, 1, 2), nc.Elu(), nc.Dropout(0.5), nc.MaxPool2D(2)
+    net = nc.Network([conv, elu, drop, pool, nc.Reshape((8,)), nc.Elu(), nc.Dropout(0.1)])
+    assert [type(layer) for layer in net.plan] == [nc.Conv2D, nc.MaxPool2D, nc.Elu,
+                                                   nc.Reshape, nc.Elu]
+    net.init(Rng(3))
+    x = Rng(4).normal(size=(5, 6, 6, 1))
+    for batch in (x, x.astype(np.float32), 50 * x):
+        assert_same(net.infer(batch), net.forward(batch, training=False)[0])
+
+
+def test_unpool_has_no_inference_pass():
+    pool = nc.MaxPool2D(2)
+    with pytest.raises(UsageError, match="Unpool2D has no inference pass"):
+        nc.Unpool2D(pool).infer(np.zeros((1, 2, 2, 1)))

@@ -64,24 +64,34 @@ class TestExtractPair:
 
 
 class TestCutPairsOracle:
-    @pytest.mark.parametrize("preset", ["desk", "paper"])
-    @pytest.mark.parametrize("shape", [(40, 70), (5, 7)])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bit_identical_to_per_pair_oracle(self, preset, shape, dtype):
+    """Every centre within the wide crop's reach (2 * side) of an edge or a
+    corner, where edge replication feeds the crops, plus inner ones."""
+
+    def check(self, preset, shape, dtype):
         rng = Rng(54)
         img = rng.uniform(size=shape).astype(dtype)
         h, w = shape
-        border = [(r, c) for r in (0, 1, h - 2, h - 1) for c in range(w)]
-        border += [(r, c) for r in range(h) for c in (0, 1, w - 2, w - 1)]
-        inner = [tuple(x) for x in rng.integers(0, [h, w], size=(20, 2))]
-        centers = border + inner
-        s1, s2 = patches.cut_pairs(img, centers, preset)
         side = PRESETS[preset].patch_side
-        for k, center in enumerate(centers):
-            o1, o2 = pair_oracle(img, center, side)
-            assert s1[k].dtype == o1.dtype and s2[k].dtype == o2.dtype
-            assert np.array_equal(s1[k], o1), center
-            assert np.array_equal(s2[k], o2), center
+        r, c = np.mgrid[0:h, 0:w]
+        near_edge = ((np.minimum(r, h - 1 - r) < 2 * side)
+                     | (np.minimum(c, w - 1 - c) < 2 * side))
+        centers = np.concatenate([np.argwhere(near_edge), rng.integers(0, [h, w], size=(20, 2))])
+        cut = patches.cut_pairs(img, centers, preset)
+        want = [np.stack(o) for o in zip(*(pair_oracle(img, ctr, side) for ctr in centers))]
+        for got, oracle in zip(cut, want):
+            assert got.dtype == oracle.dtype
+            wrong = ~(got == oracle).all(axis=(1, 2))
+            assert not wrong.any(), centers[wrong][:5]
+
+    @pytest.mark.parametrize("preset", ["desk", "paper"])
+    @pytest.mark.parametrize("shape", [(40, 70), (5, 7)])  # no centre out of reach
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_per_pair_oracle(self, preset, shape, dtype):
+        self.check(preset, shape, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_band_around_an_interior(self, dtype):
+        self.check("desk", (97, 150), dtype)
 
     def test_no_centres_gives_empty_batches(self):
         s1, s2 = patches.cut_pairs(np.zeros((10, 10)), np.zeros((0, 2)), "desk")

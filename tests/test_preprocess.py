@@ -55,6 +55,18 @@ class TestSegmentSurfaces:
         with pytest.raises(DimensionError):
             preprocess.segment_surfaces(np.zeros((1, 4, 16)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxel_named(self, value):
+        vol, _ = phantom.generate_volume(
+            phantom.healthy_config(33, n_slices=3, height=32, width=40))
+        data = vol.data.copy()
+        data[2, 0, 0] = data[1, 9, 3] = data[1, 5, 7] = value
+        for fn in (preprocess.segment_surfaces, preprocess.preprocess_volume):
+            with pytest.raises(InputError, match=rf"non-finite value {value} at index \(1, 5, 7\)"):
+                fn(data)
+        with pytest.raises(InputError, match=r"at index \(5, 7\)"):
+            preprocess.slic_superpixels(data[1])
+
 
 def outcome(fn, data):
     """fn(data), or the type of the package error it raised."""
@@ -107,6 +119,25 @@ class TestAgainstOracles:
                   elements=LEVELS))
     def test_random_slices_slic(self, img):
         assert_same_outcome(preprocess.slic_superpixels(img), slic_oracle(img))
+
+    # every residue of the height and the width modulo STEP, so every size of
+    # the last grid cell, and with it every count of phases in the layout
+    RESIDUE_SHAPES = [(preprocess.STEP + 1, preprocess.STEP + 2),
+                      (preprocess.STEP + 2, preprocess.STEP + 1),
+                      (128, 128), (129, 131), (131, 127), (130, 129)]
+
+    @pytest.mark.parametrize("shape", RESIDUE_SHAPES)
+    @settings(max_examples=4, deadline=None)
+    @given(st.data())
+    def test_slic_on_every_last_cell_size(self, shape, data):
+        """Sparse draws of the tie-heavy LEVELS, and dense seeded images of
+        coarse levels or uniform values."""
+        sparse = data.draw(arrays(np.float64, shape, elements=LEVELS))
+        assert_same_outcome(preprocess.slic_superpixels(sparse), slic_oracle(sparse))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        dense = (rng.choice([0.0, 0.25, 0.5, 1.0], size=shape) if data.draw(st.booleans())
+                 else rng.random(shape))
+        assert_same_outcome(preprocess.slic_superpixels(dense), slic_oracle(dense))
 
 
 class TestFlatten:
