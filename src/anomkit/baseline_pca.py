@@ -1,6 +1,5 @@
-"""PCA comparison embeddings: per scale, either the preset's `fusion_dim // 2`
-components, so the concatenated features are as wide as the DCAE's z, or the
-prefix explaining VARIANCE_FRAC of the variance; projections are concatenated."""
+"""PCA comparison embeddings: per scale, the preset's `fusion_dim // 2`
+components, so the concatenated projections are as wide as the DCAE's z."""
 
 from __future__ import annotations
 
@@ -11,8 +10,6 @@ import numpy as np
 from .errors import FittingError, ParameterError
 from .numcore import PcaModel, pca_fit, pca_project
 from .patches import PatchDataset
-
-VARIANCE_FRAC = 0.95
 
 
 @dataclass
@@ -26,23 +23,22 @@ class PcaBaseline:
 
 
 def fit_pca_baseline(dataset: PatchDataset, mode) -> PcaBaseline:
-    """Fit one PCA per scale on flattened healthy-train patches; `mode` is
-    "fixed" or "variance"."""
+    """Fit one PCA per scale on flattened healthy-train patches.
+
+    `mode` must be "fixed". The benchmark passes it, so the argument stays
+    until a change to the benchmark drops it.
+    """
     if dataset.split != "healthy-train":
         raise FittingError(f"PCA baselines fit on healthy-train, got {dataset.split!r}")
-    if mode not in ("fixed", "variance"):
-        raise ParameterError(f"mode must be 'fixed' or 'variance', got {mode!r}")
+    if mode != "fixed":
+        raise ParameterError(f"mode must be 'fixed', got {mode!r}")
     n = len(dataset)
+    k = dataset.preset.fusion_dim // 2
+    if n < k:
+        raise FittingError(f"{n} samples cannot support {k} components")
     flat1 = dataset.scale1.reshape(n, -1).astype(np.float64)
     flat2 = dataset.scale2.reshape(n, -1).astype(np.float64)
-    if mode == "fixed":
-        k = dataset.preset.fusion_dim // 2
-        if n < k:
-            raise FittingError(f"{n} samples cannot support {k} components")
-        args = ("fixed_k", k)
-    else:
-        args = ("variance_frac", VARIANCE_FRAC)
-    return PcaBaseline(scale1=pca_fit(flat1, *args), scale2=pca_fit(flat2, *args))
+    return PcaBaseline(scale1=pca_fit(flat1, k), scale2=pca_fit(flat2, k))
 
 
 def embed_batches(baseline: PcaBaseline, scale1_batch, scale2_batch):

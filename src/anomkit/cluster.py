@@ -4,7 +4,7 @@ assignment for unseen vectors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class KmeansResult:
     centroids: np.ndarray  # [k, d], unit rows
     assignment: np.ndarray  # [n] int
     objective: float  # sum of cosine similarities to own centroid
-    objective_trace: list = field(default_factory=list)  # per iteration
 
 
 def _kmeanspp_init(xu, k, rng: Rng):
@@ -49,7 +48,6 @@ def _kmeanspp_init(xu, k, rng: Rng):
 def _run_once(xu, k, rng: Rng, max_iter):
     cents = _kmeanspp_init(xu, k, rng)
     assignment = None
-    trace = []
     for _ in range(max_iter):
         sims = xu @ cents.T
         new_assign = np.argmax(sims, axis=1)  # ties to the lowest id
@@ -67,7 +65,7 @@ def _run_once(xu, k, rng: Rng, max_iter):
             new_assign = np.argmax(sims, axis=1)
             own = sims[np.arange(xu.shape[0]), new_assign]
 
-        trace.append(float(own.sum()))
+        objective = float(own.sum())
         if assignment is not None and np.array_equal(new_assign, assignment):
             assignment = new_assign
             break
@@ -77,9 +75,7 @@ def _run_once(xu, k, rng: Rng, max_iter):
         norms = np.linalg.norm(sums, axis=1)
         nz = norms > 1e-15
         cents[nz] = sums[nz] / norms[nz, None]
-    objective = trace[-1]
-    return KmeansResult(centroids=cents, assignment=assignment,
-                        objective=objective, objective_trace=trace)
+    return KmeansResult(centroids=cents, assignment=assignment, objective=objective)
 
 
 def spherical_kmeans(features, k, rng: Rng, restarts=5, max_iter=100) -> KmeansResult:
@@ -152,6 +148,8 @@ def select_k(features, k_range=(2, 30), rng: Rng | None = None, restarts=5,
     n = xu.shape[0]
     if k_lo < 2:
         raise InputError(f"k range must start at >= 2, got {k_lo}")
+    if k_hi < k_lo:
+        raise InputError(f"empty k range ({k_lo}, {k_hi})")
     if n <= k_hi:
         raise InputError(f"need more samples than max k: n={n}, k_hi={k_hi}")
 

@@ -1,4 +1,5 @@
-"""Principal component analysis on dense data matrices."""
+"""Principal component analysis on dense data matrices: the top k components
+of the sample covariance, with a deterministic sign per component."""
 
 from __future__ import annotations
 
@@ -6,25 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FittingError, ParameterError
+from ..errors import FittingError
 
 
 @dataclass
 class PcaModel:
     mean: np.ndarray  # [d]
     components: np.ndarray  # [k, d] rows are orthonormal, descending eigenvalue
-    eigenvalues: np.ndarray  # [k]
-    total_variance: float
 
     @property
     def n_components(self) -> int:
         return self.components.shape[0]
-
-    @property
-    def explained_fraction(self) -> float:
-        if self.total_variance <= 0:
-            return 1.0
-        return float(self.eigenvalues.sum() / self.total_variance)
 
 
 def _fix_signs(components):
@@ -40,59 +33,27 @@ def _fix_signs(components):
     return out
 
 
-def pca_fit(data, mode, value) -> PcaModel:
-    """Fit PCA on rows of `data`.
-
-    mode "fixed_k": keep exactly `value` components (value <= d).
-    mode "variance_frac": keep the smallest prefix of descending-eigenvalue
-    components whose eigenvalue sum reaches `value` * total variance;
-    zero-variance data degenerates to a single component.
-    """
+def pca_fit(data, k) -> PcaModel:
+    """Fit PCA on rows of `data`, keeping the top `k` components (k <= d)."""
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise FittingError(f"data must be a 2-d matrix, got shape {data.shape}")
     n, d = data.shape
     if n < 2:
         raise FittingError(f"need at least 2 samples, got {n}")
-    if mode not in ("fixed_k", "variance_frac"):
-        raise ParameterError(f"unknown PCA mode {mode!r}")
-    if mode == "fixed_k":
-        k = int(value)
-        if not 1 <= k <= d:
-            raise FittingError(f"fixed_k must be in [1, {d}], got {k}")
-        if k > n:
-            raise FittingError(f"fixed_k={k} exceeds sample count {n}")
-    else:
-        frac = float(value)
-        if not 0.0 < frac <= 1.0:
-            raise ParameterError(f"variance_frac must be in (0,1], got {frac}")
+    k = int(k)
+    if not 1 <= k <= d:
+        raise FittingError(f"k must be in [1, {d}], got {k}")
+    if k > n:
+        raise FittingError(f"k={k} exceeds sample count {n}")
 
     mean = data.mean(axis=0)
     centered = data - mean
     cov = centered.T @ centered / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
-    eigvals = np.maximum(eigvals[order], 0.0)
     components = _fix_signs(eigvecs[:, order].T)
-    total = float(eigvals.sum())
-
-    if mode == "fixed_k":
-        keep = int(value)
-    else:
-        if total <= 0:
-            keep = 1
-        else:
-            nonzero = int(np.sum(eigvals > 1e-12 * total))
-            cum = np.cumsum(eigvals)
-            keep = int(np.searchsorted(cum, frac * total - 1e-12 * total) + 1)
-            keep = max(1, min(keep, max(nonzero, 1)))
-
-    return PcaModel(
-        mean=mean,
-        components=components[:keep],
-        eigenvalues=eigvals[:keep],
-        total_variance=total,
-    )
+    return PcaModel(mean=mean, components=components[:k])
 
 
 def pca_project(model: PcaModel, x):

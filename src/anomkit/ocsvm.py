@@ -134,7 +134,6 @@ class OcSvmModel:
     scale: np.ndarray  # [d] per-dimension divisor
     kkt_violation: float = 0.0
     n_iter: int = 0
-    support_fraction: float = 0.0
     free_support_vectors: int = 0  # 0: rho came from the bound candidates
 
     @property
@@ -176,7 +175,6 @@ def fit_ocsvm(features, nu=0.1, tol=1e-8, max_iter=200_000) -> OcSvmModel:
         raise FittingError(f"degenerate boundary: it flags {flagged:.4f} of the training "
                            f"set, above nu + d/n = {nu + d / n:.4f}")
     cap = 1.0 / (nu * n)
-    support = float(np.mean(sol.alpha > cap * 1e-8))
     return OcSvmModel(
         w=sol.w,
         rho=rho,
@@ -185,7 +183,6 @@ def fit_ocsvm(features, nu=0.1, tol=1e-8, max_iter=200_000) -> OcSvmModel:
         scale=scale,
         kkt_violation=sol.kkt_violation,
         n_iter=sol.n_iter,
-        support_fraction=support,
         free_support_vectors=int(np.count_nonzero(_free_support(sol.alpha, cap))),
     )
 

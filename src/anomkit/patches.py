@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InputError, ParameterError
+from .errors import InputError, ParameterError, UsageError
 from .presets import DcaePreset, get_preset
 from .rng import Rng
 
@@ -86,13 +86,15 @@ def build_dataset(preps, split, preset, rng: Rng | None = None, cap=None,
     `preps` is an ordered list of (volume_id, PreprocessedVolume). Ordering
     of the output is (volume order, slice, superpixel id) and deterministic.
     For the healthy-train split, pass `ground_truths` aligned with `preps`
-    to assert the volumes really are anomaly-free. `cap` subsamples the
-    rows uniformly (seeded) while preserving the sort order, before any
-    pair is cut.
+    (one per volume) to assert the volumes really are anomaly-free. `cap`
+    subsamples the rows uniformly (seeded) while preserving the sort order,
+    before any pair is cut.
     """
     p = get_preset(preset)
     if split not in ("healthy-train", "anomaly-train", "eval"):
         raise ParameterError(f"unknown split {split!r}")
+    if ground_truths is not None and len(ground_truths) != len(preps):
+        raise UsageError(f"{len(preps)} volumes but {len(ground_truths)} ground truths")
     if split == "healthy-train" and ground_truths is not None:
         for (vid, _), gt in zip(preps, ground_truths):
             if gt is not None and gt.mask.any():

@@ -15,7 +15,6 @@ config reproduces bit-identical volumes.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,8 +33,6 @@ KIND_TO_TYPE = {
     "subsurface_fluid": TYPE_FLUID,
     "surface_deformation": TYPE_DEFORMATION,
 }
-TYPE_NAMES = {TYPE_CYST: "cyst_blob", TYPE_FLUID: "subsurface_fluid",
-              TYPE_DEFORMATION: "surface_deformation"}
 
 
 @dataclass
@@ -328,56 +325,3 @@ def generate_benchmark(seed=42, n_healthy=40, n_anomalous=40, n_test=8,
         test.append(generate_volume(cfg, volume_id=f"test-{i:03d}"))
         idx += 1
     return BenchmarkData(healthy=healthy, anomalous=anomalous, test=test, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# volume / ground-truth file formats
-
-VOL_MAGIC = b"OCTV"
-GT_MAGIC = b"OCTG"
-
-
-def write_volume(path, volume: Volume):
-    s, h, w = volume.data.shape
-    with open(path, "wb") as fh:
-        fh.write(VOL_MAGIC)
-        fh.write(struct.pack("<3I", w, h, s))
-        fh.write(volume.data.astype("<f4").tobytes(order="C"))
-
-
-def read_volume(path, volume_id=None) -> Volume:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != VOL_MAGIC:
-            raise InputError(f"{path}: bad magic {magic!r}, expected {VOL_MAGIC!r}")
-        w, h, s = struct.unpack("<3I", fh.read(12))
-        raw = fh.read(4 * w * h * s)
-        if len(raw) != 4 * w * h * s:
-            raise InputError(f"{path}: truncated volume data")
-    data = np.frombuffer(raw, dtype="<f4").reshape(s, h, w).astype(np.float32)
-    if volume_id is None:
-        volume_id = str(path)
-    return Volume(data=data, volume_id=volume_id)
-
-
-def write_ground_truth(path, gt: GroundTruth):
-    s, h, w = gt.labels.shape
-    with open(path, "wb") as fh:
-        fh.write(GT_MAGIC)
-        fh.write(struct.pack("<3I", w, h, s))
-        fh.write(gt.labels.astype(np.uint8).tobytes(order="C"))
-        fh.write(gt.top.astype("<i4").tobytes(order="C"))
-        fh.write(gt.bottom.astype("<i4").tobytes(order="C"))
-
-
-def read_ground_truth(path) -> GroundTruth:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != GT_MAGIC:
-            raise InputError(f"{path}: bad magic {magic!r}, expected {GT_MAGIC!r}")
-        w, h, s = struct.unpack("<3I", fh.read(12))
-        labels = np.frombuffer(fh.read(w * h * s), dtype=np.uint8).reshape(s, h, w)
-        top = np.frombuffer(fh.read(4 * s * w), dtype="<i4").reshape(s, w)
-        bottom = np.frombuffer(fh.read(4 * s * w), dtype="<i4").reshape(s, w)
-    return GroundTruth(labels=labels.copy(), top=top.astype(np.int64),
-                       bottom=bottom.astype(np.int64))

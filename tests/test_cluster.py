@@ -37,11 +37,14 @@ class TestSphericalKmeans:
         assert max(angles) <= 5.0
 
     def test_objective_monotone_per_iteration(self):
+        # a run stopped after i iterations reports the objective of iteration i
         rng = Rng(4)
         X = rng.normal(size=(200, 6)) + 0.5
-        res = cluster.spherical_kmeans(X, 5, Rng(5), restarts=1, max_iter=50)
-        trace = res.objective_trace
-        assert len(trace) >= 2
+        n_iter = 9  # this draw converges at the ninth iteration
+        trace = [cluster.spherical_kmeans(X, 5, Rng(5), restarts=1, max_iter=i).objective
+                 for i in range(1, n_iter + 1)]
+        full = cluster.spherical_kmeans(X, 5, Rng(5), restarts=1, max_iter=50)
+        assert full.objective == trace[-1]
         assert all(b >= a - 1e-10 for a, b in zip(trace, trace[1:]))
 
     def test_zero_vector_rejected(self):
@@ -133,6 +136,10 @@ class TestSelectK:
     def test_needs_more_samples_than_max_k(self):
         with pytest.raises(InputError):
             cluster.select_k(np.ones((10, 3)), k_range=(2, 10), rng=Rng(0))
+
+    def test_empty_k_range_rejected(self):
+        with pytest.raises(InputError, match="empty k range"):
+            cluster.select_k(three_cones(Rng(20)), k_range=(5, 3), rng=Rng(0))
 
 
 class TestAssign:

@@ -11,18 +11,20 @@ from anomkit.rng import Rng
 def test_collinear_data_first_component():
     t = np.linspace(-2, 2, 50)
     data = np.stack([t, t], axis=1)  # points on y = x
-    model = pca_fit(data, "variance_frac", 1.0)
+    model = pca_fit(data, 1)
     c0 = model.components[0]
     assert np.allclose(np.abs(c0), 1 / np.sqrt(2), atol=1e-9)
     assert c0[0] > 0  # sign rule: first nonzero coordinate positive
-    assert model.explained_fraction >= 1.0 - 1e-12
     assert model.n_components == 1
+    # the one component reconstructs every point
+    recon = pca_project(model, data) @ model.components + model.mean
+    assert np.allclose(recon, data, atol=1e-9)
 
 
 def test_orthonormal_components_and_distance_preservation():
     rng = Rng(21)
     data = rng.normal(size=(200, 8))
-    model = pca_fit(data, "fixed_k", 8)
+    model = pca_fit(data, 8)
     gram = model.components @ model.components.T
     assert np.abs(gram - np.eye(8)).max() <= 1e-5
     # full-rank orthonormal projection preserves pairwise distances
@@ -33,50 +35,23 @@ def test_orthonormal_components_and_distance_preservation():
     assert np.abs(d_orig - d_proj).max() <= 1e-5
 
 
-def test_variance_frac_one_keeps_nonzero_eigenvalues():
-    rng = Rng(22)
-    base = rng.normal(size=(100, 3))
-    # rank-3 data embedded in 6 dims
-    lift = np.concatenate([base, base @ np.ones((3, 3))], axis=1)
-    model = pca_fit(lift, "variance_frac", 1.0)
-    assert model.n_components == 3
-    assert model.explained_fraction >= 1.0 - 1e-9
-
-
-def test_variance_frac_prefix_rule():
-    rng = Rng(23)
-    data = rng.normal(size=(500, 4)) * np.array([10.0, 3.0, 1.0, 0.3])
-    model = pca_fit(data, "variance_frac", 0.9)
-    full = pca_fit(data, "fixed_k", 4)
-    cum = np.cumsum(full.eigenvalues) / full.eigenvalues.sum()
-    expect_k = int(np.searchsorted(cum, 0.9) + 1)
-    assert model.n_components == expect_k
-    assert model.explained_fraction >= 0.9
-
-
-def test_degenerate_zero_variance():
-    data = np.ones((10, 5))
-    model = pca_fit(data, "variance_frac", 0.95)
-    assert model.n_components == 1
-
-
 def test_mean_projects_to_zero():
     rng = Rng(24)
     data = rng.normal(size=(50, 6)) + 3.0
-    model = pca_fit(data, "fixed_k", 4)
+    model = pca_fit(data, 4)
     assert np.allclose(pca_project(model, data.mean(axis=0)), 0.0, atol=1e-9)
 
 
 def test_preconditions():
     with pytest.raises(FittingError):
-        pca_fit(np.zeros((1, 4)), "fixed_k", 2)
+        pca_fit(np.zeros((1, 4)), 2)
     with pytest.raises(FittingError):
-        pca_fit(np.zeros((10, 4)), "fixed_k", 5)
+        pca_fit(np.zeros((10, 4)), 5)
 
 
 def test_duplication_invariance():
     rng = Rng(25)
     data = rng.normal(size=(60, 5))
-    m1 = pca_fit(data, "fixed_k", 3)
-    m2 = pca_fit(np.concatenate([data, data]), "fixed_k", 3)
+    m1 = pca_fit(data, 3)
+    m2 = pca_fit(np.concatenate([data, data]), 3)
     assert np.allclose(m1.components, m2.components, atol=1e-8)

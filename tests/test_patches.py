@@ -5,7 +5,7 @@ import pytest
 
 from anomkit import patches, phantom, preprocess
 from anomkit.presets import PRESETS
-from anomkit.errors import InputError
+from anomkit.errors import InputError, UsageError
 from anomkit.rng import Rng
 
 from oracles import pair_oracle
@@ -141,6 +141,17 @@ class TestBuildDataset:
         ds = patches.build_dataset([(vol.volume_id, prep)], "healthy-train", "desk",
                                    ground_truths=[gt])
         assert len(ds) > 0
+
+    def test_ground_truths_must_align(self, prepped):
+        # a short list must not leave the anomalous volume unchecked
+        vol, gt, prep = prepped
+        anom_vol, _ = phantom.generate_volume(phantom.test_config(53), "vol-b")
+        anom_prep = preprocess.preprocess_volume(anom_vol.data)
+        with pytest.raises(UsageError, match="2 volumes but 1 ground truths"):
+            patches.build_dataset(
+                [(vol.volume_id, prep), (anom_vol.volume_id, anom_prep)],
+                "healthy-train", "desk", ground_truths=[gt],
+            )
 
     def test_values_in_unit_interval(self, prepped):
         vol, gt, prep = prepped

@@ -87,29 +87,3 @@ class TestBenchmark:
     def test_volume_ids_unique(self, bench):
         ids = [v.volume_id for v, _ in bench.healthy + bench.anomalous + bench.test]
         assert len(set(ids)) == len(ids)
-
-
-class TestVolumeIo:
-    def test_volume_round_trip(self, tmp_path):
-        vol, gt = phantom.generate_volume(phantom.test_config(3), "probe")
-        p = tmp_path / "vol.octv"
-        phantom.write_volume(p, vol)
-        back = phantom.read_volume(p)
-        assert np.array_equal(back.data, vol.data)
-        assert p.read_bytes()[:4] == b"OCTV"
-
-    def test_ground_truth_round_trip(self, tmp_path):
-        _, gt = phantom.generate_volume(phantom.test_config(3), "probe")
-        p = tmp_path / "vol.octg"
-        phantom.write_ground_truth(p, gt)
-        back = phantom.read_ground_truth(p)
-        assert np.array_equal(back.labels, gt.labels)
-        assert np.array_equal(back.top, gt.top)
-        assert np.array_equal(back.bottom, gt.bottom)
-        assert p.read_bytes()[:4] == b"OCTG"
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "x.octv"
-        p.write_bytes(b"JUNKxxxxxxxxxxxx")
-        with pytest.raises(InputError):
-            phantom.read_volume(p)
