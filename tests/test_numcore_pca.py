@@ -35,6 +35,17 @@ def test_orthonormal_components_and_distance_preservation():
     assert np.abs(d_orig - d_proj).max() <= 1e-5
 
 
+def test_degenerate_zero_variance():
+    data = np.ones((10, 5))
+    model = pca_fit(data, 1)
+    assert model.n_components == 1
+    c0 = model.components[0]
+    assert np.all(np.isfinite(c0))
+    assert abs(np.linalg.norm(c0) - 1.0) <= 1e-12
+    assert c0[np.nonzero(c0)[0][0]] > 0  # sign rule holds on a flat spectrum
+    assert np.array_equal(pca_project(model, data), np.zeros((10, 1)))
+
+
 def test_mean_projects_to_zero():
     rng = Rng(24)
     data = rng.normal(size=(50, 6)) + 3.0
