@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ParameterError
 from .rng import Rng
 
 
@@ -84,8 +84,10 @@ def spherical_kmeans(features, k, rng: Rng, restarts=5, max_iter=100) -> KmeansR
     n = xu.shape[0]
     if not 1 <= k <= n:
         raise InputError(f"k must be in [1, n={n}], got {k}")
+    if restarts < 1 or max_iter < 1:
+        raise ParameterError(f"restarts and max_iter must be >= 1, got {restarts} and {max_iter}")
     best = None
-    for r in range(max(1, restarts)):
+    for r in range(restarts):
         res = _run_once(xu, k, rng.derive(r), max_iter)
         if best is None or res.objective > best.objective + 1e-12:
             best = res

@@ -183,7 +183,7 @@ def _sgd_epochs(params, n, epochs, hyper: TrainConfig, rng: Rng, order_tag, step
     """
     if n == 0:
         raise InputError("cannot train on a dataset with no rows")
-    velocity = None
+    velocity = [np.zeros_like(p) for p in params]
     bs = hyper.batch_size
     log = []
     for epoch in range(epochs):
@@ -194,10 +194,7 @@ def _sgd_epochs(params, n, epochs, hyper: TrainConfig, rng: Rng, order_tag, step
                                rng.derive(step_tag + epoch * 100_000 + bi))
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}, batch {bi}")
-            new_params, velocity = nc.sgd_step(params, grads, hyper.lr,
-                                               hyper.momentum, velocity)
-            for p, q in zip(params, new_params):
-                p[...] = q
+            nc.sgd_step(params, grads, hyper.lr, hyper.momentum, velocity)
             losses.append(loss)
         log.append((epoch, float(np.mean(losses))))
     return log

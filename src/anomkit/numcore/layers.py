@@ -2,9 +2,13 @@
 
 A `Network` is an ordered stack of layers. `forward` records every
 intermediate needed for the backward pass on a `GradTape`; `backward`
-consumes that tape exactly once and returns parameter gradients. Unpool
-layers read the argmax switches recorded by their partner pool layer, so
-an encoder/decoder pair shares pooling geometry through the tape.
+consumes that tape exactly once and returns parameter gradients. A layer's
+forward is, unless it overrides it, `Layer.forward`: record the input on the
+tape and return `infer(x)`. MaxPool2D (its switches), Unpool2D (nothing),
+Dropout (its mask) and Reshape (the input shape) record something else and
+keep their own. Unpool layers read the argmax switches recorded by their
+partner pool layer, so an encoder/decoder pair shares pooling geometry
+through the tape.
 
 `Network.infer` runs the inference plan compiled from the layer list at
 construction: each layer's `infer`, with no tape and no RNG, Dropout layers
@@ -67,7 +71,9 @@ class Layer:
         pass
 
     def forward(self, x, tape, training, rng):
-        raise NotImplementedError
+        """Training or inference output; records the input for `backward`."""
+        tape.put(self, x)
+        return self.infer(x)
 
     def infer(self, x):
         """Inference output with no tape and no RNG; equal to forward's."""
@@ -101,10 +107,6 @@ class Conv2D(Layer):
     def params(self):
         return [self.kernels, self.bias]
 
-    def forward(self, x, tape, training, rng):
-        tape.put(self, x)
-        return self.infer(x)
-
     def infer(self, x):
         return ops.conv2d_valid(x, self.kernels, self.bias)
 
@@ -120,7 +122,7 @@ class Deconv2D(Layer):
     """Adjoint-of-conv layer with a per-channel output bias."""
 
     def __init__(self, kernel_size, out_channels, in_channels, dtype=np.float32):
-        # maps [H,W,in_channels] -> [H+k-1, W+k-1, out_channels]
+        # maps [N,H,W,in_channels] -> [N, H+k-1, W+k-1, out_channels]
         self.k = int(kernel_size)
         self.cin = int(in_channels)  # channels of the incoming tensor
         self.cout = int(out_channels)
@@ -128,19 +130,9 @@ class Deconv2D(Layer):
         self.kernels = np.zeros((self.k, self.k, self.cout, self.cin), dtype)
         self.bias = np.zeros(self.cout, dtype)
 
-    def init(self, rng):
-        fan = self.k * self.k
-        self.kernels = glorot_uniform(
-            rng, self.kernels.shape, fan * self.cin, fan * self.cout, self.dtype
-        )
-        self.bias = np.zeros(self.cout, self.dtype)
-
-    def params(self):
-        return [self.kernels, self.bias]
-
-    def forward(self, x, tape, training, rng):
-        tape.put(self, x)
-        return self.infer(x)
+    # Conv2D's: Glorot-uniform kernels from k, cin and cout, and a zero bias
+    init = Conv2D.init
+    params = Conv2D.params
 
     def infer(self, x):
         return ops.deconv2d(x, self.kernels) + self.bias
@@ -165,7 +157,7 @@ class MaxPool2D(Layer):
         return ops.pool_max(x, self.pool)
 
     def backward(self, grad, tape):
-        return ops.maxpool_backward(grad, tape.get(self))
+        return ops.unpool(grad, tape.get(self))
 
 
 class Unpool2D(Layer):
@@ -198,10 +190,6 @@ class Dense(Layer):
     def params(self):
         return [self.weight, self.bias]
 
-    def forward(self, x, tape, training, rng):
-        tape.put(self, x)
-        return self.infer(x)
-
     def infer(self, x):
         return ops.dense(x, self.weight, self.bias)
 
@@ -213,10 +201,6 @@ class Dense(Layer):
 
 
 class Elu(Layer):
-    def forward(self, x, tape, training, rng):
-        tape.put(self, x)
-        return self.infer(x)
-
     def infer(self, x):
         return ops.elu(x)
 
@@ -312,23 +296,23 @@ class Network:
         return [g for layer in self.layers for g in tape.grads.get(id(layer), ())]
 
 
-def sgd_step(params, grads, lr, momentum=0.0, velocity=None):
-    """One SGD-with-momentum step: v <- momentum*v - lr*g; p <- p + v.
+def sgd_step(params, grads, lr, momentum, velocity):
+    """One SGD-with-momentum step, in place: v *= momentum; v -= lr*g; p += v.
 
-    Returns (new_params, new_velocity). Lists are aligned elementwise.
+    The lists are aligned elementwise; each velocity has its parameter's
+    shape and dtype. Each array is updated with numpy's same-kind casting, so
+    a float64 gradient moves a float32 parameter by (momentum*v - lr*g)
+    rounded once to float32, as the out-of-place step did. Every gradient is
+    checked before any array changes, so a failed step changes nothing.
     """
     if lr <= 0:
         raise ParameterError(f"learning rate must be > 0, got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ParameterError(f"momentum must be in [0,1), got {momentum}")
-    if velocity is None:
-        velocity = [np.zeros_like(p) for p in params]
-    new_params, new_velocity = [], []
-    for i, (p, g, v) in enumerate(zip(params, grads, velocity)):
+    for i, (p, g) in enumerate(zip(params, grads)):
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {i} (shape {p.shape})")
-        v = momentum * v - lr * g
-        v = v.astype(p.dtype, copy=False)
-        new_velocity.append(v)
-        new_params.append(p + v)
-    return new_params, new_velocity
+    for p, g, v in zip(params, grads, velocity):
+        v *= momentum
+        v -= lr * g
+        p += v

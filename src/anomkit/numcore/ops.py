@@ -1,7 +1,8 @@
 """Neural-network layer primitives with exact backward passes.
 
-All operations accept a single sample ([H,W,C] for spatial ops, [D] for dense)
-or a batch with one extra leading axis.
+Spatial ops take and return batches only, [N, H, W, C]; any other rank
+raises DimensionError. Dense ops take [N, D], and the elementwise ops
+(ELU, dropout, MSE) any shape.
 
 Dtype policy: every op computes and returns in the common dtype of its
 operands, `np.result_type(x, weights)`, and casts nothing itself. A float32
@@ -33,14 +34,12 @@ from ..errors import DimensionError, ParameterError
 from ..rng import Rng
 
 
-def _as_batch(x, rank):
-    """View x as batched (rank+1 dims). Returns (batched, had_batch)."""
+def _batch(x):
+    """x as an [N, H, W, C] array; any other rank raises DimensionError."""
     x = np.asarray(x)
-    if x.ndim == rank:
-        return x[None], False
-    if x.ndim == rank + 1:
-        return x, True
-    raise DimensionError(f"expected {rank} or {rank + 1} dims, got shape {x.shape}")
+    if x.ndim != 4:
+        raise DimensionError(f"expected an [N,H,W,C] batch, got shape {x.shape}")
+    return x
 
 
 def _im2col(x, k):
@@ -57,11 +56,11 @@ def _im2col(x, k):
 def conv2d_valid(x, kernels, bias):
     """Valid (unpadded) 2D cross-correlation.
 
-    x: [H,W,Cin] (or batched), kernels: [k,k,Cin,Cout], bias: [Cout].
-    Output [H-k+1, W-k+1, Cout]:
-        out[i,j,o] = bias[o] + sum_{a,b,c} x[i+a, j+b, c] * kernels[a,b,c,o]
+    x: [N,H,W,Cin], kernels: [k,k,Cin,Cout], bias: [Cout].
+    Output [N, H-k+1, W-k+1, Cout]:
+        out[n,i,j,o] = bias[o] + sum_{a,b,c} x[n, i+a, j+b, c] * kernels[a,b,c,o]
     """
-    xb, batched = _as_batch(x, 3)
+    xb = _batch(x)
     kernels = np.asarray(kernels)
     bias = np.asarray(bias)
     if kernels.ndim != 4 or kernels.shape[0] != kernels.shape[1]:
@@ -75,14 +74,13 @@ def conv2d_valid(x, kernels, bias):
         raise DimensionError(f"bias must be [Cout]={cout}, got {bias.shape}")
     out = _im2col(xb, k) @ kernels.reshape(-1, cout)
     out += bias
-    return out if batched else out[0]
+    return out
 
 
 def conv2d_param_grads(grad_out, x, kernels):
     """(grad_kernels, grad_bias) of conv2d_valid; its input gradient is
     deconv2d(grad_out, kernels)."""
-    xb, _ = _as_batch(x, 3)
-    gb, _ = _as_batch(grad_out, 3)
+    xb, gb = _batch(x), _batch(grad_out)
     k, _, cin, cout = kernels.shape
     cols = _im2col(xb, k).reshape(-1, k * k * cin)
     gflat = gb.reshape(-1, cout)
@@ -92,10 +90,10 @@ def conv2d_param_grads(grad_out, x, kernels):
 def deconv2d(x, kernels):
     """Transpose (adjoint) of conv2d_valid, channel roles swapped.
 
-    x: [H,W,Cout] (or batched), kernels: [k,k,Cin,Cout] -> [H+k-1, W+k-1, Cin],
+    x: [N,H,W,Cout], kernels: [k,k,Cin,Cout] -> [N, H+k-1, W+k-1, Cin],
     so that <conv2d_valid(a, K, 0), b> == <a, deconv2d(b, K)> for all a, b.
     """
-    xb, batched = _as_batch(x, 3)
+    xb = _batch(x)
     kernels = np.asarray(kernels)
     if kernels.ndim != 4 or kernels.shape[0] != kernels.shape[1]:
         raise DimensionError(f"kernels must be [k,k,Cin,Cout], got {kernels.shape}")
@@ -111,27 +109,26 @@ def deconv2d(x, kernels):
     for a in range(k):
         for b in range(k):
             out[:, a : a + h, b : b + w, :] += per_pos[:, :, :, a, b, :]
-    return out if batched else out[0]
+    return out
 
 
 def deconv2d_backward(grad_out, x, kernels):
     """Gradients of deconv2d: returns (grad_x, grad_kernels)."""
-    xb, batched = _as_batch(x, 3)
-    gb, _ = _as_batch(grad_out, 3)
+    xb, gb = _batch(x), _batch(grad_out)
     k, _, cin, cout = kernels.shape
     grad_x = conv2d_valid(gb, kernels, np.zeros(cout, dtype=kernels.dtype))
     # grad_K[a,b,c,o] = sum_{n,i,j} x[n,i,j,o] * grad_out[n,i+a,j+b,c]
     cols = _im2col(gb, k).reshape(-1, k * k * cin)  # positions align with x
     grad_k = (cols.T @ xb.reshape(-1, cout)).reshape(k, k, cin, cout)
-    return (grad_x if batched else grad_x[0]), grad_k
+    return grad_x, grad_k
 
 
 class PoolSwitches(NamedTuple):
     """Argmax record of a maxpool call, needed by unpool and the backward pass."""
 
-    index: np.ndarray  # [.., H//p, W//p, C] flat argmax within each p*p window
+    index: np.ndarray  # [N, H//p, W//p, C] flat argmax within each p*p window
     pool: int
-    in_shape: tuple  # unbatched input spatial shape (H, W, C)
+    in_shape: tuple  # per-sample input shape (H, W, C)
 
 
 def _windows(xb, p, h2, w2):
@@ -163,10 +160,10 @@ def first_equal(arrays, target):
 
 
 def _pool_views(x, p):
-    """(batched x, had_batch, its p*p window views, their elementwise max)."""
+    """(x, its p*p window views, their elementwise max)."""
     if p < 1:
         raise ParameterError(f"pool size must be >= 1, got {p}")
-    xb, batched = _as_batch(x, 3)
+    xb = _batch(x)
     n, h, w, c = xb.shape
     if h < p or w < p:
         raise DimensionError(f"input {h}x{w} smaller than pool {p}")
@@ -174,13 +171,12 @@ def _pool_views(x, p):
     out = views[0].copy()
     for v in views[1:]:
         np.maximum(v, out, out=out)
-    return xb, batched, views, out
+    return xb, views, out
 
 
 def pool_max(x, p):
     """The pooled values of `maxpool` alone, without switches: inference."""
-    _, batched, _, out = _pool_views(x, p)
-    return out if batched else out[0]
+    return _pool_views(x, p)[2]
 
 
 def maxpool(x, p):
@@ -188,22 +184,14 @@ def maxpool(x, p):
 
     Returns (pooled, switches). Ties break to the lowest flat in-window index.
     """
-    xb, batched, views, out = _pool_views(x, p)
-    idx = first_equal(views, out)
-    if not batched:
-        out, idx = out[0], idx[0]
-    return out, PoolSwitches(index=idx, pool=p, in_shape=xb.shape[1:])
-
-
-def maxpool_backward(grad_out, switches):
-    """Scatter pooled gradients back to the argmax positions."""
-    return unpool(grad_out, switches)
+    xb, views, out = _pool_views(x, p)
+    return out, PoolSwitches(index=first_equal(views, out), pool=p, in_shape=xb.shape[1:])
 
 
 def unpool(x, switches):
-    """Place each value at its recorded argmax position; zeros elsewhere."""
-    xb, batched = _as_batch(x, 3)
-    idx, _ = _as_batch(switches.index, 3)
+    """Place each value at its recorded argmax position; zeros elsewhere.
+    Also the backward pass of maxpool."""
+    xb, idx = _batch(x), switches.index
     if xb.shape != idx.shape:
         raise DimensionError(f"input {xb.shape} does not match switches {idx.shape}")
     p = switches.pool
@@ -217,21 +205,19 @@ def unpool(x, switches):
     bits = _bits(xb)
     for k, view in enumerate(_windows(_bits(out), p, h2, w2)):
         np.multiply(bits, idx == k, out=view)
-    return out if batched else out[0]
+    return out
 
 
 def unpool_backward(grad_out, switches):
     """Gather the gradient sitting at each recorded argmax position."""
-    gb, batched = _as_batch(grad_out, 3)
-    idx, _ = _as_batch(switches.index, 3)
+    gb, idx = _batch(grad_out), switches.index
     p = switches.pool
     h, w, c = switches.in_shape
     views = _windows(_bits(gb), p, h // p, w // p)
     out = views[0] * (idx == 0)
     for k, view in enumerate(views[1:], start=1):
         out |= view * (idx == k)  # exactly one k matches each element
-    out = out.view(gb.dtype)
-    return out if batched else out[0]
+    return out.view(gb.dtype)
 
 
 def elu(x):
@@ -267,7 +253,7 @@ def dropout_backward(grad_out, mask):
 
 
 def dense(x, weight, bias):
-    """Affine map y = x @ W + b with W: [D,U], b: [U]; x: [D] or [N,D]."""
+    """Affine map y = x @ W + b with W: [D,U], b: [U]; x: [N,D]."""
     x = np.asarray(x)
     if x.shape[-1] != weight.shape[0]:
         raise DimensionError(f"input dim {x.shape[-1]} != weight rows {weight.shape[0]}")

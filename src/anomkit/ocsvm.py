@@ -212,10 +212,9 @@ def segment_volume(model: OcSvmModel, features, superpixels, volume_shape) -> An
     `superpixels` lists the in-retina superpixels of one volume, aligned
     row-for-row with `features`. Pixels outside those superpixels stay False.
     """
-    X = as_feature_matrix(features)
-    if X.shape[0] != len(superpixels):
-        raise UsageError(f"{X.shape[0]} feature rows for {len(superpixels)} superpixels")
-    scores = decision_values(model, X) if X.shape[0] else np.zeros(0)
+    scores = decision_values(model, features)
+    if len(scores) != len(superpixels):
+        raise UsageError(f"{len(scores)} feature rows for {len(superpixels)} superpixels")
     labels = scores < 0.0
     mask = np.zeros(volume_shape, dtype=bool)
     ids = []
@@ -225,7 +224,7 @@ def segment_volume(model: OcSvmModel, features, superpixels, volume_shape) -> An
             mask[sp.slice_index][sp.rows, sp.cols] = True
     return AnomalyMap(
         superpixel_ids=ids,
-        scores=np.asarray(scores, dtype=np.float64),
-        labels=np.asarray(labels, dtype=bool),
+        scores=scores,
+        labels=labels,
         pixel_mask=mask,
     )

@@ -7,8 +7,8 @@ from scipy import ndimage
 
 from anomkit import preprocess
 from anomkit.errors import DimensionError, ParameterError, SegmentationError
-from anomkit.numcore import GradTape, mse, mse_grad, sgd_step
-from anomkit.numcore.ops import PoolSwitches, _as_batch
+from anomkit.numcore import GradTape, mse, mse_grad
+from anomkit.numcore.ops import PoolSwitches
 from anomkit.preprocess import Superpixel
 
 
@@ -264,7 +264,9 @@ def slic_oracle(slice_img):
 
 # The DCAE as it was written before its autoencoders became Networks and its
 # two training loops one: layer loops on a bare tape and two literal
-# momentum-SGD loops. The model code must reproduce them bit for bit.
+# momentum-SGD loops, whose step is the out-of-place one that allocated new
+# velocity and parameter arrays and copied them back. The model code must
+# reproduce them bit for bit.
 SCALE_ENCODER_LAYERS = 11  # conv, elu, dropout, pool, reshape, 2 x (dense, elu, dropout)
 FUSION_ENCODER_LAYERS = 2  # dense, elu
 
@@ -303,6 +305,20 @@ def backward_oracle(net, tape, grad_out):
     return [g for layer in net.layers for g in tape.grads.get(id(layer), ())]
 
 
+def momentum_step_oracle(params, grads, lr, momentum, velocity):
+    """The out-of-place momentum step: new velocity momentum*v - lr*g cast to
+    the parameter dtype, copied into each parameter as p + v. Returns the
+    new velocity list; `velocity` None starts from zeros."""
+    if velocity is None:
+        velocity = [np.zeros_like(p) for p in params]
+    new_velocity = []
+    for p, g, v in zip(params, grads, velocity):
+        v = (momentum * v - lr * g).astype(p.dtype, copy=False)
+        new_velocity.append(v)
+        p[...] = p + v
+    return new_velocity
+
+
 def train_scales_oracle(model, dataset, hyper, rng):
     """Joint momentum SGD of both scale nets; returns the (epoch, mean loss) log."""
     n = len(dataset)
@@ -324,10 +340,8 @@ def train_scales_oracle(model, dataset, hyper, rng):
             loss1, loss2 = mse(b1, out1), mse(b2, out2)
             g1 = backward_oracle(model.scale1, tape1, mse_grad(b1, out1))
             g2 = backward_oracle(model.scale2, tape2, mse_grad(b2, out2))
-            new_params, velocity = sgd_step(params, g1 + g2, hyper.lr, hyper.momentum,
+            velocity = momentum_step_oracle(params, g1 + g2, hyper.lr, hyper.momentum,
                                             velocity)
-            for p, q in zip(params, new_params):
-                p[...] = q
             losses.append(0.5 * (loss1 + loss2))
         log.append((epoch, float(np.mean(losses))))
     return log
@@ -358,9 +372,7 @@ def train_fusion_oracle(model, dataset, hyper, rng):
                 corrupted = target
             out, tape = model.fusion.forward(corrupted, training=True)
             grads = backward_oracle(model.fusion, tape, mse_grad(target, out))
-            new_params, velocity = sgd_step(params, grads, hyper.lr, hyper.momentum, velocity)
-            for p, q in zip(params, new_params):
-                p[...] = q
+            velocity = momentum_step_oracle(params, grads, hyper.lr, hyper.momentum, velocity)
             losses.append(mse(target, out))
         log.append((epoch, float(np.mean(losses))))
     return log
@@ -378,7 +390,7 @@ def maxpool_oracle(x, p):
     """
     if p < 1:
         raise ParameterError(f"pool size must be >= 1, got {p}")
-    xb, batched = _as_batch(x, 3)
+    xb = np.asarray(x)
     n, h, w, c = xb.shape
     if h < p or w < p:
         raise DimensionError(f"input {h}x{w} smaller than pool {p}")
@@ -387,15 +399,12 @@ def maxpool_oracle(x, p):
     win = win.transpose(0, 1, 3, 2, 4, 5).reshape(n, h2, w2, p * p, c)
     idx = win.argmax(axis=3)  # first max -> lowest flat index
     out = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    if not batched:
-        out, idx = out[0], idx[0]
     return out, PoolSwitches(index=idx, pool=p, in_shape=(h, w, c))
 
 
 def unpool_oracle(x, switches):
     """Place each value at its recorded argmax position; zeros elsewhere."""
-    xb, batched = _as_batch(x, 3)
-    idx, _ = _as_batch(switches.index, 3)
+    xb, idx = np.asarray(x), switches.index
     if xb.shape != idx.shape:
         raise DimensionError(f"input {xb.shape} does not match switches {idx.shape}")
     p = switches.pool
@@ -408,13 +417,12 @@ def unpool_oracle(x, switches):
     out = np.zeros((n, h, w, c), dtype=xb.dtype)
     blocks = win.reshape(n, h2, w2, p, p, c).transpose(0, 1, 3, 2, 4, 5)
     out[:, : h2 * p, : w2 * p, :] = blocks.reshape(n, h2 * p, w2 * p, c)
-    return out if batched else out[0]
+    return out
 
 
 def unpool_backward_oracle(grad_out, switches):
     """Gather the gradient sitting at each recorded argmax position."""
-    gb, batched = _as_batch(grad_out, 3)
-    idx, _ = _as_batch(switches.index, 3)
+    gb, idx = np.asarray(grad_out), switches.index
     p = switches.pool
     h, w, c = switches.in_shape
     n = gb.shape[0]
@@ -424,8 +432,7 @@ def unpool_backward_oracle(grad_out, switches):
         gb[:, : h2 * p, : w2 * p, :].reshape(n, h2, p, w2, p, c).transpose(0, 1, 3, 2, 4, 5)
     )
     win = win.reshape(n, h2, w2, p * p, c)
-    out = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
-    return out if batched else out[0]
+    return np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
 
 
 def elu_oracle(x):

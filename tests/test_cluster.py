@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anomkit import cluster
-from anomkit.errors import InputError
+from anomkit.errors import InputError, ParameterError
 from anomkit.rng import Rng
 
 from oracles import davies_bouldin_oracle
@@ -51,6 +51,11 @@ class TestSphericalKmeans:
         X = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(InputError):
             cluster.spherical_kmeans(X, 2, Rng(0))
+
+    @pytest.mark.parametrize("counts", [dict(max_iter=0), dict(restarts=0), dict(restarts=-1)])
+    def test_iteration_counts_below_one_rejected(self, counts):
+        with pytest.raises(ParameterError):
+            cluster.spherical_kmeans(np.eye(3), 2, Rng(0), **counts)
 
     def test_centroids_unit_norm(self):
         rng = Rng(6)
@@ -140,6 +145,11 @@ class TestSelectK:
     def test_empty_k_range_rejected(self):
         with pytest.raises(InputError, match="empty k range"):
             cluster.select_k(three_cones(Rng(20)), k_range=(5, 3), rng=Rng(0))
+
+    @pytest.mark.parametrize("counts", [dict(max_iter=0), dict(restarts=0)])
+    def test_iteration_counts_below_one_rejected(self, counts):
+        with pytest.raises(ParameterError):
+            cluster.select_k(three_cones(Rng(21)), k_range=(2, 4), rng=Rng(0), **counts)
 
 
 class TestAssign:

@@ -27,13 +27,11 @@ def values(dtype):
 
 @st.composite
 def pooled_inputs(draw):
-    """(x, p): x is [H,W,C] or [N,H,W,C] with H, W >= p, often not multiples of p."""
+    """(x, p): x is [N,H,W,C] with H, W >= p, often not multiples of p."""
     p = draw(st.sampled_from([1, 2, 3]))
     dtype = draw(DTYPES)
-    shape = (draw(st.integers(p, 3 * p + 2)), draw(st.integers(p, 3 * p + 2)),
-             draw(st.integers(1, 3)))
-    if draw(st.booleans()):
-        shape = (draw(st.integers(1, 3)),) + shape
+    shape = (draw(st.integers(1, 3)), draw(st.integers(p, 3 * p + 2)),
+             draw(st.integers(p, 3 * p + 2)), draw(st.integers(1, 3)))
     return draw(arrays(dtype, shape, elements=values(dtype))), p
 
 
@@ -69,7 +67,6 @@ def test_unpool_and_backward_match_oracle(case, data):
     dtype = data.draw(DTYPES)
     pooled = data.draw(arrays(dtype, sw.index.shape, elements=values(dtype)))
     assert_same_bits(nc.unpool(pooled, sw), unpool_oracle(pooled, want_sw))
-    assert_same_bits(ops.maxpool_backward(pooled, sw), unpool_oracle(pooled, want_sw))
     grad = data.draw(arrays(dtype, x.shape, elements=values(dtype)))
     assert_same_bits(ops.unpool_backward(grad, sw), unpool_backward_oracle(grad, want_sw))
 

@@ -5,9 +5,11 @@ import pytest
 
 from anomkit import numcore as nc
 from anomkit.errors import DimensionError, ParameterError, TrainingError
+from anomkit.numcore import ops
 from anomkit.rng import Rng
 
 from helpers import rel_err
+from oracles import momentum_step_oracle
 
 
 def conv_loop_oracle(x, kernels, bias):
@@ -30,76 +32,76 @@ def conv_loop_oracle(x, kernels, bias):
 class TestConv2d:
     def test_identity_kernel(self):
         rng = Rng(1)
-        x = rng.uniform(size=(5, 7, 1)).astype(np.float32)
+        x = rng.uniform(size=(1, 5, 7, 1)).astype(np.float32)
         k = np.ones((1, 1, 1, 1), np.float32)
         out = nc.conv2d_valid(x, k, np.zeros(1, np.float32))
         assert np.allclose(out, x)
 
     def test_sum_of_ones(self):
-        x = np.ones((3, 3, 1), np.float32)
+        x = np.ones((1, 3, 3, 1), np.float32)
         k = np.ones((3, 3, 1, 1), np.float32)
         out = nc.conv2d_valid(x, k, np.zeros(1, np.float32))
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 9.0
+        assert out.shape == (1, 1, 1, 1)
+        assert out[0, 0, 0, 0] == 9.0
 
     def test_matches_loop_oracle(self):
         rng = Rng(2)
         x = rng.normal(size=(5, 5, 2))
         k = rng.normal(size=(3, 3, 2, 4))
         b = rng.normal(size=4)
-        out = nc.conv2d_valid(x, k, b)
-        assert out.shape == (3, 3, 4)
-        assert rel_err(out, conv_loop_oracle(x, k, b)) <= 1e-6
+        out = nc.conv2d_valid(x[None], k, b)
+        assert out.shape == (1, 3, 3, 4)
+        assert rel_err(out[0], conv_loop_oracle(x, k, b)) <= 1e-6
 
     def test_shape_errors(self):
-        x = np.zeros((2, 2, 1), np.float32)
+        x = np.zeros((1, 2, 2, 1), np.float32)
         k = np.zeros((3, 3, 1, 1), np.float32)
         with pytest.raises(DimensionError):
             nc.conv2d_valid(x, k, np.zeros(1, np.float32))
         with pytest.raises(DimensionError):
-            nc.conv2d_valid(np.zeros((4, 4, 2), np.float32), k, np.zeros(1, np.float32))
+            nc.conv2d_valid(np.zeros((1, 4, 4, 2), np.float32), k, np.zeros(1, np.float32))
 
 
 class TestMaxpool:
     def test_constant_input_tie_break(self):
-        x = np.full((4, 4, 2), 3.5, np.float32)
+        x = np.full((1, 4, 4, 2), 3.5, np.float32)
         out, sw = nc.maxpool(x, 2)
         assert np.all(out == 3.5)
         assert np.all(sw.index == 0)  # ties go to the window origin
 
     def test_single_window(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)[:, :, None]
+        x = np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)[None, :, :, None]
         out, sw = nc.maxpool(x, 2)
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 4.0
-        assert sw.index[0, 0, 0] == 3
+        assert out.shape == (1, 1, 1, 1)
+        assert out[0, 0, 0, 0] == 4.0
+        assert sw.index[0, 0, 0, 0] == 3
 
     def test_matches_window_scan_oracle(self):
         rng = Rng(3)
-        x = rng.normal(size=(9, 9, 3))
+        x = rng.normal(size=(1, 9, 9, 3))
         out, sw = nc.maxpool(x, 3)
-        assert out.shape == (3, 3, 3)
+        assert out.shape == (1, 3, 3, 3)
         for i in range(3):
             for j in range(3):
                 for c in range(3):
-                    win = x[3 * i : 3 * i + 3, 3 * j : 3 * j + 3, c]
-                    assert out[i, j, c] == win.max()
-                    assert sw.index[i, j, c] == win.ravel().argmax()
+                    win = x[0, 3 * i : 3 * i + 3, 3 * j : 3 * j + 3, c]
+                    assert out[0, i, j, c] == win.max()
+                    assert sw.index[0, i, j, c] == win.ravel().argmax()
 
     def test_trailing_rows_dropped(self):
-        x = np.arange(5 * 7, dtype=np.float32).reshape(5, 7, 1)
+        x = np.arange(5 * 7, dtype=np.float32).reshape(1, 5, 7, 1)
         out, _ = nc.maxpool(x, 2)
-        assert out.shape == (2, 3, 1)
+        assert out.shape == (1, 2, 3, 1)
 
     def test_bad_pool_size(self):
         with pytest.raises(ParameterError):
-            nc.maxpool(np.zeros((4, 4, 1), np.float32), 0)
+            nc.maxpool(np.zeros((1, 4, 4, 1), np.float32), 0)
 
 
 class TestUnpool:
     def test_places_values_at_argmax(self):
         rng = Rng(4)
-        x = rng.normal(size=(6, 6, 2)).astype(np.float32)
+        x = rng.normal(size=(1, 6, 6, 2)).astype(np.float32)
         pooled, sw = nc.maxpool(x, 2)
         up = nc.unpool(pooled, sw)
         nonzero = up != 0
@@ -109,52 +111,52 @@ class TestUnpool:
         assert sorted(up[nonzero].tolist()) == sorted(pooled.ravel().tolist())
 
     def test_zero_input(self):
-        x = np.zeros((4, 4, 1), np.float32)
+        x = np.zeros((1, 4, 4, 1), np.float32)
         pooled, sw = nc.maxpool(x, 2)
         assert np.all(nc.unpool(np.zeros_like(pooled), sw) == 0)
 
     def test_pool_unpool_pool_idempotent(self):
         # on the non-negative intensity domain the zero fill never wins a window
         rng = Rng(5)
-        x = rng.uniform(size=(9, 12, 4)).astype(np.float32)
+        x = rng.uniform(size=(1, 9, 12, 4)).astype(np.float32)
         pooled, sw = nc.maxpool(x, 3)
         again, _ = nc.maxpool(nc.unpool(pooled, sw), 3)
         assert np.array_equal(again, pooled)
 
     def test_geometry_mismatch(self):
-        x = np.zeros((4, 4, 1), np.float32)
+        x = np.zeros((1, 4, 4, 1), np.float32)
         pooled, sw = nc.maxpool(x, 2)
         with pytest.raises(DimensionError):
-            nc.unpool(np.zeros((3, 3, 1), np.float32), sw)
+            nc.unpool(np.zeros((1, 3, 3, 1), np.float32), sw)
 
 
 class TestDeconv2d:
     def test_adjoint_identity(self):
         rng = Rng(6)
         for trial in range(5):
-            x = rng.normal(size=(6, 7, 3))
+            x = rng.normal(size=(1, 6, 7, 3))
             kern = rng.normal(size=(3, 3, 3, 5))
-            y = rng.normal(size=(4, 5, 5))
+            y = rng.normal(size=(1, 4, 5, 5))
             lhs = np.sum(nc.conv2d_valid(x, kern, np.zeros(5)) * y)
             rhs = np.sum(x * nc.deconv2d(y, kern))
             assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) <= 1e-5
 
     def test_identity_kernel(self):
         rng = Rng(7)
-        x = rng.uniform(size=(4, 4, 1)).astype(np.float32)
+        x = rng.uniform(size=(1, 4, 4, 1)).astype(np.float32)
         k = np.ones((1, 1, 1, 1), np.float32)
         assert np.allclose(nc.deconv2d(x, k), x)
 
     def test_zero_kernel(self):
-        x = np.ones((4, 4, 2), np.float32)
+        x = np.ones((1, 4, 4, 2), np.float32)
         k = np.zeros((3, 3, 1, 2), np.float32)
         out = nc.deconv2d(x, k)
-        assert out.shape == (6, 6, 1)
+        assert out.shape == (1, 6, 6, 1)
         assert np.all(out == 0)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
-            nc.deconv2d(np.zeros((4, 4, 3), np.float32), np.zeros((3, 3, 1, 2), np.float32))
+            nc.deconv2d(np.zeros((1, 4, 4, 3), np.float32), np.zeros((3, 3, 1, 2), np.float32))
 
 
 class TestElu:
@@ -230,36 +232,84 @@ class TestMse:
 
 class TestSgdStep:
     def test_plain_step(self):
-        p = [np.array([1.0])]
-        g = [np.array([2.0])]
-        new_p, _ = nc.sgd_step(p, g, lr=0.1, momentum=0.0)
-        assert np.allclose(new_p[0], 0.8)
+        p, v = [np.array([1.0])], [np.zeros(1)]
+        assert nc.sgd_step(p, [np.array([2.0])], 0.1, 0.0, v) is None
+        assert np.allclose(p[0], 0.8)
 
     def test_zero_gradient(self):
         p = [np.array([1.0, -2.0])]
-        new_p, _ = nc.sgd_step(p, [np.zeros(2)], lr=0.5)
-        assert np.array_equal(new_p[0], p[0])
+        nc.sgd_step(p, [np.zeros(2)], 0.5, 0.0, [np.zeros(2)])
+        assert np.array_equal(p[0], [1.0, -2.0])
 
     def test_momentum_recurrence(self):
         # hand recurrence: v1 = -lr*g; p1 = p0+v1; v2 = m*v1 - lr*g; p2 = p1+v2
         lr, m, g = 0.1, 0.9, 2.0
-        p = [np.array([1.0])]
+        p, v = [np.array([1.0])], [np.zeros(1)]
         grads = [np.array([g])]
-        p1, v1 = nc.sgd_step(p, grads, lr=lr, momentum=m)
-        p2, v2 = nc.sgd_step(p1, grads, lr=lr, momentum=m, velocity=v1)
+        nc.sgd_step(p, grads, lr, m, v)
         v1_hand = -lr * g
         p1_hand = 1.0 + v1_hand
+        assert np.allclose(p[0], p1_hand)
+        nc.sgd_step(p, grads, lr, m, v)
         v2_hand = m * v1_hand - lr * g
-        p2_hand = p1_hand + v2_hand
-        assert np.allclose(p1[0], p1_hand)
-        assert np.allclose(p2[0], p2_hand)
+        assert np.allclose(v[0], v2_hand)
+        assert np.allclose(p[0], p1_hand + v2_hand)
+
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+    def test_matches_the_out_of_place_step(self, grad_dtype):
+        # float64 gradients on float32 parameters take numpy's same-kind cast
+        rng = Rng(9)
+        shapes = [(3, 3, 1, 4), (4,), (17, 5)]
+        params = [rng.normal(size=s).astype(np.float32) for s in shapes]
+        velocity = [rng.normal(size=s).astype(np.float32) for s in shapes]
+        grads = [rng.normal(size=s).astype(grad_dtype) for s in shapes]
+        want_p = [p.copy() for p in params]
+        want_v = momentum_step_oracle(want_p, grads, 1e-3, 0.9, velocity)
+        nc.sgd_step(params, grads, 1e-3, 0.9, velocity)
+        for p, v, wp, wv in zip(params, velocity, want_p, want_v):
+            assert p.dtype == v.dtype == np.float32
+            assert np.array_equal(v, wv)
+            assert np.array_equal(p, wp)
 
     def test_nan_gradient_rejected(self):
         with pytest.raises(TrainingError):
-            nc.sgd_step([np.zeros(1)], [np.array([np.nan])], lr=0.1)
+            nc.sgd_step([np.zeros(1)], [np.array([np.nan])], 0.1, 0.0, [np.zeros(1)])
+
+    def test_a_failed_step_changes_nothing(self):
+        rng = Rng(10)
+        params = [rng.normal(size=(3, 2)), rng.normal(size=4)]
+        velocity = [rng.normal(size=(3, 2)), rng.normal(size=4)]
+        grads = [rng.normal(size=(3, 2)), np.array([0.0, 1.0, np.nan, 2.0])]
+        before = [a.copy() for a in params + velocity]
+        with pytest.raises(TrainingError, match="parameter 1"):
+            nc.sgd_step(params, grads, 0.1, 0.9, velocity)
+        for a, b in zip(params + velocity, before):
+            assert np.array_equal(a, b)
 
     def test_param_validation(self):
         with pytest.raises(ParameterError):
-            nc.sgd_step([np.zeros(1)], [np.zeros(1)], lr=0.0)
+            nc.sgd_step([np.zeros(1)], [np.zeros(1)], 0.0, 0.0, [np.zeros(1)])
         with pytest.raises(ParameterError):
-            nc.sgd_step([np.zeros(1)], [np.zeros(1)], lr=0.1, momentum=1.0)
+            nc.sgd_step([np.zeros(1)], [np.zeros(1)], 0.1, 1.0, [np.zeros(1)])
+
+
+def _switches():
+    return nc.maxpool(np.zeros((1, 4, 4, 2)), 2)[1]
+
+
+SPATIAL_OPS = {
+    "conv2d_valid": lambda x: ops.conv2d_valid(x, np.zeros((1, 1, 2, 2)), np.zeros(2)),
+    "conv2d_param_grads": lambda x: ops.conv2d_param_grads(x, x, np.zeros((1, 1, 2, 2))),
+    "deconv2d": lambda x: ops.deconv2d(x, np.zeros((1, 1, 2, 2))),
+    "deconv2d_backward": lambda x: ops.deconv2d_backward(x, x, np.zeros((1, 1, 2, 2))),
+    "pool_max": lambda x: ops.pool_max(x, 2),
+    "maxpool": lambda x: ops.maxpool(x, 2),
+    "unpool": lambda x: ops.unpool(x, _switches()),
+    "unpool_backward": lambda x: ops.unpool_backward(x, _switches()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPATIAL_OPS))
+def test_spatial_ops_take_batches_only(name):
+    with pytest.raises(DimensionError, match=r"\[N,H,W,C\] batch"):
+        SPATIAL_OPS[name](np.zeros((4, 4, 2)))

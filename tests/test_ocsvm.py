@@ -225,3 +225,13 @@ class TestSegmentVolume:
         assert amap.pixel_mask.sum() == 1
         assert bool(amap.pixel_mask[1, 2, 3])
         assert amap.superpixel_ids == [(0, 0), (1, 1)]
+
+    def test_zero_rows_are_scored_like_any_others(self):
+        model = ocsvm.fit_ocsvm(np.abs(Rng(39).normal(size=(50, 4))) + 1.0, nu=0.1)
+        with pytest.raises(UsageError, match="feature dim 5 != model dim 4"):
+            ocsvm.segment_volume(model, np.zeros((0, 5)), [], volume_shape=(2, 4, 4))
+        amap = ocsvm.segment_volume(model, np.zeros((0, 4)), [], volume_shape=(2, 4, 4))
+        assert amap.superpixel_ids == []
+        assert amap.scores.shape == amap.labels.shape == (0,)
+        assert amap.scores.dtype == np.float64 and amap.labels.dtype == bool
+        assert not amap.pixel_mask.any() and amap.pixel_mask.shape == (2, 4, 4)
