@@ -10,7 +10,8 @@ fusion `Autoencoder([Dense, Elu], [Dense])` is trained as a denoising
 autoencoder (encoders frozen, masking-noise corruption); its encoder output
 is the final feature vector z. Both stages run the same momentum-SGD loop.
 Every layer size comes from the preset (`presets.DcaePreset`, re-exported
-here with `PRESETS`); the dropout rate is the module constant DROPOUT.
+here with `PRESETS`); the dropout rate, SGD momentum and fusion masking
+probability are the module constants DROPOUT, MOMENTUM and CORRUPTION.
 
 The two scales run at the same time: wherever both are needed (a training
 step, or encoding a batch of pairs), scale 1's half runs on one worker
@@ -35,8 +36,8 @@ after the other and 0.12 / 0.12 / 0.13 / 0.16 s with them in parallel; the
 layer-by-layer forward the plan replaced took 0.33 s and 0.19 s at 128 rows.
 On one core, parallel took 0.21 s against 0.19 s serial at 128 rows. Larger
 batches gain little, and at 512 rows the layer-by-layer forward had raised
-the benchmark's peak RSS by 35-40 MB, so 128 rows stay. Every batch size
-gives the same output.
+the benchmark's peak RSS by 35-40 MB, so EMBED_ROWS stays 128. Every batch
+size gives the same output.
 """
 
 from __future__ import annotations
@@ -48,22 +49,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .errors import InputError, ParameterError, TrainingError, UsageError
+from .errors import InputError, TrainingError, UsageError
 from .patches import PatchDataset
 from .presets import PRESETS, DcaePreset, get_preset  # noqa: F401  PRESETS is re-exported
 from .rng import Rng
 
 
 DROPOUT = 0.2  # rate of every Dropout layer in a scale autoencoder
+MOMENTUM = 0.9  # of the SGD that trains both stages
+CORRUPTION = 0.2  # masking-noise probability for the fusion DAE
+EMBED_ROWS = 128  # rows per inference batch; see the module docstring
 
 
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    momentum: float = 0.9
     epochs: int = 12
     batch_size: int = 64
-    corruption: float = 0.2  # masking-noise probability for the fusion DAE
     fusion_epochs: int = 30
 
 
@@ -194,7 +196,7 @@ def _sgd_epochs(params, n, epochs, hyper: TrainConfig, rng: Rng, order_tag, step
                                rng.derive(step_tag + epoch * 100_000 + bi))
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}, batch {bi}")
-            nc.sgd_step(params, grads, hyper.lr, hyper.momentum, velocity)
+            nc.sgd_step(params, grads, hyper.lr, MOMENTUM, velocity)
             losses.append(loss)
         log.append((epoch, float(np.mean(losses))))
     return log
@@ -227,14 +229,12 @@ def train_dcae(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
     return model
 
 
-def _batched(fn, model: DcaeModel, dataset: PatchDataset, batch=128):
-    """fn(model, scale1 rows, scale2 rows) over `batch`-row slices, stacked;
+def _batched(fn, model: DcaeModel, dataset: PatchDataset):
+    """fn(model, scale1 rows, scale2 rows) over EMBED_ROWS-row slices, stacked;
     an empty dataset is one zero-row call, so the result keeps fn's width."""
-    if batch < 1:
-        raise ParameterError(f"batch must be >= 1, got {batch}")
-    return np.concatenate([fn(model, dataset.scale1[start : start + batch],
-                              dataset.scale2[start : start + batch])
-                           for start in range(0, len(dataset), batch) or [0]], axis=0)
+    return np.concatenate([fn(model, dataset.scale1[start : start + EMBED_ROWS],
+                              dataset.scale2[start : start + EMBED_ROWS])
+                           for start in range(0, len(dataset), EMBED_ROWS) or [0]], axis=0)
 
 
 def _encode_scales(model: DcaeModel, scale1_batch, scale2_batch):
@@ -253,11 +253,8 @@ def train_fusion(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
 
     def step(idx, step_rng):
         target = clean[idx]
-        if hyper.corruption > 0:
-            keep = step_rng.random(target.shape) >= hyper.corruption
-            corrupted = target * keep.astype(target.dtype)
-        else:
-            corrupted = target
+        keep = step_rng.random(target.shape) >= CORRUPTION
+        corrupted = target * keep.astype(target.dtype)
         out, tape = model.fusion.forward(corrupted, training=True)
         return nc.mse(target, out), model.fusion.backward(tape, nc.mse_grad(target, out))
 
@@ -280,6 +277,6 @@ def embed_pairs(model: DcaeModel, scale1_batch, scale2_batch):
     return model.fusion.encode(_encode_scales(model, scale1_batch, scale2_batch))
 
 
-def embed_dataset(model: DcaeModel, dataset: PatchDataset, batch=128):
+def embed_dataset(model: DcaeModel, dataset: PatchDataset):
     _check_patch_side(model, dataset)
-    return _batched(embed_pairs, model, dataset, batch)
+    return _batched(embed_pairs, model, dataset)

@@ -9,13 +9,24 @@ optionally three kinds of anomalies:
                      layer boundaries above it
   surface_deformation  local upward bump of the top surface
 
+A `PhantomConfig` sets only the shape, the anomalies and the seed; the
+appearance (layer intensities and shares, band position, boundary undulation,
+speckle, background, cyst and fluid intensities) is the module constants.
+
+Rendering works on whole-volume arrays: [slices, columns] surfaces and one
+[slices, rows, columns] mask per layer and per anomaly window. It relies on
+the window-fit rule: deformation and fluid windows start at column 2 or
+later and keep two columns clear of each other, so no two share a column of
+a slice. A window of `size + 2 > width` columns, or a cyst of semi-axis a
+with `width <= 2a + 4`, raises `GenerationError`.
+
 Generation is a pure function of the config (seed included), so the same
 config reproduces bit-identical volumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -67,51 +78,40 @@ class AnomalySpec:
             raise InputError(f"bad size range {self.size} for {self.kind}")
 
 
+LAYER_INTENSITIES = (0.55, 0.65, 0.45, 0.75)  # top to bottom, at least 0.1 apart
+LAYER_FRACTIONS = (0.25, 0.30, 0.25, 0.20)  # shares of the band
+TOP_FRAC = 0.22  # mean surface rows as fractions of the height
+BOTTOM_FRAC = 0.78
+BOUNDARY_CONTROL_POINTS = 6  # per surface across the columns
+BOUNDARY_AMPLITUDE = 5.0  # px, across the columns
+SLICE_DRIFT = 2.0  # px, across the slices
+SPECKLE = 0.10  # multiplicative noise is uniform in [1 - SPECKLE, 1 + SPECKLE)
+VITREOUS_INTENSITY = 0.04
+BELOW_INTENSITY = 0.07
+CYST_INTENSITY = 0.12
+FLUID_INTENSITY = 0.10
+
+
 @dataclass
 class PhantomConfig:
     width: int = 128
     height: int = 128
     n_slices: int = 8
-    layer_intensities: tuple = (0.55, 0.65, 0.45, 0.75)
-    layer_fractions: tuple = (0.25, 0.30, 0.25, 0.20)
-    top_frac: float = 0.22
-    bottom_frac: float = 0.78
-    boundary_control_points: int = 6
-    boundary_amplitude: float = 5.0
-    slice_drift: float = 2.0
-    speckle: float = 0.10
-    vitreous_intensity: float = 0.04
-    below_intensity: float = 0.07
-    cyst_intensity: float = 0.12
-    fluid_intensity: float = 0.10
     anomalies: tuple = ()
     seed: int = 0
 
     def validate(self):
-        ints = self.layer_intensities
-        if len(ints) != len(self.layer_fractions):
-            raise InputError("layer_intensities and layer_fractions differ in length")
-        for i in range(len(ints)):
-            for j in range(i + 1, len(ints)):
-                if abs(ints[i] - ints[j]) < 0.1 - 1e-9:
-                    raise InputError(
-                        f"layer intensities {ints[i]} and {ints[j]} closer than 0.1"
-                    )
-        band = (self.bottom_frac - self.top_frac) * self.height
+        band = (BOTTOM_FRAC - TOP_FRAC) * self.height
         for spec in self.anomalies:
             spec.validate()
             if spec.size[1] > band:
                 raise InputError(
                     f"{spec.kind} size {spec.size[1]} exceeds retina band {band:.0f}px"
                 )
-        if not 0 <= self.speckle < 1:
-            raise InputError(f"speckle strength must be in [0,1), got {self.speckle}")
 
 
 def _smooth_curve(rng: Rng, length, n_ctrl, amplitude):
     """Smooth 1-d undulation through uniform random control points."""
-    if amplitude == 0 or n_ctrl < 2:
-        return np.zeros(length)
     xs = np.linspace(0, length - 1, n_ctrl)
     ys = rng.uniform(-amplitude, amplitude, size=n_ctrl)
     return CubicSpline(xs, ys)(np.arange(length))
@@ -120,15 +120,15 @@ def _smooth_curve(rng: Rng, length, n_ctrl, amplitude):
 def _boundaries(cfg: PhantomConfig, rng: Rng):
     """Top/bottom surface rows per (slice, column), integer valued."""
     w, h, s = cfg.width, cfg.height, cfg.n_slices
-    u_top = _smooth_curve(rng, w, cfg.boundary_control_points, cfg.boundary_amplitude)
-    u_bot = _smooth_curve(rng, w, cfg.boundary_control_points, cfg.boundary_amplitude)
-    drift_top = _smooth_curve(rng, s, min(s, 4), cfg.slice_drift) if s > 1 else np.zeros(s)
-    drift_bot = _smooth_curve(rng, s, min(s, 4), cfg.slice_drift) if s > 1 else np.zeros(s)
-    top = cfg.top_frac * h + u_top[None, :] + drift_top[:, None]
-    bottom = cfg.bottom_frac * h + u_bot[None, :] + drift_bot[:, None]
+    u_top = _smooth_curve(rng, w, BOUNDARY_CONTROL_POINTS, BOUNDARY_AMPLITUDE)
+    u_bot = _smooth_curve(rng, w, BOUNDARY_CONTROL_POINTS, BOUNDARY_AMPLITUDE)
+    drift_top = _smooth_curve(rng, s, min(s, 4), SLICE_DRIFT) if s > 1 else np.zeros(s)
+    drift_bot = _smooth_curve(rng, s, min(s, 4), SLICE_DRIFT) if s > 1 else np.zeros(s)
+    top = TOP_FRAC * h + u_top[None, :] + drift_top[:, None]
+    bottom = BOTTOM_FRAC * h + u_bot[None, :] + drift_bot[:, None]
     top = np.clip(np.round(top), 2, h - 10).astype(np.int64)
     bottom = np.clip(np.round(bottom), 0, h - 3).astype(np.int64)
-    min_band = max(12, int(0.25 * (cfg.bottom_frac - cfg.top_frac) * h))
+    min_band = max(12, int(0.25 * (BOTTOM_FRAC - TOP_FRAC) * h))
     bottom = np.maximum(bottom, top + min_band)
     return top, bottom
 
@@ -140,107 +140,87 @@ def generate_volume(config: PhantomConfig, volume_id=""):
     w, h, s = config.width, config.height, config.n_slices
     top, bottom = _boundaries(config, rng)
     labels = np.zeros((s, h, w), dtype=np.uint8)
+    rows = np.arange(h)[None, :, None]  # broadcasts against [slices, 1, columns]
 
-    specs = []
+    by_kind = {kind: [] for kind in KIND_TO_TYPE}  # each spec as many times as it occurs
     for spec in config.anomalies:
-        n = int(rng.integers(spec.count[0], spec.count[1] + 1))
-        specs.extend([spec] * n)
+        by_kind[spec.kind] += [spec] * int(rng.integers(spec.count[0], spec.count[1] + 1))
 
-    # boundary-modifying anomalies first: they reshape the surfaces that the
-    # layer render below derives from
-    pre_top = top.copy()
-    deform_jobs, fluid_jobs, cyst_specs = [], [], []
-    for spec in specs:
-        if spec.kind == "surface_deformation":
-            deform_jobs.append(spec)
-        elif spec.kind == "subsurface_fluid":
-            fluid_jobs.append(spec)
-        else:
-            cyst_specs.append(spec)
-
-    claimed = np.zeros((s, w), dtype=bool)  # columns taken by boundary anomalies
+    # columns taken by boundary anomalies: windows keep 2 columns apart, so no
+    # two of them share a column of a slice and each is rendered on its own
+    claimed = np.zeros((s, w), dtype=bool)
 
     def _place_window(spec, rng):
         size = int(rng.integers(spec.size[0], spec.size[1] + 1))
+        if size + 2 > w:  # windows start at column 2 or later
+            raise GenerationError(f"{spec.kind} of size {size} does not fit {w} columns")
         for _ in range(60):
             ext = int(rng.integers(2, max(3, s // 2) + 1)) if s > 2 else s
             s0 = int(rng.integers(0, max(1, s - ext + 1)))
             c0 = int(rng.integers(2, max(3, w - size - 2)))
             if not claimed[s0 : s0 + ext, max(0, c0 - 2) : c0 + size + 2].any():
                 claimed[s0 : s0 + ext, c0 : c0 + size] = True
-                return s0, ext, c0, size
+                return np.s_[s0 : s0 + ext], np.s_[c0 : c0 + size], c0, size
         raise GenerationError(f"could not place {spec.kind} (size range {spec.size})")
 
-    for spec in deform_jobs:
-        s0, ext, c0, size = _place_window(spec, rng)
+    # boundary-modifying anomalies first: they reshape the surfaces that the
+    # layer render below derives from
+    for spec in by_kind["surface_deformation"]:
+        sl, cl, c0, size = _place_window(spec, rng)
         height_b = max(3, size // 3)
         cs = np.arange(c0, c0 + size)
         bump = np.round(height_b * np.cos(np.pi * (cs - (c0 + size / 2)) / size) ** 2).astype(int)
-        for si in range(s0, s0 + ext):
-            new_top = np.maximum(top[si, cs] - bump, 2)
-            for c, nt, bp in zip(cs, new_top, bump):
-                if nt < pre_top[si, c]:
-                    # added tissue plus the curvature-distorted zone just below
-                    lo_end = min(pre_top[si, c] + bp // 2, bottom[si, c])
-                    labels[si, nt:lo_end, c] = TYPE_DEFORMATION
-            top[si, cs] = new_top
+        old_top = top[sl, cl]
+        new_top = np.maximum(old_top - bump, 2)
+        # added tissue plus the curvature-distorted zone just below
+        lo_end = np.minimum(old_top + bump // 2, bottom[sl, cl])
+        raised = (new_top < old_top)[:, None, :]
+        span = (rows >= new_top[:, None, :]) & (rows < lo_end[:, None, :])
+        labels[sl, :, cl][raised & span] = TYPE_DEFORMATION
+        top[sl, cl] = new_top
 
-    fluid_regions = []
-    for spec in fluid_jobs:
-        s0, ext, c0, size = _place_window(spec, rng)
-        h0 = max(3, size // 3)
-        cs = np.arange(c0, c0 + size)
-        rel = 2.0 * (cs - (c0 + size / 2.0)) / size
-        lift = np.round(h0 * np.sqrt(np.maximum(0.0, 1.0 - rel**2))).astype(int)
-        fluid_regions.append((s0, ext, cs, lift))
-
-    # render base layers from the final surfaces
-    fractions = np.asarray(config.layer_fractions, dtype=np.float64)
+    # layer boundaries from the final surfaces; fluid lenses lift the interior
+    # ones above them in proportion to their depth
+    fractions = np.asarray(LAYER_FRACTIONS, dtype=np.float64)
     cum = np.cumsum(fractions) / fractions.sum()
-    vol = np.empty((s, h, w), dtype=np.float64)
-    rows = np.arange(h)[:, None]
-    for si in range(s):
-        t, b = top[si][None, :], bottom[si][None, :]
-        img = np.full((h, w), config.vitreous_intensity)
-        img[rows.repeat(w, 1) > b.repeat(h, 0)] = config.below_intensity
-        bounds = [t]
-        for f in cum[:-1]:
-            bounds.append(np.round(t + f * (b - t)).astype(int))
-        bounds.append(b + 1)
-        # lift interior boundaries over fluid lenses, proportional to depth
-        for (fs0, fext, cs, lift) in fluid_regions:
-            if fs0 <= si < fs0 + fext:
-                for k, f in enumerate(cum[:-1], start=1):
-                    bounds[k][0, cs] = np.maximum(
-                        bounds[k][0, cs] - np.round(lift * f).astype(int), t[0, cs] + 1
-                    )
-        for k, inten in enumerate(config.layer_intensities):
-            m = (rows >= bounds[k]) & (rows < bounds[k + 1])
-            img[m] = inten
-        vol[si] = img
+    bounds = [top] + [np.round(top + f * (bottom - top)).astype(int) for f in cum[:-1]]
+    bounds.append(bottom + 1)
+    fluid_regions = []
+    for spec in by_kind["subsurface_fluid"]:
+        sl, cl, c0, size = _place_window(spec, rng)
+        h0 = max(3, size // 3)
+        rel = 2.0 * (np.arange(c0, c0 + size) - (c0 + size / 2.0)) / size
+        lift = np.round(h0 * np.sqrt(np.maximum(0.0, 1.0 - rel**2))).astype(int)
+        for k, f in enumerate(cum[:-1], start=1):
+            bounds[k][sl, cl] = np.maximum(bounds[k][sl, cl] - np.round(lift * f).astype(int),
+                                           top[sl, cl] + 1)
+        fluid_regions.append((sl, cl, lift))
+    vol = np.full((s, h, w), VITREOUS_INTENSITY)
+    vol[rows > bottom[:, None, :]] = BELOW_INTENSITY
+    for k, inten in enumerate(LAYER_INTENSITIES):
+        vol[(rows >= bounds[k][:, None, :]) & (rows < bounds[k + 1][:, None, :])] = inten
 
     # paint fluid lenses and mark their ground truth; a bright 3-px remnant of
     # the bottom layer stays below the lens so the bottom edge remains visible.
     # The tissue displaced upward by the lens is part of the anomalous region
     # (its layers are visibly shifted), so the label extends above the fluid.
-    for (fs0, fext, cs, lift) in fluid_regions:
-        for si in range(fs0, fs0 + fext):
-            for c, lf in zip(cs, lift):
-                if lf < 1:
-                    continue
-                r1 = bottom[si, c] - 2
-                r0 = max(top[si, c] + 1, r1 - lf)
-                if r0 < r1:
-                    vol[si, r0:r1, c] = config.fluid_intensity
-                    r_displaced = max(top[si, c] + 1, r0 - lf)
-                    labels[si, r_displaced:r1, c] = TYPE_FLUID
+    for sl, cl, lift in fluid_regions:
+        floor = top[sl, cl] + 1
+        r1 = bottom[sl, cl] - 2
+        r0 = np.maximum(floor, r1 - lift)
+        r_displaced = np.maximum(floor, r0 - lift)
+        lens = ((lift >= 1) & (r0 < r1))[:, None, :] & (rows < r1[:, None, :])
+        vol[sl, :, cl][lens & (rows >= r0[:, None, :])] = FLUID_INTENSITY
+        labels[sl, :, cl][lens & (rows >= r_displaced[:, None, :])] = TYPE_FLUID
 
     # cysts: dark ellipses in the middle of the band (intraretinal fluid does
     # not touch the surfaces), retried until they fit cleanly
-    for spec in cyst_specs:
+    rr, cc = np.ogrid[0:h, 0:w]
+    for spec in by_kind["cyst_blob"]:
         size = int(rng.integers(spec.size[0], spec.size[1] + 1))
         a, b_ax = max(3, size // 2), max(2, size // 4)
-        placed = False
+        if w <= 2 * a + 4:  # the centre column is drawn from [a + 2, w - a - 2)
+            raise GenerationError(f"cyst_blob of size {size} does not fit {w} columns")
         for _ in range(60):
             ext = int(rng.integers(2, max(3, s // 2) + 1)) if s > 2 else s
             s0 = int(rng.integers(0, max(1, s - ext + 1)))
@@ -253,19 +233,16 @@ def generate_volume(config: PhantomConfig, volume_id=""):
             if hi <= lo:
                 continue
             r_mid = int(rng.integers(lo, hi + 1))
-            rr, cc = np.mgrid[0:h, 0:w]
             ell = ((rr - r_mid) / b_ax) ** 2 + ((cc - c_mid) / a) ** 2 <= 1.0
-            if labels[s0 : s0 + ext][:, ell].any():
+            if labels[s0 : s0 + ext, ell].any():
                 continue
-            for si in range(s0, s0 + ext):
-                vol[si][ell] = config.cyst_intensity
-                labels[si][ell] = TYPE_CYST
-            placed = True
+            vol[s0 : s0 + ext, ell] = CYST_INTENSITY
+            labels[s0 : s0 + ext, ell] = TYPE_CYST
             break
-        if not placed:
+        else:
             raise GenerationError(f"could not place cyst_blob (size range {spec.size})")
 
-    vol *= 1.0 + rng.uniform(-config.speckle, config.speckle, size=vol.shape)
+    vol *= 1.0 + rng.uniform(-SPECKLE, SPECKLE, size=vol.shape)
     volume = Volume(data=vol.astype(np.float32), volume_id=volume_id)
     gt = GroundTruth(labels=labels, top=top, bottom=bottom)
     return volume, gt
@@ -307,7 +284,9 @@ def generate_benchmark(seed=42, n_healthy=40, n_anomalous=40, n_test=8,
     """Desk-scale dataset triple with a fixed published seed.
 
     Sub-seeds derive as seed XOR global volume index, so individual volumes
-    can be regenerated independently.
+    can be regenerated independently. Nearby seeds therefore share volumes:
+    with 3 healthy, 2 anomalous and 10 test volumes, seeds 1, 2 and 3 share 8
+    of their 10 test volumes pairwise.
     """
     overrides = dict(shape_overrides or {})
     healthy, anomalous, test = [], [], []

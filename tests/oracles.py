@@ -4,12 +4,14 @@ import itertools
 
 import numpy as np
 from scipy import ndimage
+from scipy.interpolate import CubicSpline
 
-from anomkit import preprocess
-from anomkit.errors import DimensionError, ParameterError, SegmentationError
+from anomkit import dcae, phantom, preprocess
+from anomkit.errors import DimensionError, GenerationError, ParameterError, SegmentationError
 from anomkit.numcore import GradTape, mse, mse_grad
 from anomkit.numcore.ops import PoolSwitches
 from anomkit.preprocess import Superpixel
+from anomkit.rng import Rng
 
 
 def nu_dual_oracle(X, nu):
@@ -340,7 +342,7 @@ def train_scales_oracle(model, dataset, hyper, rng):
             loss1, loss2 = mse(b1, out1), mse(b2, out2)
             g1 = backward_oracle(model.scale1, tape1, mse_grad(b1, out1))
             g2 = backward_oracle(model.scale2, tape2, mse_grad(b2, out2))
-            velocity = momentum_step_oracle(params, g1 + g2, hyper.lr, hyper.momentum,
+            velocity = momentum_step_oracle(params, g1 + g2, hyper.lr, dcae.MOMENTUM,
                                             velocity)
             losses.append(0.5 * (loss1 + loss2))
         log.append((epoch, float(np.mean(losses))))
@@ -365,14 +367,11 @@ def train_fusion_oracle(model, dataset, hyper, rng):
         for bi, start in enumerate(range(0, n, bs)):
             target = clean[order[start : start + bs]]
             step_rng = rng.derive(3_000_000 + epoch * 100_000 + bi)
-            if hyper.corruption > 0:
-                keep = step_rng.random(target.shape) >= hyper.corruption
-                corrupted = target * keep.astype(target.dtype)
-            else:
-                corrupted = target
+            keep = step_rng.random(target.shape) >= dcae.CORRUPTION
+            corrupted = target * keep.astype(target.dtype)
             out, tape = model.fusion.forward(corrupted, training=True)
             grads = backward_oracle(model.fusion, tape, mse_grad(target, out))
-            velocity = momentum_step_oracle(params, grads, hyper.lr, hyper.momentum, velocity)
+            velocity = momentum_step_oracle(params, grads, hyper.lr, dcae.MOMENTUM, velocity)
             losses.append(mse(target, out))
         log.append((epoch, float(np.mean(losses))))
     return log
@@ -446,3 +445,145 @@ def elu_backward_oracle(grad_out, x):
     x = np.asarray(x)
     deriv = np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
     return (grad_out * deriv).astype(np.asarray(grad_out).dtype)
+
+
+# The phantom renderer as it was written before it became whole-volume
+# arrays: slice-by-slice layers, column-by-column deformation labels, fluid
+# lifts and lenses, and the ellipse grid rebuilt on each cyst attempt. It
+# reads the module constants that replaced the config's appearance fields.
+# The renderer must reproduce it bit for bit, errors included.
+
+
+def _smooth_curve_oracle(rng, length, n_ctrl, amplitude):
+    xs = np.linspace(0, length - 1, n_ctrl)
+    ys = rng.uniform(-amplitude, amplitude, size=n_ctrl)
+    return CubicSpline(xs, ys)(np.arange(length))
+
+
+def phantom_oracle(config):
+    """(Volume, GroundTruth) of `config`, rendered one slice and column at a time."""
+    P = phantom
+    config.validate()
+    rng = Rng(config.seed)
+    w, h, s = config.width, config.height, config.n_slices
+    u_top = _smooth_curve_oracle(rng, w, P.BOUNDARY_CONTROL_POINTS, P.BOUNDARY_AMPLITUDE)
+    u_bot = _smooth_curve_oracle(rng, w, P.BOUNDARY_CONTROL_POINTS, P.BOUNDARY_AMPLITUDE)
+    drift_top = _smooth_curve_oracle(rng, s, min(s, 4), P.SLICE_DRIFT) if s > 1 else np.zeros(s)
+    drift_bot = _smooth_curve_oracle(rng, s, min(s, 4), P.SLICE_DRIFT) if s > 1 else np.zeros(s)
+    top = P.TOP_FRAC * h + u_top[None, :] + drift_top[:, None]
+    bottom = P.BOTTOM_FRAC * h + u_bot[None, :] + drift_bot[:, None]
+    top = np.clip(np.round(top), 2, h - 10).astype(np.int64)
+    bottom = np.clip(np.round(bottom), 0, h - 3).astype(np.int64)
+    min_band = max(12, int(0.25 * (P.BOTTOM_FRAC - P.TOP_FRAC) * h))
+    bottom = np.maximum(bottom, top + min_band)
+    labels = np.zeros((s, h, w), dtype=np.uint8)
+
+    specs = []
+    for spec in config.anomalies:
+        n = int(rng.integers(spec.count[0], spec.count[1] + 1))
+        specs.extend([spec] * n)
+    pre_top = top.copy()
+    deform_jobs = [sp for sp in specs if sp.kind == "surface_deformation"]
+    fluid_jobs = [sp for sp in specs if sp.kind == "subsurface_fluid"]
+    cyst_specs = [sp for sp in specs if sp.kind == "cyst_blob"]
+    claimed = np.zeros((s, w), dtype=bool)
+
+    def place_window(spec):
+        size = int(rng.integers(spec.size[0], spec.size[1] + 1))
+        for _ in range(60):
+            ext = int(rng.integers(2, max(3, s // 2) + 1)) if s > 2 else s
+            s0 = int(rng.integers(0, max(1, s - ext + 1)))
+            c0 = int(rng.integers(2, max(3, w - size - 2)))
+            if not claimed[s0 : s0 + ext, max(0, c0 - 2) : c0 + size + 2].any():
+                claimed[s0 : s0 + ext, c0 : c0 + size] = True
+                return s0, ext, c0, size
+        raise GenerationError(f"could not place {spec.kind} (size range {spec.size})")
+
+    for spec in deform_jobs:
+        s0, ext, c0, size = place_window(spec)
+        height_b = max(3, size // 3)
+        cs = np.arange(c0, c0 + size)
+        bump = np.round(height_b * np.cos(np.pi * (cs - (c0 + size / 2)) / size) ** 2).astype(int)
+        for si in range(s0, s0 + ext):
+            new_top = np.maximum(top[si, cs] - bump, 2)
+            for c, nt, bp in zip(cs, new_top, bump):
+                if nt < pre_top[si, c]:
+                    lo_end = min(pre_top[si, c] + bp // 2, bottom[si, c])
+                    labels[si, nt:lo_end, c] = P.TYPE_DEFORMATION
+            top[si, cs] = new_top
+
+    fluid_regions = []
+    for spec in fluid_jobs:
+        s0, ext, c0, size = place_window(spec)
+        h0 = max(3, size // 3)
+        cs = np.arange(c0, c0 + size)
+        rel = 2.0 * (cs - (c0 + size / 2.0)) / size
+        lift = np.round(h0 * np.sqrt(np.maximum(0.0, 1.0 - rel**2))).astype(int)
+        fluid_regions.append((s0, ext, cs, lift))
+
+    fractions = np.asarray(P.LAYER_FRACTIONS, dtype=np.float64)
+    cum = np.cumsum(fractions) / fractions.sum()
+    vol = np.empty((s, h, w), dtype=np.float64)
+    rows = np.arange(h)[:, None]
+    for si in range(s):
+        t, b = top[si][None, :], bottom[si][None, :]
+        img = np.full((h, w), P.VITREOUS_INTENSITY)
+        img[rows.repeat(w, 1) > b.repeat(h, 0)] = P.BELOW_INTENSITY
+        bounds = [t]
+        for f in cum[:-1]:
+            bounds.append(np.round(t + f * (b - t)).astype(int))
+        bounds.append(b + 1)
+        for (fs0, fext, cs, lift) in fluid_regions:
+            if fs0 <= si < fs0 + fext:
+                for k, f in enumerate(cum[:-1], start=1):
+                    bounds[k][0, cs] = np.maximum(
+                        bounds[k][0, cs] - np.round(lift * f).astype(int), t[0, cs] + 1
+                    )
+        for k, inten in enumerate(P.LAYER_INTENSITIES):
+            m = (rows >= bounds[k]) & (rows < bounds[k + 1])
+            img[m] = inten
+        vol[si] = img
+
+    for (fs0, fext, cs, lift) in fluid_regions:
+        for si in range(fs0, fs0 + fext):
+            for c, lf in zip(cs, lift):
+                if lf < 1:
+                    continue
+                r1 = bottom[si, c] - 2
+                r0 = max(top[si, c] + 1, r1 - lf)
+                if r0 < r1:
+                    vol[si, r0:r1, c] = P.FLUID_INTENSITY
+                    r_displaced = max(top[si, c] + 1, r0 - lf)
+                    labels[si, r_displaced:r1, c] = P.TYPE_FLUID
+
+    for spec in cyst_specs:
+        size = int(rng.integers(spec.size[0], spec.size[1] + 1))
+        a, b_ax = max(3, size // 2), max(2, size // 4)
+        placed = False
+        for _ in range(60):
+            ext = int(rng.integers(2, max(3, s // 2) + 1)) if s > 2 else s
+            s0 = int(rng.integers(0, max(1, s - ext + 1)))
+            c_mid = int(rng.integers(a + 2, w - a - 2))
+            t_here = int(top[s0 : s0 + ext, c_mid].max())
+            b_here = int(bottom[s0 : s0 + ext, c_mid].min())
+            band = b_here - t_here
+            lo = t_here + max(b_ax + 2, int(0.25 * band))
+            hi = min(t_here + int(0.80 * band), b_here - b_ax - 2)
+            if hi <= lo:
+                continue
+            r_mid = int(rng.integers(lo, hi + 1))
+            rr, cc = np.mgrid[0:h, 0:w]
+            ell = ((rr - r_mid) / b_ax) ** 2 + ((cc - c_mid) / a) ** 2 <= 1.0
+            if labels[s0 : s0 + ext][:, ell].any():
+                continue
+            for si in range(s0, s0 + ext):
+                vol[si][ell] = P.CYST_INTENSITY
+                labels[si][ell] = P.TYPE_CYST
+            placed = True
+            break
+        if not placed:
+            raise GenerationError(f"could not place cyst_blob (size range {spec.size})")
+
+    vol *= 1.0 + rng.uniform(-P.SPECKLE, P.SPECKLE, size=vol.shape)
+    return (P.Volume(data=vol.astype(np.float32)),
+            P.GroundTruth(labels=labels, top=top, bottom=bottom))

@@ -12,7 +12,7 @@ import pytest
 
 from anomkit import dcae, patches, phantom, preprocess
 from anomkit import numcore as nc
-from anomkit.errors import DimensionError, InputError, ParameterError, UsageError
+from anomkit.errors import DimensionError, InputError, UsageError
 from anomkit.rng import Rng
 
 from oracles import embed_oracle, train_fusion_oracle, train_scales_oracle
@@ -78,11 +78,12 @@ def test_matches_the_written_out_loops(healthy, preset, hyper):
     assert trained.scale_log == scale_log
     assert trained.fusion_log == fusion_log
     s1, s2 = healthy.scale1, healthy.scale2
-    assert np.array_equal(dcae.embed_dataset(trained, healthy, batch=50),
+    assert np.array_equal(dcae.embed_dataset(trained, healthy),
                           embed_oracle(ref, s1, s2, batch=50))
     assert np.array_equal(dcae.embed_pairs(trained, s1, s2), embed_oracle(ref, s1, s2, len(s1)))
-    # the default 128-row batches against the oracle's 512 rows, over several of each
-    tiled = _rows(healthy, np.tile(np.arange(len(healthy)), 5))
+    # 128-row batches against the oracle's 512 rows, over several of each and
+    # a partial last one of each
+    tiled = _rows(healthy, np.resize(np.arange(len(healthy)), 600))
     assert np.array_equal(dcae.embed_dataset(trained, tiled),
                           embed_oracle(ref, tiled.scale1, tiled.scale2))
 
@@ -183,11 +184,6 @@ class TestScaleHalves:
 
 
 class TestBatched:
-    @pytest.mark.parametrize("batch", [0, -1])
-    def test_batch_below_one_rejected(self, healthy, trained, batch):
-        with pytest.raises(ParameterError, match="batch must be >= 1"):
-            dcae.embed_dataset(trained, healthy, batch=batch)
-
     def test_empty_dataset_gives_zero_rows(self, healthy, trained):
         z = dcae.embed_dataset(trained, _rows(healthy, np.arange(0)))
         assert z.shape == (0, TINY.fusion_dim)
@@ -195,7 +191,7 @@ class TestBatched:
 
 
 def test_embed_dataset_shape(healthy, trained):
-    z = dcae.embed_dataset(trained, healthy, batch=50)
+    z = dcae.embed_dataset(trained, healthy)
     assert z.shape == (len(healthy), TINY.fusion_dim)
     assert np.all(np.isfinite(z))
     assert np.array_equal(z, dcae.embed_pairs(trained, healthy.scale1, healthy.scale2))

@@ -1,11 +1,15 @@
-"""Phantom volume generation: determinism, ground truth, benchmark splits."""
+"""Phantom volume generation: determinism, ground truth, benchmark splits,
+and the whole-volume render against the column loops it replaced."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from anomkit import phantom
-from anomkit.errors import GenerationError, InputError
-from anomkit.rng import Rng
+from anomkit.errors import GenerationError
+
+from oracles import phantom_oracle
 
 
 class TestGenerateVolume:
@@ -52,10 +56,18 @@ class TestGenerateVolume:
             phantom.generate_volume(cfg)
 
     def test_layer_intensity_validation(self):
-        cfg = phantom.PhantomConfig(layer_intensities=(0.5, 0.55, 0.9, 0.3),
-                                    layer_fractions=(0.25, 0.25, 0.25, 0.25))
-        with pytest.raises(InputError):
-            cfg.validate()
+        ints = phantom.LAYER_INTENSITIES
+        assert len(ints) == len(phantom.LAYER_FRACTIONS)
+        assert all(abs(x - y) >= 0.1 - 1e-9 for x, y in itertools.combinations(ints, 2))
+
+    @pytest.mark.parametrize("kind, cfg", [
+        ("surface_deformation", phantom.test_config(1, width=24)),
+        ("subsurface_fluid", phantom.test_config(2, width=24)),
+        ("cyst_blob", phantom.test_config(3, width=40)),
+    ], ids=["surface_deformation", "subsurface_fluid", "cyst_blob"])
+    def test_window_wider_than_volume_rejected(self, kind, cfg):
+        with pytest.raises(GenerationError, match=f"{kind} of size \\d+ does not fit"):
+            phantom.generate_volume(cfg)
 
     def test_anomaly_fraction_in_band(self):
         for seed in (42, 43, 44):
@@ -87,3 +99,68 @@ class TestBenchmark:
     def test_volume_ids_unique(self, bench):
         ids = [v.volume_id for v, _ in bench.healthy + bench.anomalous + bench.test]
         assert len(set(ids)) == len(ids)
+
+
+ORACLE_SHAPES = {
+    "desk": {},
+    "tiny": dict(n_slices=6, height=96, width=128),  # the benchmark's TINY_SHAPE
+    "4x96x128": dict(n_slices=4, height=96, width=128),
+    "2x96x128": dict(n_slices=2, height=96, width=128),
+    "1x96x96": dict(n_slices=1, height=96, width=96),
+}
+CONFIGS = {"healthy": phantom.healthy_config, "anomalous": phantom.anomalous_config,
+           "test": phantom.test_config}
+
+
+def _spec(kind, count, size):
+    return phantom.AnomalySpec(kind, count=(count, count), size=(size, size))
+
+
+CUSTOM = {
+    "single_cyst": phantom.PhantomConfig(seed=7, anomalies=(_spec("cyst_blob", 1, 20),),
+                                         n_slices=4),
+    "unplaceable": phantom.PhantomConfig(
+        seed=3, anomalies=(_spec("surface_deformation", 2, 20),), n_slices=2, width=32),
+    "band_too_narrow": phantom.test_config(5, height=64),
+    # the widest windows that fit: columns 2 to width - 1, and a centre range of one
+    "widest_deformation": phantom.PhantomConfig(
+        seed=4, anomalies=(_spec("surface_deformation", 1, 22),), n_slices=2, width=24),
+    "widest_fluid": phantom.PhantomConfig(
+        seed=5, anomalies=(_spec("subsurface_fluid", 1, 22),), n_slices=3, width=24),
+    "widest_cyst": phantom.PhantomConfig(seed=6, anomalies=(_spec("cyst_blob", 1, 20),),
+                                         n_slices=3, width=25),
+}
+
+
+def _outcome(generate, cfg):
+    """(data, labels, top, bottom) of a render, or the type and message it raised."""
+    try:
+        vol, gt = generate(cfg)
+    except Exception as exc:  # noqa: BLE001  the outcomes are compared, not handled
+        return type(exc), str(exc)
+    return vol.data, gt.labels, gt.top, gt.bottom
+
+
+def _assert_same_outcome(cfg):
+    got, want = _outcome(phantom.generate_volume, cfg), _outcome(phantom_oracle, cfg)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        else:
+            assert g == w
+
+
+class TestAgainstOracle:
+    """The whole-volume render against the slice and column loops, on the
+    configs the benchmark draws and on the custom specs above."""
+
+    @pytest.mark.parametrize("shape", list(ORACLE_SHAPES.values()), ids=list(ORACLE_SHAPES))
+    @pytest.mark.parametrize("config", list(CONFIGS.values()), ids=list(CONFIGS))
+    def test_configs(self, config, shape):
+        for seed in range(10):
+            _assert_same_outcome(config(seed, **shape))
+
+    @pytest.mark.parametrize("cfg", list(CUSTOM.values()), ids=list(CUSTOM))
+    def test_custom_specs(self, cfg):
+        _assert_same_outcome(cfg)

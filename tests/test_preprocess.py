@@ -15,9 +15,11 @@ from oracles import segment_surfaces_oracle, slic_oracle, superpixel_records_ora
 
 
 class TestSegmentSurfaces:
-    def test_flat_phantom_within_one_pixel(self):
-        cfg = phantom.PhantomConfig(seed=3, boundary_amplitude=0.0, slice_drift=0.0)
-        vol, gt = phantom.generate_volume(cfg)
+    def test_flat_phantom_within_one_pixel(self, monkeypatch):
+        monkeypatch.setattr(phantom, "BOUNDARY_AMPLITUDE", 0.0)
+        monkeypatch.setattr(phantom, "SLICE_DRIFT", 0.0)
+        vol, gt = phantom.generate_volume(phantom.PhantomConfig(seed=3))
+        assert np.all(gt.top == gt.top[0, 0]) and np.all(gt.bottom == gt.bottom[0, 0])
         surf = preprocess.segment_surfaces(vol.data)
         assert np.abs(surf.top - gt.top).mean() <= 1.0
         assert np.abs(surf.bottom - gt.bottom).mean() <= 1.0
