@@ -1,6 +1,14 @@
 """Sub-categorization of anomalous features: spherical k-means with cosine
 distance, Davies-Bouldin model selection over a k sweep, nearest-centroid
-assignment for unseen vectors."""
+assignment for unseen vectors.
+
+Every sum has a fixed order, so a fit repeats bit for bit. A k-means step's
+centroid sums come from one `np.bincount` on (cluster, column) keys, which
+adds each cluster's rows in row order. Empty clusters, in id order, are
+re-seeded at the worst-fitting rows (lowest similarity to their centroid),
+worst first, ties to the lower row. Davies-Bouldin sums the per-cluster
+worst ratios in cluster order.
+"""
 
 from __future__ import annotations
 
@@ -8,16 +16,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import DimensionError, InputError, ParameterError, UsageError
+from .ocsvm import as_feature_matrix
 from .rng import Rng
 
 
-def _unit_rows(x, what="feature"):
-    x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=-1)
+def _unit_rows(x):
+    x = as_feature_matrix(x)
+    norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0) or not np.all(np.isfinite(norms)):
-        raise InputError(f"zero or non-finite {what} vector")
-    return x / norms[..., None]
+        raise InputError("zero or non-finite vector")
+    return x / norms[:, None]
+
+
+def _nearest(xu, cents):
+    """Each row's nearest centroid (ties to the lowest id) and its similarity to it."""
+    sims = xu @ cents.T
+    assign = np.argmax(sims, axis=1)
+    return assign, np.take_along_axis(sims, assign[:, None], axis=1)[:, 0]
 
 
 @dataclass
@@ -46,32 +62,22 @@ def _kmeanspp_init(xu, k, rng: Rng):
 
 
 def _run_once(xu, k, rng: Rng, max_iter):
+    d = xu.shape[1]
     cents = _kmeanspp_init(xu, k, rng)
     assignment = None
     for _ in range(max_iter):
-        sims = xu @ cents.T
-        new_assign = np.argmax(sims, axis=1)  # ties to the lowest id
-        own = sims[np.arange(xu.shape[0]), new_assign]
-
-        # re-seed empty clusters at the worst-fitting point
-        counts = np.bincount(new_assign, minlength=k)
-        if np.any(counts == 0):
-            own_mut = own.copy()
-            for c in np.nonzero(counts == 0)[0]:
-                worst = int(np.argmin(own_mut))
-                cents[c] = xu[worst]
-                own_mut[worst] = np.inf
-            sims = xu @ cents.T
-            new_assign = np.argmax(sims, axis=1)
-            own = sims[np.arange(xu.shape[0]), new_assign]
+        new_assign, own = _nearest(xu, cents)
+        empty = np.flatnonzero(np.bincount(new_assign, minlength=k) == 0)
+        if empty.size:
+            cents[empty] = xu[np.argsort(own, kind="stable")[:empty.size]]
+            new_assign, own = _nearest(xu, cents)
 
         objective = float(own.sum())
         if assignment is not None and np.array_equal(new_assign, assignment):
-            assignment = new_assign
             break
         assignment = new_assign
-        sums = np.zeros_like(cents)
-        np.add.at(sums, assignment, xu)
+        keys = assignment[:, None] * d + np.arange(d)
+        sums = np.bincount(keys.ravel(), weights=xu.ravel(), minlength=k * d).reshape(k, d)
         norms = np.linalg.norm(sums, axis=1)
         nz = norms > 1e-15
         cents[nz] = sums[nz] / norms[nz, None]
@@ -101,11 +107,15 @@ def davies_bouldin(features, assignment, centroids) -> float:
     nonempty and k >= 2.
     """
     xu = _unit_rows(features)
-    cu = _unit_rows(centroids, what="centroid")
+    cu = _unit_rows(centroids)
     assignment = np.asarray(assignment)
     k = cu.shape[0]
     if k < 2:
         raise InputError(f"Davies-Bouldin needs k >= 2, got {k}")
+    if cu.shape[1] != xu.shape[1]:
+        raise DimensionError(f"centroid dim {cu.shape[1]} != feature dim {xu.shape[1]}")
+    if assignment.shape != (xu.shape[0],) or np.any((assignment < 0) | (assignment >= k)):
+        raise InputError(f"the assignment must hold one label in [0, {k}) per feature row")
     counts = np.bincount(assignment, minlength=k)
     if np.any(counts == 0):
         raise InputError("every cluster must be nonempty")
@@ -113,19 +123,11 @@ def davies_bouldin(features, assignment, centroids) -> float:
     dist_to_own = 1.0 - np.einsum("ij,ij->i", xu, cu[assignment])
     sigma = np.bincount(assignment, weights=dist_to_own, minlength=k) / counts
     sep = 1.0 - cu @ cu.T
-    total = 0.0
-    for i in range(k):
-        worst = -np.inf
-        for j in range(k):
-            if i == j:
-                continue
-            if sep[i, j] < 1e-12:  # coincident centroids
-                ratio = np.inf
-            else:
-                ratio = (sigma[i] + sigma[j]) / sep[i, j]
-            worst = max(worst, ratio)
-        total += worst
-    return float(total / k)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the diagonal's sep is ~0
+        ratio = np.where(sep < 1e-12, np.inf, (sigma[:, None] + sigma) / sep)
+    np.fill_diagonal(ratio, -np.inf)
+    # np.sum would add in a different order; accumulate adds in cluster order
+    return float(np.add.accumulate(ratio.max(axis=1))[-1] / k)
 
 
 @dataclass
@@ -139,12 +141,9 @@ class ClusterModel:
         assert np.all(np.abs(norms - 1.0) <= 1e-9), "centroids must be unit norm"
 
 
-def select_k(features, k_range=(2, 30), rng: Rng | None = None, restarts=5,
-             max_iter=100) -> ClusterModel:
+def select_k(features, k_range, rng: Rng, restarts=5, max_iter=100) -> ClusterModel:
     """Sweep k, score by Davies-Bouldin on the training features, keep the
     argmin (ties to the smaller k)."""
-    if rng is None:
-        rng = Rng(0)
     xu = _unit_rows(features)
     k_lo, k_hi = int(k_range[0]), int(k_range[1])
     n = xu.shape[0]
@@ -169,4 +168,6 @@ def select_k(features, k_range=(2, 30), rng: Rng | None = None, restarts=5,
 
 def assign_batch(model: ClusterModel, features):
     xu = _unit_rows(features)
-    return np.argmax(xu @ model.centroids.T, axis=1)
+    if xu.shape[1] != model.centroids.shape[1]:
+        raise UsageError(f"feature dim {xu.shape[1]} != centroid dim {model.centroids.shape[1]}")
+    return _nearest(xu, model.centroids)[0]

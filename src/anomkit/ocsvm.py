@@ -90,33 +90,27 @@ def solve_nu_dual(X, nu, tol=1e-8, max_iter=200_000) -> DualSolution:
     return DualSolution(alpha=alpha, w=w, objective=objective, kkt_violation=violation, n_iter=it)
 
 
-def _free_support(alpha, cap):
-    """Mask of the support vectors strictly between 0 and the cap."""
-    margin = cap * 1e-8
-    return (alpha > margin) & (alpha < cap - margin)
-
-
-def _rho_from_solution(X, sol: DualSolution, nu):
-    """Offset rho: median decision value over free support vectors, else in
-    [max g at the cap, min g at zero], where the primal objective's slope in
-    rho is k/(nu*n) - 1 for k alphas at the cap: the lower end when
-    k > nu*n, the upper end when k < nu*n, the midpoint when k = nu*n."""
-    n = X.shape[0]
+def _rho(g, alpha, nu):
+    """(rho, number of free support vectors) from the training scores g = X w.
+    rho is the median of g over the free support vectors, else in [max g at the
+    cap, min g at zero], where the primal objective's slope in rho is
+    k/(nu*n) - 1 for k alphas at the cap: the lower end when k > nu*n, the
+    upper end when k < nu*n, the midpoint when k = nu*n."""
+    n = g.shape[0]
     cap = 1.0 / (nu * n)
-    g = X @ sol.w
     margin = cap * 1e-8
-    free = _free_support(sol.alpha, cap)
+    free = (alpha > margin) & (alpha < cap - margin)
     if free.any():
-        return float(np.median(g[free]))
-    at_cap = sol.alpha >= cap - margin
-    at_zero = sol.alpha <= margin
+        return float(np.median(g[free])), int(np.count_nonzero(free))
+    at_cap = alpha >= cap - margin
+    at_zero = alpha <= margin
     k = int(np.count_nonzero(at_cap))
     candidates = []
     if k and k >= nu * n:
         candidates.append(float(g[at_cap].max()))
     if at_zero.any() and k <= nu * n:
         candidates.append(float(g[at_zero].min()))
-    return float(np.mean(candidates))
+    return float(np.mean(candidates)), 0
 
 
 @dataclass
@@ -135,10 +129,6 @@ class OcSvmModel:
     kkt_violation: float = 0.0
     n_iter: int = 0
     free_support_vectors: int = 0  # 0: rho came from the bound candidates
-
-    @property
-    def dim(self) -> int:
-        return int(self.w.shape[0])
 
     def standardize(self, x):
         return (np.asarray(x, dtype=np.float64) - self.offset) / self.scale
@@ -169,12 +159,12 @@ def fit_ocsvm(features, nu=0.1, tol=1e-8, max_iter=200_000) -> OcSvmModel:
     Xs = (X - offset) / scale
 
     sol = solve_nu_dual(Xs, nu, tol=tol, max_iter=max_iter)
-    rho = _rho_from_solution(Xs, sol, nu)
-    flagged = float(np.mean(Xs @ sol.w - rho < 0.0))
+    g = Xs @ sol.w
+    rho, free_support_vectors = _rho(g, sol.alpha, nu)
+    flagged = float(np.mean(g - rho < 0.0))
     if flagged > nu + d / n:
         raise FittingError(f"degenerate boundary: it flags {flagged:.4f} of the training "
                            f"set, above nu + d/n = {nu + d / n:.4f}")
-    cap = 1.0 / (nu * n)
     return OcSvmModel(
         w=sol.w,
         rho=rho,
@@ -183,15 +173,15 @@ def fit_ocsvm(features, nu=0.1, tol=1e-8, max_iter=200_000) -> OcSvmModel:
         scale=scale,
         kkt_violation=sol.kkt_violation,
         n_iter=sol.n_iter,
-        free_support_vectors=int(np.count_nonzero(_free_support(sol.alpha, cap))),
+        free_support_vectors=free_support_vectors,
     )
 
 
 def decision_values(model: OcSvmModel, features):
     """Raw scores w.x' - rho of [n, d] feature rows; below 0 is an anomaly."""
     X = as_feature_matrix(features)
-    if X.shape[1] != model.dim:
-        raise UsageError(f"feature dim {X.shape[1]} != model dim {model.dim}")
+    if X.shape[1] != model.w.shape[0]:
+        raise UsageError(f"feature dim {X.shape[1]} != model dim {model.w.shape[0]}")
     return model.standardize(X) @ model.w - model.rho
 
 

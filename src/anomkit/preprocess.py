@@ -164,13 +164,6 @@ def flatten(volume_data, surfaces: SurfacePair):
     return out, SurfacePair(top=new_top, bottom=new_bottom)
 
 
-def flat_labels(volume_data, labels):
-    """A label volume aligned with raw `volume_data`, moved into the flattened
-    coordinates of `preprocess_volume`'s outputs: columns shift as the image
-    does, so a labelled voxel survives unless shifted below the frame."""
-    return flatten(labels, segment_surfaces(volume_data))[0]
-
-
 def normalize_slice(slice_img, retina_mask):
     """Brightness/contrast normalization of one slice into [0,1].
 

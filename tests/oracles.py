@@ -6,7 +6,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.interpolate import CubicSpline
 
-from anomkit import dcae, phantom, preprocess
+from anomkit import cluster, dcae, phantom, preprocess
 from anomkit.errors import DimensionError, GenerationError, ParameterError, SegmentationError
 from anomkit.numcore import GradTape, mse, mse_grad
 from anomkit.numcore.ops import PoolSwitches
@@ -587,3 +587,96 @@ def phantom_oracle(config):
     vol *= 1.0 + rng.uniform(-P.SPECKLE, P.SPECKLE, size=vol.shape)
     return (P.Volume(data=vol.astype(np.float32)),
             P.GroundTruth(labels=labels, top=top, bottom=bottom))
+
+
+# The fitting stages as they were written with per-row and per-cluster loops:
+# k-means centroid sums by `np.add.at`, empty clusters re-seeded one at a
+# time, Davies-Bouldin as a double loop with a running sum, and PCA's sign
+# rule applied component by component. The array code must reproduce them
+# bit for bit.
+
+
+def _unit_rows_oracle(x):
+    x = np.asarray(x, dtype=np.float64)
+    return x / np.linalg.norm(x, axis=-1)[..., None]
+
+
+def spherical_kmeans_oracle(features, k, rng, restarts=5, max_iter=100):
+    """(centroids, assignment, objective) of best-of-restarts spherical k-means."""
+    xu = _unit_rows_oracle(features)
+    n = xu.shape[0]
+    best = None
+    for r in range(restarts):
+        cents = cluster._kmeanspp_init(xu, k, rng.derive(r))
+        assignment = None
+        for _ in range(max_iter):
+            sims = xu @ cents.T
+            new_assign = np.argmax(sims, axis=1)
+            own = sims[np.arange(n), new_assign]
+            counts = np.bincount(new_assign, minlength=k)
+            if np.any(counts == 0):
+                own_mut = own.copy()
+                for c in np.nonzero(counts == 0)[0]:
+                    worst = int(np.argmin(own_mut))
+                    cents[c] = xu[worst]
+                    own_mut[worst] = np.inf
+                sims = xu @ cents.T
+                new_assign = np.argmax(sims, axis=1)
+                own = sims[np.arange(n), new_assign]
+            objective = float(own.sum())
+            if assignment is not None and np.array_equal(new_assign, assignment):
+                assignment = new_assign
+                break
+            assignment = new_assign
+            sums = np.zeros_like(cents)
+            np.add.at(sums, assignment, xu)
+            norms = np.linalg.norm(sums, axis=1)
+            nz = norms > 1e-15
+            cents[nz] = sums[nz] / norms[nz, None]
+        if best is None or objective > best[2] + 1e-12:
+            best = (cents, assignment, objective)
+    return best
+
+
+def davies_bouldin_loop_oracle(features, assignment, centroids):
+    """Davies-Bouldin under cosine distance, summed over clusters in order."""
+    xu = _unit_rows_oracle(features)
+    cu = _unit_rows_oracle(centroids)
+    assignment = np.asarray(assignment)
+    k = cu.shape[0]
+    counts = np.bincount(assignment, minlength=k)
+    dist_to_own = 1.0 - np.einsum("ij,ij->i", xu, cu[assignment])
+    sigma = np.bincount(assignment, weights=dist_to_own, minlength=k) / counts
+    sep = 1.0 - cu @ cu.T
+    total = 0.0
+    for i in range(k):
+        worst = -np.inf
+        for j in range(k):
+            if i == j:
+                continue
+            if sep[i, j] < 1e-12:
+                ratio = np.inf
+            else:
+                ratio = (sigma[i] + sigma[j]) / sep[i, j]
+            worst = max(worst, ratio)
+        total += worst
+    return float(total / k)
+
+
+def pca_fit_oracle(data, k):
+    """(mean, components) of PCA: every eigenvector signed, then the top k kept."""
+    data = np.asarray(data, dtype=np.float64)
+    n = data.shape[0]
+    mean = data.mean(axis=0)
+    centered = data - mean
+    cov = centered.T @ centered / (n - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    components = eigvecs[:, np.argsort(eigvals)[::-1]].T.copy()
+    for i, v in enumerate(components):
+        scale = np.abs(v).max()
+        if scale == 0:
+            continue
+        nz = np.nonzero(np.abs(v) > 1e-12 * scale)[0]
+        if nz.size and v[nz[0]] < 0:
+            components[i] = -v
+    return mean, components[:k]

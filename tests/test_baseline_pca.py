@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from anomkit import baseline_pca, patches
+from anomkit.baseline_pca import pca_project
 from anomkit.errors import FittingError, ParameterError
-from anomkit.numcore import pca_project
 from anomkit.presets import PRESETS
 from anomkit.rng import Rng
 
@@ -39,9 +39,9 @@ class TestFit:
             baseline_pca.fit_pca_baseline(_dataset(60, split="eval"), "fixed")
 
     def test_fewer_samples_than_components_rejected(self):
-        with pytest.raises(FittingError):
-            baseline_pca.fit_pca_baseline(_dataset(PRESETS["desk"].fusion_dim // 2 - 1),
-                                          "fixed")
+        for n in (PRESETS["desk"].fusion_dim // 2 - 1, 0):
+            with pytest.raises(FittingError):
+                baseline_pca.fit_pca_baseline(_dataset(n), "fixed")
 
     def test_unknown_mode_rejected(self):
         for mode in ("whitened", "variance"):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from anomkit import cluster
-from anomkit.errors import InputError, ParameterError
+from anomkit.errors import DimensionError, InputError, ParameterError, UsageError
 from anomkit.rng import Rng
 
-from oracles import davies_bouldin_oracle
+from oracles import davies_bouldin_loop_oracle, davies_bouldin_oracle, spherical_kmeans_oracle
 
 
 def three_cones(rng, n_per=60, d=5, noise=0.3):
@@ -57,6 +57,11 @@ class TestSphericalKmeans:
         with pytest.raises(ParameterError):
             cluster.spherical_kmeans(np.eye(3), 2, Rng(0), **counts)
 
+    @pytest.mark.parametrize("shape", [(5,), (4, 3, 2)])
+    def test_features_not_a_matrix_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            cluster.spherical_kmeans(np.ones(shape), 2, Rng(0))
+
     def test_centroids_unit_norm(self):
         rng = Rng(6)
         X = rng.normal(size=(100, 4)) + 1.0
@@ -100,6 +105,18 @@ class TestDaviesBouldin:
         cents = np.array([[1.0, 0.0], [1.0, 0.0]])
         db = cluster.davies_bouldin(X, [0, 0, 1, 1], cents)
         assert np.isinf(db)
+
+    @pytest.mark.parametrize("labels", [[0, 0, 2, 1], [0, -1, 1, 1], [0, 0, 1], [0, 0, 1, 1, 1],
+                                        [[0, 0], [1, 1]]])
+    def test_malformed_assignment_rejected(self, labels):
+        X = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0], [0.1, 1.0]])
+        with pytest.raises(InputError):
+            cluster.davies_bouldin(X, labels, np.eye(2))
+
+    def test_centroid_width_mismatch_rejected(self):
+        X = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0], [0.1, 1.0]])
+        with pytest.raises(DimensionError):
+            cluster.davies_bouldin(X, [0, 0, 1, 1], np.eye(3)[:2])
 
     def test_merging_separated_clusters_increases_db(self):
         rng = Rng(9)
@@ -151,6 +168,10 @@ class TestSelectK:
         with pytest.raises(ParameterError):
             cluster.select_k(three_cones(Rng(21)), k_range=(2, 4), rng=Rng(0), **counts)
 
+    def test_features_not_a_matrix_rejected(self):
+        with pytest.raises(DimensionError):
+            cluster.select_k(np.ones(40), k_range=(2, 4), rng=Rng(0))
+
 
 class TestAssign:
     def _model(self):
@@ -172,9 +193,78 @@ class TestAssign:
         with pytest.raises(InputError):
             cluster.assign_batch(model, np.zeros((1, model.centroids.shape[1])))
 
+    def test_width_mismatch_rejected(self):
+        model, _ = self._model()
+        with pytest.raises(UsageError):
+            cluster.assign_batch(model, np.ones((2, model.centroids.shape[1] + 1)))
+
+    def test_features_not_a_matrix_rejected(self):
+        model, _ = self._model()
+        with pytest.raises(DimensionError):
+            cluster.assign_batch(model, np.ones(model.centroids.shape[1]))
+
     def test_training_features_replay(self):
         X = three_cones(Rng(22))
         res = cluster.spherical_kmeans(X, 3, Rng(23))
         model = cluster.ClusterModel(centroids=res.centroids, k=3, db_trace=[])
         replay = cluster.assign_batch(model, X)
         assert np.array_equal(replay, res.assignment)
+
+
+class TestLoopOracles:
+    """The array code against its per-row and per-cluster loop formulation,
+    compared with == (k up to 12, so the Davies-Bouldin sum has 9 or more
+    terms)."""
+
+    @staticmethod
+    def _assert_kmeans_matches(X, k, seed, restarts=3):
+        res = cluster.spherical_kmeans(X, k, Rng(seed), restarts=restarts)
+        cents, assignment, objective = spherical_kmeans_oracle(X, k, Rng(seed), restarts=restarts)
+        assert np.array_equal(res.centroids, cents)
+        assert np.array_equal(res.assignment, assignment)
+        assert res.objective == objective
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_random_inputs(self, k):
+        rng = Rng(200 + k)
+        X = rng.normal(size=(int(rng.integers(3 * k, 90)), int(rng.integers(2, 7)))) + 0.3
+        self._assert_kmeans_matches(X, k, seed=k)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_duplicated_rows_force_empty_clusters(self, k):
+        # fewer distinct rows than clusters: seeding repeats a row, and the
+        # repeated centroids leave one to four clusters empty per re-seed
+        rng = Rng(300 + k)
+        distinct = rng.normal(size=(max(k // 2, 1), 3)) + 0.2
+        X = distinct[rng.integers(0, len(distinct), size=4 * k)]
+        X[: k // 4] += rng.normal(size=(k // 4, 3)) * 0.05
+        self._assert_kmeans_matches(X, k, seed=k)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_davies_bouldin_random_labels(self, k):
+        rng = Rng(400 + k)
+        n = 5 * k
+        X = rng.normal(size=(n, 4)) + 0.3
+        labels = rng.permutation(np.arange(n) % k)
+        cents = rng.normal(size=(k, 4))
+        assert (cluster.davies_bouldin(X, labels, cents)
+                == davies_bouldin_loop_oracle(X, labels, cents))
+
+    @pytest.mark.parametrize("k", [2, 5, 12])
+    def test_davies_bouldin_coincident_centroids(self, k):
+        rng = Rng(500 + k)
+        X = rng.normal(size=(4 * k, 3)) + 0.3
+        labels = np.arange(4 * k) % k
+        cents = rng.normal(size=(k, 3))
+        cents[-1] = 2.0 * cents[0]  # same direction: separation below 1e-12
+        db = cluster.davies_bouldin(X, labels, cents)
+        assert np.isinf(db)
+        assert db == davies_bouldin_loop_oracle(X, labels, cents)
+
+    def test_select_k_matches_loop_oracles(self):
+        X = three_cones(Rng(24), n_per=20)
+        model = cluster.select_k(X, k_range=(2, 11), rng=Rng(25), restarts=2)
+        xu = X / np.linalg.norm(X, axis=1)[:, None]  # select_k works on unit rows
+        for k, db in model.db_trace:
+            cents, assignment, _ = spherical_kmeans_oracle(xu, k, Rng(25).derive(k), restarts=2)
+            assert db == davies_bouldin_loop_oracle(xu, assignment, cents)

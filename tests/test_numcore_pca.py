@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from anomkit.baseline_pca import pca_fit, pca_project
 from anomkit.errors import FittingError
-from anomkit.numcore import pca_fit, pca_project
 from anomkit.rng import Rng
+
+from oracles import pca_fit_oracle
 
 
 def test_collinear_data_first_component():
@@ -66,3 +68,21 @@ def test_duplication_invariance():
     m1 = pca_fit(data, 3)
     m2 = pca_fit(np.concatenate([data, data]), 3)
     assert np.allclose(m1.components, m2.components, atol=1e-8)
+
+
+@pytest.mark.parametrize("flat_first", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_matches_loop_oracle_bit_for_bit(seed, flat_first):
+    # negative leading coordinates make eigh return components the sign rule
+    # flips; a constant first column leaves that coordinate negligible, so the
+    # rule must look past it
+    rng = Rng(26 + seed)
+    data = -np.abs(rng.normal(size=(80, 7))) * rng.uniform(0.5, 3.0, size=7)
+    if flat_first:
+        data[:, 0] = -1.5
+    for k in range(1, 8):
+        model = pca_fit(data, k)
+        mean, components = pca_fit_oracle(data, k)
+        assert np.array_equal(model.mean, mean)
+        assert np.array_equal(model.components, components)
+        assert np.array_equal(pca_project(model, data), (data - mean) @ components.T)

@@ -35,7 +35,7 @@ class TestSolverVsOracle:
             nu = float(rng.uniform(0.3, 0.9))
             X = rng.normal(size=(n, d)) + 1.5
             sol = ocsvm.solve_nu_dual(X, nu, tol=1e-13, max_iter=500_000)
-            rho = ocsvm._rho_from_solution(X, sol, nu)
+            rho, _ = ocsvm._rho(X @ sol.w, sol.alpha, nu)
             alpha_o, rho_o, obj_o = nu_dual_oracle(X, nu)
             assert abs(sol.objective - obj_o) <= 1e-8
             assert np.abs(sol.alpha - alpha_o).max() <= 1e-6

@@ -180,7 +180,7 @@ class TestFlatten:
     def test_flat_labels_keep_every_voxel_the_shift_keeps_in_frame(self):
         vol, gt = phantom.generate_volume(phantom.test_config(5, n_slices=4, height=96,
                                                               width=128))
-        flat = preprocess.flat_labels(vol.data, gt.labels)
+        flat = preprocess.flatten(gt.labels, preprocess.segment_surfaces(vol.data))[0]
         bottom = preprocess.segment_surfaces(vol.data).bottom
         shift = bottom.max() - bottom
         s, r, c = np.nonzero(gt.labels)
