@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError, ParameterError, UsageError
+from .errors import DimensionError, FittingError, InputError, ParameterError, UsageError
 from .ocsvm import as_feature_matrix
 from .rng import Rng
 
@@ -143,10 +143,15 @@ class ClusterModel:
 
 def select_k(features, k_range, rng: Rng, restarts=5, max_iter=100) -> ClusterModel:
     """Sweep k, score by Davies-Bouldin on the training features, keep the
-    argmin (ties to the smaller k)."""
-    xu = _unit_rows(features)
+    argmin (ties to the smaller k). A k whose k-means leaves a cluster empty
+    scores +inf; if every k scores +inf, the sweep raises FittingError.
+
+    Both stages get the raw rows, so each row is normalized once, as a direct
+    call of either would normalize it.
+    """
+    features = as_feature_matrix(features)
     k_lo, k_hi = int(k_range[0]), int(k_range[1])
-    n = xu.shape[0]
+    n = features.shape[0]
     if k_lo < 2:
         raise InputError(f"k range must start at >= 2, got {k_lo}")
     if k_hi < k_lo:
@@ -157,12 +162,16 @@ def select_k(features, k_range, rng: Rng, restarts=5, max_iter=100) -> ClusterMo
     trace = []
     best = None
     for k in range(k_lo, k_hi + 1):
-        res = spherical_kmeans(xu, k, rng.derive(k), restarts=restarts, max_iter=max_iter)
-        db = davies_bouldin(xu, res.assignment, res.centroids)
+        res = spherical_kmeans(features, k, rng.derive(k), restarts=restarts, max_iter=max_iter)
+        filled = np.bincount(res.assignment, minlength=k).all()
+        db = davies_bouldin(features, res.assignment, res.centroids) if filled else np.inf
         trace.append((k, db))
         if best is None or db < best[0]:
             best = (db, k, res)
-    _, k_best, res_best = best
+    db_best, k_best, res_best = best
+    if db_best == np.inf:
+        raise FittingError(f"no k in [{k_lo}, {k_hi}] gives nonempty clusters with distinct "
+                           "centroids")
     return ClusterModel(centroids=res_best.centroids, k=k_best, db_trace=trace)
 
 

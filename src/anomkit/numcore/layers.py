@@ -115,7 +115,8 @@ class Conv2D(Layer):
         return ops.deconv2d(grad, self.kernels)
 
     def _param_backward(self, grad, tape):
-        tape.grads[id(self)] = list(ops.conv2d_param_grads(grad, tape.get(self), self.kernels))
+        gk = ops.conv2d_kernel_grad(grad, tape.get(self), self.kernels)
+        tape.grads[id(self)] = [gk, grad.reshape(-1, self.cout).sum(axis=0)]
 
 
 class Deconv2D(Layer):
@@ -138,10 +139,9 @@ class Deconv2D(Layer):
         return ops.deconv2d(x, self.kernels) + self.bias
 
     def backward(self, grad, tape):
-        x = tape.get(self)
-        grad_x, gk = ops.deconv2d_backward(grad, x, self.kernels)
-        tape.grads[id(self)] = [gk, grad.reshape(-1, grad.shape[-1]).sum(axis=0)]
-        return grad_x
+        gk = ops.conv2d_kernel_grad(tape.get(self), grad, self.kernels)
+        tape.grads[id(self)] = [gk, grad.reshape(-1, self.cout).sum(axis=0)]
+        return ops.conv2d_valid(grad, self.kernels, np.zeros(self.cin, self.kernels.dtype))
 
 
 class MaxPool2D(Layer):

@@ -77,14 +77,14 @@ def conv2d_valid(x, kernels, bias):
     return out
 
 
-def conv2d_param_grads(grad_out, x, kernels):
-    """(grad_kernels, grad_bias) of conv2d_valid; its input gradient is
-    deconv2d(grad_out, kernels)."""
+def conv2d_kernel_grad(grad_out, x, kernels):
+    """Kernel gradient of conv2d_valid; Conv2D's input gradient is deconv2d(grad_out,
+    kernels). Deconv2D, conv2d_valid's adjoint, takes both gradients from conv ops:
+    conv2d_valid(grad_out, kernels, 0) and conv2d_kernel_grad(x, grad_out, kernels)."""
     xb, gb = _batch(x), _batch(grad_out)
     k, _, cin, cout = kernels.shape
     cols = _im2col(xb, k).reshape(-1, k * k * cin)
-    gflat = gb.reshape(-1, cout)
-    return (cols.T @ gflat).reshape(kernels.shape), gflat.sum(axis=0)
+    return (cols.T @ gb.reshape(-1, cout)).reshape(kernels.shape)
 
 
 def deconv2d(x, kernels):
@@ -110,17 +110,6 @@ def deconv2d(x, kernels):
         for b in range(k):
             out[:, a : a + h, b : b + w, :] += per_pos[:, :, :, a, b, :]
     return out
-
-
-def deconv2d_backward(grad_out, x, kernels):
-    """Gradients of deconv2d: returns (grad_x, grad_kernels)."""
-    xb, gb = _batch(x), _batch(grad_out)
-    k, _, cin, cout = kernels.shape
-    grad_x = conv2d_valid(gb, kernels, np.zeros(cout, dtype=kernels.dtype))
-    # grad_K[a,b,c,o] = sum_{n,i,j} x[n,i,j,o] * grad_out[n,i+a,j+b,c]
-    cols = _im2col(gb, k).reshape(-1, k * k * cin)  # positions align with x
-    grad_k = (cols.T @ xb.reshape(-1, cout)).reshape(k, k, cin, cout)
-    return grad_x, grad_k
 
 
 class PoolSwitches(NamedTuple):

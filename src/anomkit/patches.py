@@ -11,14 +11,15 @@ once, the 1x4 means of the padded slice are taken once with a sliding
 window, and all crops are gathered by fancy indexing, the wide scale from
 those means at column stride 4. Each mean is `np.mean` over the same four
 values as a per-pair 1x4 average, so the pairs are bit-identical to cropping
-each one and averaging it (`tests/oracles.pair_oracle`). `build_dataset` orders
-the in-retina superpixel records, applies `cap` to those rows, and only
-then cuts pairs for the rows it keeps, one slice at a time.
+each one and averaging it (`tests/oracles.pair_oracle`). `build_dataset` keeps
+the in-retina records in the (slice, id) order `PreprocessedVolume.superpixels`
+holds them in, applies `cap` to those rows, and cuts pairs only for those kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,16 +55,16 @@ def cut_pairs(slice_img, centers, preset):
 
 def cut_at_centroids(rows, preset):
     """Pairs for (PreprocessedVolume, Superpixel) rows, cut at each rounded
-    centroid one slice at a time; output rows follow `rows`."""
+    centroid once per run of rows on one slice; output rows follow `rows`."""
     p = get_preset(preset)
     scale1 = np.empty((len(rows), p.patch_side, p.patch_side), dtype=np.float32)
     scale2 = np.empty_like(scale1)
-    by_slice = {}  # (id of the volume, slice index) -> (volume, row indices)
-    for i, (prep, sp) in enumerate(rows):
-        by_slice.setdefault((id(prep), sp.slice_index), (prep, []))[1].append(i)
-    for (_, s), (prep, idx) in by_slice.items():
-        centers = np.rint([rows[i][1].centroid for i in idx])
-        scale1[idx], scale2[idx] = cut_pairs(prep.data[s], centers, p)
+    centers = np.rint([sp.centroid for _, sp in rows])
+    a = 0  # rows[a:b] is one run of rows on one slice of one volume
+    for (_, s), run in groupby(rows, key=lambda row: (id(row[0]), row[1].slice_index)):
+        b = a + len(list(run))
+        scale1[a:b], scale2[a:b] = cut_pairs(rows[a][0].data[s], centers[a:b], p)
+        a = b
     return scale1, scale2
 
 
@@ -87,7 +88,7 @@ def build_dataset(preps, split, preset, rng: Rng | None = None, cap=None,
     of the output is (volume order, slice, superpixel id) and deterministic.
     For the healthy-train split, pass `ground_truths` aligned with `preps`
     (one per volume) to assert the volumes really are anomaly-free. `cap`
-    subsamples the rows uniformly (seeded) while preserving the sort order,
+    subsamples the rows uniformly (seeded) while preserving that order,
     before any pair is cut.
     """
     p = get_preset(preset)
@@ -100,11 +101,7 @@ def build_dataset(preps, split, preset, rng: Rng | None = None, cap=None,
             if gt is not None and gt.mask.any():
                 raise InputError(f"volume {vid} in healthy-train has anomaly voxels")
 
-    rows = []  # (volume_id, PreprocessedVolume, Superpixel) in output order
-    for vid, prep in preps:
-        sps = [sp for sp in prep.superpixels if sp.in_retina]
-        sps.sort(key=lambda sp: (sp.slice_index, sp.id))
-        rows.extend((vid, prep, sp) for sp in sps)
+    rows = [(vid, prep, sp) for vid, prep in preps for sp in prep.superpixels if sp.in_retina]
     if not rows:
         raise InputError("no in-retina superpixels: empty dataset")
 

@@ -371,7 +371,7 @@ class PreprocessedVolume:
 
     data: np.ndarray  # [slices, H, W] float32 in [0,1]
     surfaces: SurfacePair  # flattened coordinates
-    superpixels: list  # Superpixel, all slices, ids unique per (slice, id)
+    superpixels: list  # Superpixel, all slices, in (slice, id) order: build_dataset relies on it
 
 
 def preprocess_volume(volume_data) -> PreprocessedVolume:

@@ -447,6 +447,44 @@ def elu_backward_oracle(grad_out, x):
     return (grad_out * deriv).astype(np.asarray(grad_out).dtype)
 
 
+# The conv layers' gradient ops as they were before Deconv2D's gradients
+# became Conv2D's ops: a two-output conv parameter gradient and a dedicated
+# deconv backward, on their own im2col view. The layers must reproduce them
+# bit for bit.
+
+
+def _im2col_oracle(x, k):
+    """[N,H,W,C] -> [N, H-k+1, W-k+1, k*k*C] sliding-window view."""
+    n, h, w, c = x.shape
+    s = x.strides
+    view = np.lib.stride_tricks.as_strided(
+        x, (n, h - k + 1, w - k + 1, k, k, c), (s[0], s[1], s[2], s[1], s[2], s[3]),
+        writeable=False,
+    )
+    return view.reshape(n, h - k + 1, w - k + 1, k * k * c)
+
+
+def conv2d_param_grads_oracle(grad_out, x, kernels):
+    """(grad_kernels, grad_bias) of conv2d_valid."""
+    xb, gb = np.asarray(x), np.asarray(grad_out)
+    k, _, cin, cout = kernels.shape
+    cols = _im2col_oracle(xb, k).reshape(-1, k * k * cin)
+    gflat = gb.reshape(-1, cout)
+    return (cols.T @ gflat).reshape(kernels.shape), gflat.sum(axis=0)
+
+
+def deconv2d_backward_oracle(grad_out, x, kernels):
+    """Gradients of deconv2d: returns (grad_x, grad_kernels)."""
+    xb, gb = np.asarray(x), np.asarray(grad_out)
+    k, _, cin, cout = kernels.shape
+    grad_x = _im2col_oracle(gb, k) @ kernels.reshape(-1, cout)  # conv2d_valid(gb, K, 0)
+    grad_x += np.zeros(cout, dtype=kernels.dtype)
+    # grad_K[a,b,c,o] = sum_{n,i,j} x[n,i,j,o] * grad_out[n,i+a,j+b,c]
+    cols = _im2col_oracle(gb, k).reshape(-1, k * k * cin)  # positions align with x
+    grad_k = (cols.T @ xb.reshape(-1, cout)).reshape(k, k, cin, cout)
+    return grad_x, grad_k
+
+
 # The phantom renderer as it was written before it became whole-volume
 # arrays: slice-by-slice layers, column-by-column deformation labels, fluid
 # lifts and lenses, and the ellipse grid rebuilt on each cyst attempt. It

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anomkit import cluster
-from anomkit.errors import DimensionError, InputError, ParameterError, UsageError
+from anomkit.errors import DimensionError, FittingError, InputError, ParameterError, UsageError
 from anomkit.rng import Rng
 
 from oracles import davies_bouldin_loop_oracle, davies_bouldin_oracle, spherical_kmeans_oracle
@@ -172,6 +172,20 @@ class TestSelectK:
         with pytest.raises(DimensionError):
             cluster.select_k(np.ones(40), k_range=(2, 4), rng=Rng(0))
 
+    def test_unfillable_k_scores_inf(self):
+        # three distinct rows: k-means at k = 4 and 5 ends with an empty cluster
+        X = np.repeat(Rng(0).normal(size=(3, 8)), 10, axis=0)
+        model = cluster.select_k(X, k_range=(2, 5), rng=Rng(1))
+        assert [k for k, _ in model.db_trace] == [2, 3, 4, 5]
+        assert all(np.isfinite(db) for k, db in model.db_trace if k <= 3)
+        assert all(db == np.inf for k, db in model.db_trace if k >= 4)
+        assert model.k == 3
+
+    def test_no_fillable_k_raises_fitting_error(self):
+        X = np.repeat(Rng(0).normal(size=(2, 8)), 10, axis=0)
+        with pytest.raises(FittingError, match=r"\[3, 5\]"):
+            cluster.select_k(X, k_range=(3, 5), rng=Rng(1))
+
 
 class TestAssign:
     def _model(self):
@@ -263,8 +277,18 @@ class TestLoopOracles:
 
     def test_select_k_matches_loop_oracles(self):
         X = three_cones(Rng(24), n_per=20)
-        model = cluster.select_k(X, k_range=(2, 11), rng=Rng(25), restarts=2)
-        xu = X / np.linalg.norm(X, axis=1)[:, None]  # select_k works on unit rows
+        xu = X / np.linalg.norm(X, axis=1)[:, None]  # unit rows in, as the oracles see them
+        model = cluster.select_k(xu, k_range=(2, 11), rng=Rng(25), restarts=2)
         for k, db in model.db_trace:
             cents, assignment, _ = spherical_kmeans_oracle(xu, k, Rng(25).derive(k), restarts=2)
             assert db == davies_bouldin_loop_oracle(xu, assignment, cents)
+
+    def test_select_k_on_raw_rows_matches_loop_oracles(self):
+        # select_k normalizes the rows once, as the oracles do
+        X = three_cones(Rng(24), n_per=20)
+        model = cluster.select_k(X, k_range=(2, 11), rng=Rng(25), restarts=2)
+        for k, db in model.db_trace:
+            cents, assignment, _ = spherical_kmeans_oracle(X, k, Rng(25).derive(k), restarts=2)
+            assert db == davies_bouldin_loop_oracle(X, assignment, cents)
+            if k == model.k:
+                assert np.array_equal(model.centroids, cents)

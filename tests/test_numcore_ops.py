@@ -9,7 +9,7 @@ from anomkit.numcore import ops
 from anomkit.rng import Rng
 
 from helpers import rel_err
-from oracles import momentum_step_oracle
+from oracles import conv2d_param_grads_oracle, deconv2d_backward_oracle, momentum_step_oracle
 
 
 def conv_loop_oracle(x, kernels, bias):
@@ -159,6 +159,43 @@ class TestDeconv2d:
             nc.deconv2d(np.zeros((1, 4, 4, 3), np.float32), np.zeros((3, 3, 1, 2), np.float32))
 
 
+class TestConvGradients:
+    """Both conv layers' gradients against the dedicated gradient ops they
+    replaced, compared with ==: Deconv2D's are Conv2D's ops."""
+
+    @staticmethod
+    def _backward(layer, in_shape, dtype, seed):
+        rng = Rng(seed)
+        layer.init(rng.derive(0))
+        x = rng.normal(size=in_shape).astype(dtype)
+        tape = nc.GradTape(owner=None)
+        grad = rng.normal(size=layer.forward(x, tape, True, None).shape).astype(dtype)
+        return x, grad, layer.backward(grad, tape), tape.grads[id(layer)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_deconv2d_layer_matches_oracle(self, k, dtype):
+        layer = nc.Deconv2D(k, out_channels=2, in_channels=3, dtype=dtype)
+        x, grad, grad_x, (gk, gb) = self._backward(layer, (4, 6, 7, 3), dtype, 600 + k)
+        want_x, want_k = deconv2d_backward_oracle(grad, x, layer.kernels)
+        assert grad_x.dtype == gk.dtype == gb.dtype == dtype
+        assert np.array_equal(grad_x, want_x)
+        assert np.array_equal(gk, want_k)
+        assert np.array_equal(gb, grad.reshape(-1, 2).sum(axis=0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_conv2d_kernel_grad_matches_oracle(self, k, dtype):
+        layer = nc.Conv2D(k, in_channels=3, out_channels=2, dtype=dtype)
+        x, grad, _, (gk, gb) = self._backward(layer, (4, 9, 8, 3), dtype, 700 + k)
+        want_k, want_b = conv2d_param_grads_oracle(grad, x, layer.kernels)
+        kernel_grad = ops.conv2d_kernel_grad(grad, x, layer.kernels)
+        assert kernel_grad.dtype == gk.dtype == gb.dtype == dtype
+        assert np.array_equal(kernel_grad, want_k)
+        assert np.array_equal(gk, want_k)
+        assert np.array_equal(gb, want_b)
+
+
 class TestElu:
     def test_closed_forms(self):
         assert nc.elu(np.float64(1.0)) == 1.0
@@ -299,9 +336,8 @@ def _switches():
 
 SPATIAL_OPS = {
     "conv2d_valid": lambda x: ops.conv2d_valid(x, np.zeros((1, 1, 2, 2)), np.zeros(2)),
-    "conv2d_param_grads": lambda x: ops.conv2d_param_grads(x, x, np.zeros((1, 1, 2, 2))),
+    "conv2d_kernel_grad": lambda x: ops.conv2d_kernel_grad(x, x, np.zeros((1, 1, 2, 2))),
     "deconv2d": lambda x: ops.deconv2d(x, np.zeros((1, 1, 2, 2))),
-    "deconv2d_backward": lambda x: ops.deconv2d_backward(x, x, np.zeros((1, 1, 2, 2))),
     "pool_max": lambda x: ops.pool_max(x, 2),
     "maxpool": lambda x: ops.maxpool(x, 2),
     "unpool": lambda x: ops.unpool(x, _switches()),

@@ -182,3 +182,24 @@ class TestBuildDataset:
 
         with pytest.raises(ParameterError):
             patches.build_dataset([(vol.volume_id, prep)], "bogus", "desk")
+
+
+class TestCutAtCentroids:
+    def test_no_rows_gives_empty_batches(self):
+        s1, s2 = patches.cut_at_centroids([], "desk")
+        assert s1.shape == s2.shape == (0, 16, 16)
+        assert s1.dtype == s2.dtype == np.float32
+
+    def test_rows_in_any_order(self, prepped):
+        # slices revisited out of order, and a second volume in between
+        _, _, prep = prepped
+        other = preprocess.PreprocessedVolume(data=prep.data[::-1].copy(),
+                                              surfaces=prep.surfaces,
+                                              superpixels=prep.superpixels)
+        picks = Rng(55).permutation(len(prep.superpixels))[:60]
+        rows = [((prep, other)[i % 2], prep.superpixels[j]) for i, j in enumerate(picks)]
+        s1, s2 = patches.cut_at_centroids(rows, "desk")
+        for i, (vol, sp) in enumerate(rows):
+            want = pair_oracle(vol.data[sp.slice_index],
+                               (round(sp.centroid[0]), round(sp.centroid[1])), 16)
+            assert np.array_equal(s1[i], want[0]) and np.array_equal(s2[i], want[1])

@@ -1,6 +1,7 @@
 """Determinism of the seeded generator."""
 
 import numpy as np
+import pytest
 
 from anomkit.rng import Rng
 
@@ -26,3 +27,52 @@ def test_derivation_chain_reproducible():
     a = Rng(5).derive(3).derive(0)
     b = Rng(5).derive(3).derive(0)
     assert np.array_equal(a.random(16), b.random(16))
+
+
+# The first draws of each method the package uses, in this call order, as
+# the Philox streams gave them: a change of key, key mixing or generator
+# shows here bit for bit.
+PINNED_DRAWS = {
+    "root": dict(
+        uniform=[2.6714101020037875, -1.604192599339566, -0.08586005179422251],
+        normal=[-0.34528479226373654, 1.1960898784496112, -1.1494072570543699],
+        integers=[915, 26, 297, 396],
+        random64=[0.3322874946230707, 0.6631245872655054, 0.403628673965585],
+        random32=[0.8637863993644714, 0.3260306119918823, 0.9398121237754822],
+        permutation=[1, 7, 0, 4, 6, 5, 2, 3],
+        choice=[9, 7, 8, 2],
+        choice_p=[2, 3, 2, 2, 3],
+        choice_no_replace=[4, 6, 2, 10, 3],
+    ),
+    "derived": dict(
+        uniform=[2.2989344613494183, 2.544865935063277, -1.4068938354552474],
+        normal=[0.9829189801497946, 2.264761994893589, 2.438164878782633],
+        integers=[277, 673, 658, 951],
+        random64=[0.7031446881650129, 0.4618736408248295, 0.17751838302776757],
+        random32=[0.9863849878311157, 0.748314380645752, 0.6911922693252563],
+        permutation=[2, 3, 7, 1, 4, 0, 5, 6],
+        choice=[5, 7, 8, 3],
+        choice_p=[1, 3, 2, 2, 3],
+        choice_no_replace=[10, 0, 4, 9, 5],
+    ),
+}
+
+
+@pytest.mark.parametrize("stream", sorted(PINNED_DRAWS))
+def test_pinned_draws(stream):
+    r = Rng(3) if stream == "root" else Rng(5).derive(3).derive(0)
+    want = PINNED_DRAWS[stream]
+    got = dict(
+        uniform=r.uniform(-2.0, 3.0, size=3),
+        normal=r.normal(1.0, 2.0, size=3),
+        integers=r.integers(0, 1000, size=4),
+        random64=r.random(3),
+        random32=r.random(3, dtype=np.float32),
+        permutation=r.permutation(8),
+        choice=r.choice(10, size=4),
+        choice_p=r.choice(4, size=5, p=[0.1, 0.2, 0.3, 0.4]),
+        choice_no_replace=r.choice(20, size=5, replace=False),
+    )
+    assert got["random32"].dtype == np.float32
+    for name, values in got.items():
+        assert np.array_equal(values, np.asarray(want[name], dtype=values.dtype)), name
