@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore as nc
-from .errors import InputError, TrainingError, UsageError
+from .errors import InputError, ParameterError, TrainingError, UsageError
 from .patches import PatchDataset
 from .presets import PRESETS, DcaePreset, get_preset  # noqa: F401  PRESETS is re-exported
 from .rng import Rng
@@ -183,6 +183,8 @@ def _sgd_epochs(params, n, epochs, hyper: TrainConfig, rng: Rng, order_tag, step
     step(row indices, rng.derive(step_tag + e * 100_000 + b)), which returns
     (loss, grads aligned with params). Returns the (epoch, mean loss) log.
     """
+    if epochs < 1 or hyper.batch_size < 1:
+        raise ParameterError(f"epochs {epochs} and batch_size {hyper.batch_size} must be >= 1")
     if n == 0:
         raise InputError("cannot train on a dataset with no rows")
     velocity = [np.zeros_like(p) for p in params]

@@ -1,17 +1,8 @@
-"""Numeric substrate of the autoencoders: tensor ops, layers with backprop and SGD."""
+"""Numeric substrate of the autoencoders: layers with backprop, the MSE loss and SGD.
 
-from .ops import (
-    conv2d_valid,
-    deconv2d,
-    dropout,
-    dropout_backward,
-    elu,
-    elu_backward,
-    maxpool,
-    mse,
-    mse_grad,
-    unpool,
-)
+The tensor ops the layers are made of are in `anomkit.numcore.ops`."""
+
+from .ops import mse, mse_grad
 from .layers import (
     Conv2D,
     Deconv2D,
@@ -27,16 +18,8 @@ from .layers import (
 )
 
 __all__ = [
-    "conv2d_valid",
-    "deconv2d",
-    "dropout",
-    "dropout_backward",
-    "elu",
-    "elu_backward",
-    "maxpool",
     "mse",
     "mse_grad",
-    "unpool",
     "Conv2D",
     "Deconv2D",
     "Dense",

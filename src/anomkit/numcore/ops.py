@@ -1,7 +1,8 @@
 """Neural-network layer primitives with exact backward passes.
 
 Spatial ops take and return batches only, [N, H, W, C]; any other rank
-raises DimensionError. Dense ops take [N, D], and the elementwise ops
+raises DimensionError. The conv ops' windows come from numpy's
+`sliding_window_view`. Dense ops take [N, D] rows, and the elementwise ops
 (ELU, dropout, MSE) any shape.
 
 Dtype policy: every op computes and returns in the common dtype of its
@@ -29,6 +30,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import DimensionError, ParameterError
 from ..rng import Rng
@@ -43,14 +45,10 @@ def _batch(x):
 
 
 def _im2col(x, k):
-    """[N,H,W,C] -> [N, H-k+1, W-k+1, k*k*C] sliding-window view."""
+    """[N,H,W,C] -> [N, H-k+1, W-k+1, k*k*C] columns, each window in (row, col, channel) order."""
     n, h, w, c = x.shape
-    oh, ow = h - k + 1, w - k + 1
-    s = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x, (n, oh, ow, k, k, c), (s[0], s[1], s[2], s[1], s[2], s[3]), writeable=False
-    )
-    return view.reshape(n, oh, ow, k * k * c)
+    windows = sliding_window_view(x, (k, k), axis=(1, 2))  # [N, H-k+1, W-k+1, C, k, k]
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, h - k + 1, w - k + 1, k * k * c)
 
 
 def conv2d_valid(x, kernels, bias):
@@ -252,12 +250,8 @@ def dense(x, weight, bias):
 
 
 def dense_backward(grad_out, x, weight):
-    """Gradients of dense: returns (grad_x, grad_weight, grad_bias)."""
-    x = np.asarray(x)
-    g = np.asarray(grad_out)
-    x2 = x.reshape(-1, x.shape[-1])
-    g2 = g.reshape(-1, g.shape[-1])
-    return g @ weight.T, x2.T @ g2, g2.sum(axis=0)
+    """Gradients of dense on [N, D] rows: returns (grad_x, grad_weight, grad_bias)."""
+    return grad_out @ weight.T, x.T @ grad_out, grad_out.sum(axis=0)
 
 
 def mse(x, xhat):

@@ -38,9 +38,7 @@ class DualSolution:
 
 def solve_nu_dual(X, nu, tol=1e-8, max_iter=200_000) -> DualSolution:
     """Solve the nu one-class dual on raw row vectors X [n, d]."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionError(f"X must be [n, d], got shape {X.shape}")
+    X = as_feature_matrix(X)
     n = X.shape[0]
     if n < 2:
         raise InputError(f"need at least 2 training vectors, got {n}")

@@ -94,6 +94,8 @@ def build_dataset(preps, split, preset, rng: Rng | None = None, cap=None,
     p = get_preset(preset)
     if split not in ("healthy-train", "anomaly-train", "eval"):
         raise ParameterError(f"unknown split {split!r}")
+    if cap is not None and cap < 1:
+        raise ParameterError(f"cap must be >= 1, got {cap}")
     if ground_truths is not None and len(ground_truths) != len(preps):
         raise UsageError(f"{len(preps)} volumes but {len(ground_truths)} ground truths")
     if split == "healthy-train" and ground_truths is not None:

@@ -276,7 +276,6 @@ class BenchmarkData:
     healthy: list  # [(Volume, GroundTruth)]
     anomalous: list
     test: list
-    seed: int = 0
 
 
 def generate_benchmark(seed=42, n_healthy=40, n_anomalous=40, n_test=8,
@@ -303,4 +302,4 @@ def generate_benchmark(seed=42, n_healthy=40, n_anomalous=40, n_test=8,
         cfg = test_config(seed ^ idx, **overrides)
         test.append(generate_volume(cfg, volume_id=f"test-{i:03d}"))
         idx += 1
-    return BenchmarkData(healthy=healthy, anomalous=anomalous, test=test, seed=seed)
+    return BenchmarkData(healthy=healthy, anomalous=anomalous, test=test)

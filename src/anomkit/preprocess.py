@@ -28,15 +28,17 @@ are computed per phase of their own axis. Each pixel takes the first of its
 nine candidates whose distance equals their minimum, the tie rule of a
 sequential strict `<` sweep, and the centres are updated from sums over the
 labels in raster order, as the sequential loop added them. The label map is
-made connected by an orphan merge: each label keeps its largest 4-connected
-component (ties to the lowest component id), and the other components settle
-in rounds, each taking the label of its largest already-settled neighbour by
-original area (ties to the lowest component id), so the result does not
-depend on visiting order. `superpixel_records` turns the stacked [S, H, W]
-label volume into complete `Superpixel` records in one pass, keyed by
-slice * n_ids + id: pixel lists from one stable argsort, centroids from sums
-over each key's run, and the in-retina flag from one vectorized band
-comparison at the rounded centroid column.
+made connected by an orphan merge over its 4-connected components, which
+`ndimage.label` finds on a grid of pixel and same-label edge nodes and
+numbers in raster order. Each label keeps its largest component (ties to the
+lowest component id), and the other components settle in rounds, each
+taking the label of its largest already-settled neighbour by original area
+(ties to the lowest component id), so the result does not depend on visiting
+order. `superpixel_records` turns the stacked [S, H, W] label volume into
+complete `Superpixel` records in one pass, keyed by slice * n_ids + id: pixel
+lists from one stable argsort, centroids from sums over each key's run, and
+the in-retina flag from one vectorized band comparison at the rounded
+centroid column.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage, sparse
-from scipy.sparse.csgraph import connected_components
+from scipy import ndimage
 
 from .errors import DimensionError, InputError, SegmentationError
 from .numcore.ops import first_equal
@@ -187,18 +188,16 @@ def normalize_slice(slice_img, retina_mask):
 
 
 def _connected_regions(labels):
-    """Component map of same-label regions under 4-connectivity."""
+    """(count, map) of the 4-connected same-label components, numbered from 0 in
+    raster order of their first pixel: `ndimage.label` of a (2H-1, 2W-1) grid of
+    pixel nodes and, between 4-neighbours, nodes set where the labels agree."""
     h, w = labels.shape
-    idx = np.arange(h * w).reshape(h, w)
-    edges_r = labels[:, :-1] == labels[:, 1:]
-    edges_d = labels[:-1, :] == labels[1:, :]
-    src = np.concatenate([idx[:, :-1][edges_r].ravel(), idx[:-1, :][edges_d].ravel()])
-    dst = np.concatenate([idx[:, 1:][edges_r].ravel(), idx[1:, :][edges_d].ravel()])
-    graph = sparse.coo_matrix(
-        (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(h * w, h * w)
-    )
-    n_comp, comp = connected_components(graph, directed=False)
-    return n_comp, comp.reshape(h, w)
+    grid = np.ones((2 * h - 1, 2 * w - 1), dtype=bool)
+    grid[::2, 1::2] = labels[:, :-1] == labels[:, 1:]
+    grid[1::2, ::2] = labels[:-1] == labels[1:]
+    grid[1::2, 1::2] = False
+    comp, n_comp = ndimage.label(grid)
+    return n_comp, comp[::2, ::2] - 1
 
 
 def _enforce_connectivity(labels):

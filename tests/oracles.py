@@ -3,8 +3,9 @@
 import itertools
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, sparse
 from scipy.interpolate import CubicSpline
+from scipy.sparse.csgraph import connected_components
 
 from anomkit import cluster, dcae, phantom, preprocess
 from anomkit.errors import DimensionError, GenerationError, ParameterError, SegmentationError
@@ -215,6 +216,23 @@ def segment_surfaces_oracle(volume_data):
         cost_bottom[np.arange(h)[:, None] < top[s][None, :] + preprocess.MIN_GAP] = np.inf
         bottom[s] = _min_cost_path_oracle(cost_bottom, preprocess.SMOOTHNESS)
     return preprocess.SurfacePair(top=top, bottom=bottom)
+
+
+def connected_regions_oracle(labels):
+    """(count, map) of the 4-connected same-label components, from a sparse
+    pixel graph and `connected_components`, as `_connected_regions` was built
+    before it used `ndimage.label`."""
+    h, w = labels.shape
+    idx = np.arange(h * w).reshape(h, w)
+    edges_r = labels[:, :-1] == labels[:, 1:]
+    edges_d = labels[:-1, :] == labels[1:, :]
+    src = np.concatenate([idx[:, :-1][edges_r].ravel(), idx[:-1, :][edges_d].ravel()])
+    dst = np.concatenate([idx[:, 1:][edges_r].ravel(), idx[1:, :][edges_d].ravel()])
+    graph = sparse.coo_matrix(
+        (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(h * w, h * w)
+    )
+    n_comp, comp = connected_components(graph, directed=False)
+    return n_comp, comp.reshape(h, w)
 
 
 def slic_oracle(slice_img):

@@ -12,7 +12,7 @@ import pytest
 
 from anomkit import dcae, patches, phantom, preprocess
 from anomkit import numcore as nc
-from anomkit.errors import DimensionError, InputError, UsageError
+from anomkit.errors import DimensionError, InputError, ParameterError, UsageError
 from anomkit.rng import Rng
 
 from oracles import embed_oracle, train_fusion_oracle, train_scales_oracle
@@ -212,6 +212,25 @@ class TestZeroRows:
         with pytest.raises(InputError, match="no rows"):
             dcae.train_fusion(model, _rows(healthy, np.arange(0)), HYPER, Rng(94))
         assert model.fusion_log == []
+
+
+class TestTrainSettings:
+    """A setting that would train nothing raises a typed error and marks no
+    stage trained, so a loss log is never left empty."""
+
+    @pytest.mark.parametrize("bad", [dict(batch_size=0), dict(batch_size=-1), dict(epochs=0)])
+    def test_train_dcae(self, healthy, bad):
+        model = dcae.build_model(TINY, Rng(95))
+        with pytest.raises(ParameterError):
+            dcae.train_dcae(model, healthy, dataclasses.replace(HYPER, **bad), Rng(96))
+        assert model.scale_log == [] and not model.scales_trained
+
+    @pytest.mark.parametrize("bad", [dict(batch_size=0), dict(fusion_epochs=0)])
+    def test_train_fusion(self, healthy, trained, bad):
+        model = dataclasses.replace(trained, fusion_log=[], fusion_trained=False)
+        with pytest.raises(ParameterError):
+            dcae.train_fusion(model, healthy, dataclasses.replace(HYPER, **bad), Rng(97))
+        assert model.fusion_log == [] and not model.fusion_trained
 
 
 class TestCallOrder:

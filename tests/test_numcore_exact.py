@@ -13,8 +13,8 @@ from anomkit.errors import UsageError
 from anomkit.numcore import ops
 from anomkit.rng import Rng
 
-from oracles import (elu_backward_oracle, elu_oracle, maxpool_oracle, unpool_backward_oracle,
-                     unpool_oracle)
+from oracles import (_im2col_oracle, elu_backward_oracle, elu_oracle, maxpool_oracle,
+                     unpool_backward_oracle, unpool_oracle)
 
 DTYPES = st.sampled_from([np.float32, np.float64])
 # integer values make ties within a pool window common; both zeros appear
@@ -51,7 +51,7 @@ def assert_same_bits(a, b):
 @given(pooled_inputs())
 def test_maxpool_matches_oracle(case):
     x, p = case
-    out, sw = nc.maxpool(x, p)
+    out, sw = ops.maxpool(x, p)
     want, want_sw = maxpool_oracle(x, p)
     assert_same(out, want)
     assert np.array_equal(sw.index, want_sw.index)
@@ -62,11 +62,11 @@ def test_maxpool_matches_oracle(case):
 @given(pooled_inputs(), st.data())
 def test_unpool_and_backward_match_oracle(case, data):
     x, p = case
-    _, sw = nc.maxpool(x, p)
+    _, sw = ops.maxpool(x, p)
     _, want_sw = maxpool_oracle(x, p)
     dtype = data.draw(DTYPES)
     pooled = data.draw(arrays(dtype, sw.index.shape, elements=values(dtype)))
-    assert_same_bits(nc.unpool(pooled, sw), unpool_oracle(pooled, want_sw))
+    assert_same_bits(ops.unpool(pooled, sw), unpool_oracle(pooled, want_sw))
     grad = data.draw(arrays(dtype, x.shape, elements=values(dtype)))
     assert_same_bits(ops.unpool_backward(grad, sw), unpool_backward_oracle(grad, want_sw))
 
@@ -81,14 +81,14 @@ def elu_inputs(draw):
 @settings(deadline=None)
 @given(elu_inputs())
 def test_elu_matches_oracle(x):
-    assert_same(nc.elu(x), elu_oracle(x))
+    assert_same(ops.elu(x), elu_oracle(x))
 
 
 @settings(deadline=None)
 @given(elu_inputs(), DTYPES, st.data())
 def test_elu_backward_matches_oracle(x, grad_dtype, data):
     grad = data.draw(arrays(grad_dtype, x.shape, elements=values(grad_dtype)))
-    assert_same(nc.elu_backward(grad, x), elu_backward_oracle(grad, x))
+    assert_same(ops.elu_backward(grad, x), elu_backward_oracle(grad, x))
 
 
 @settings(deadline=None)
@@ -118,9 +118,20 @@ def test_elu_is_non_decreasing_on_adjacent_floats(dtype, data):
     run = [dtype(start)]
     for _ in range(64):
         run.append(np.nextafter(run[-1], dtype(np.inf)))
-    out = nc.elu(np.array(run, dtype=dtype))
+    out = ops.elu(np.array(run, dtype=dtype))
     assert out.dtype == dtype
     assert np.all(out[1:] >= out[:-1])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("c", [1, 3])
+def test_im2col_matches_oracle(dtype, k, c):
+    x = Rng(6).normal(size=(2, 9, 8, c)).astype(dtype)
+    assert_same(ops._im2col(x, k), _im2col_oracle(x, k))
+    strided = Rng(7).normal(size=(4, 11, 10, 2 * c)).astype(dtype)[::2, 1:, ::-1, ::2]
+    assert not strided.flags.c_contiguous
+    assert_same(ops._im2col(strided, k), _im2col_oracle(strided, k))
 
 
 def test_plan_drops_dropout_and_pools_before_elu():

@@ -3,6 +3,7 @@
 import numpy as np
 
 from anomkit import numcore as nc
+from anomkit.numcore import ops
 from anomkit.rng import Rng
 
 from helpers import numerical_grad, rel_err
@@ -121,16 +122,16 @@ def test_full_encoder_decoder_grad():
 def test_dropout_backward_uses_mask():
     rng = Rng(14)
     x = rng.normal(size=(50,))
-    out, mask = nc.dropout(x, 0.4, Rng(3))
-    grad = nc.dropout_backward(np.ones_like(out), mask)
+    out, mask = ops.dropout(x, 0.4, Rng(3))
+    grad = ops.dropout_backward(np.ones_like(out), mask)
     assert np.array_equal(grad, mask)
 
 
 def test_elu_gradient_finite_difference():
     rng = Rng(15)
     x = rng.normal(size=20)
-    g = nc.elu_backward(np.ones(20), x)
-    num = numerical_grad(lambda v: float(np.sum(nc.elu(v))), x, eps=1e-5)
+    g = ops.elu_backward(np.ones(20), x)
+    num = numerical_grad(lambda v: float(np.sum(ops.elu(v))), x, eps=1e-5)
     assert rel_err(g, num) <= 1e-6
 
 

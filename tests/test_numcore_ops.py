@@ -34,13 +34,13 @@ class TestConv2d:
         rng = Rng(1)
         x = rng.uniform(size=(1, 5, 7, 1)).astype(np.float32)
         k = np.ones((1, 1, 1, 1), np.float32)
-        out = nc.conv2d_valid(x, k, np.zeros(1, np.float32))
+        out = ops.conv2d_valid(x, k, np.zeros(1, np.float32))
         assert np.allclose(out, x)
 
     def test_sum_of_ones(self):
         x = np.ones((1, 3, 3, 1), np.float32)
         k = np.ones((3, 3, 1, 1), np.float32)
-        out = nc.conv2d_valid(x, k, np.zeros(1, np.float32))
+        out = ops.conv2d_valid(x, k, np.zeros(1, np.float32))
         assert out.shape == (1, 1, 1, 1)
         assert out[0, 0, 0, 0] == 9.0
 
@@ -49,7 +49,7 @@ class TestConv2d:
         x = rng.normal(size=(5, 5, 2))
         k = rng.normal(size=(3, 3, 2, 4))
         b = rng.normal(size=4)
-        out = nc.conv2d_valid(x[None], k, b)
+        out = ops.conv2d_valid(x[None], k, b)
         assert out.shape == (1, 3, 3, 4)
         assert rel_err(out[0], conv_loop_oracle(x, k, b)) <= 1e-6
 
@@ -57,21 +57,21 @@ class TestConv2d:
         x = np.zeros((1, 2, 2, 1), np.float32)
         k = np.zeros((3, 3, 1, 1), np.float32)
         with pytest.raises(DimensionError):
-            nc.conv2d_valid(x, k, np.zeros(1, np.float32))
+            ops.conv2d_valid(x, k, np.zeros(1, np.float32))
         with pytest.raises(DimensionError):
-            nc.conv2d_valid(np.zeros((1, 4, 4, 2), np.float32), k, np.zeros(1, np.float32))
+            ops.conv2d_valid(np.zeros((1, 4, 4, 2), np.float32), k, np.zeros(1, np.float32))
 
 
 class TestMaxpool:
     def test_constant_input_tie_break(self):
         x = np.full((1, 4, 4, 2), 3.5, np.float32)
-        out, sw = nc.maxpool(x, 2)
+        out, sw = ops.maxpool(x, 2)
         assert np.all(out == 3.5)
         assert np.all(sw.index == 0)  # ties go to the window origin
 
     def test_single_window(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)[None, :, :, None]
-        out, sw = nc.maxpool(x, 2)
+        out, sw = ops.maxpool(x, 2)
         assert out.shape == (1, 1, 1, 1)
         assert out[0, 0, 0, 0] == 4.0
         assert sw.index[0, 0, 0, 0] == 3
@@ -79,7 +79,7 @@ class TestMaxpool:
     def test_matches_window_scan_oracle(self):
         rng = Rng(3)
         x = rng.normal(size=(1, 9, 9, 3))
-        out, sw = nc.maxpool(x, 3)
+        out, sw = ops.maxpool(x, 3)
         assert out.shape == (1, 3, 3, 3)
         for i in range(3):
             for j in range(3):
@@ -90,20 +90,20 @@ class TestMaxpool:
 
     def test_trailing_rows_dropped(self):
         x = np.arange(5 * 7, dtype=np.float32).reshape(1, 5, 7, 1)
-        out, _ = nc.maxpool(x, 2)
+        out, _ = ops.maxpool(x, 2)
         assert out.shape == (1, 2, 3, 1)
 
     def test_bad_pool_size(self):
         with pytest.raises(ParameterError):
-            nc.maxpool(np.zeros((1, 4, 4, 1), np.float32), 0)
+            ops.maxpool(np.zeros((1, 4, 4, 1), np.float32), 0)
 
 
 class TestUnpool:
     def test_places_values_at_argmax(self):
         rng = Rng(4)
         x = rng.normal(size=(1, 6, 6, 2)).astype(np.float32)
-        pooled, sw = nc.maxpool(x, 2)
-        up = nc.unpool(pooled, sw)
+        pooled, sw = ops.maxpool(x, 2)
+        up = ops.unpool(pooled, sw)
         nonzero = up != 0
         # nonzeros are exactly the window maxima, at their original positions
         assert nonzero.sum() == pooled.size
@@ -112,22 +112,22 @@ class TestUnpool:
 
     def test_zero_input(self):
         x = np.zeros((1, 4, 4, 1), np.float32)
-        pooled, sw = nc.maxpool(x, 2)
-        assert np.all(nc.unpool(np.zeros_like(pooled), sw) == 0)
+        pooled, sw = ops.maxpool(x, 2)
+        assert np.all(ops.unpool(np.zeros_like(pooled), sw) == 0)
 
     def test_pool_unpool_pool_idempotent(self):
         # on the non-negative intensity domain the zero fill never wins a window
         rng = Rng(5)
         x = rng.uniform(size=(1, 9, 12, 4)).astype(np.float32)
-        pooled, sw = nc.maxpool(x, 3)
-        again, _ = nc.maxpool(nc.unpool(pooled, sw), 3)
+        pooled, sw = ops.maxpool(x, 3)
+        again, _ = ops.maxpool(ops.unpool(pooled, sw), 3)
         assert np.array_equal(again, pooled)
 
     def test_geometry_mismatch(self):
         x = np.zeros((1, 4, 4, 1), np.float32)
-        pooled, sw = nc.maxpool(x, 2)
+        pooled, sw = ops.maxpool(x, 2)
         with pytest.raises(DimensionError):
-            nc.unpool(np.zeros((1, 3, 3, 1), np.float32), sw)
+            ops.unpool(np.zeros((1, 3, 3, 1), np.float32), sw)
 
 
 class TestDeconv2d:
@@ -137,26 +137,26 @@ class TestDeconv2d:
             x = rng.normal(size=(1, 6, 7, 3))
             kern = rng.normal(size=(3, 3, 3, 5))
             y = rng.normal(size=(1, 4, 5, 5))
-            lhs = np.sum(nc.conv2d_valid(x, kern, np.zeros(5)) * y)
-            rhs = np.sum(x * nc.deconv2d(y, kern))
+            lhs = np.sum(ops.conv2d_valid(x, kern, np.zeros(5)) * y)
+            rhs = np.sum(x * ops.deconv2d(y, kern))
             assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) <= 1e-5
 
     def test_identity_kernel(self):
         rng = Rng(7)
         x = rng.uniform(size=(1, 4, 4, 1)).astype(np.float32)
         k = np.ones((1, 1, 1, 1), np.float32)
-        assert np.allclose(nc.deconv2d(x, k), x)
+        assert np.allclose(ops.deconv2d(x, k), x)
 
     def test_zero_kernel(self):
         x = np.ones((1, 4, 4, 2), np.float32)
         k = np.zeros((3, 3, 1, 2), np.float32)
-        out = nc.deconv2d(x, k)
+        out = ops.deconv2d(x, k)
         assert out.shape == (1, 6, 6, 1)
         assert np.all(out == 0)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
-            nc.deconv2d(np.zeros((1, 4, 4, 3), np.float32), np.zeros((3, 3, 1, 2), np.float32))
+            ops.deconv2d(np.zeros((1, 4, 4, 3), np.float32), np.zeros((3, 3, 1, 2), np.float32))
 
 
 class TestConvGradients:
@@ -198,47 +198,47 @@ class TestConvGradients:
 
 class TestElu:
     def test_closed_forms(self):
-        assert nc.elu(np.float64(1.0)) == 1.0
-        assert nc.elu(np.float64(0.0)) == 0.0
-        assert abs(nc.elu(np.float64(-1.0)) - (np.exp(-1.0) - 1.0)) < 1e-12
+        assert ops.elu(np.float64(1.0)) == 1.0
+        assert ops.elu(np.float64(0.0)) == 0.0
+        assert abs(ops.elu(np.float64(-1.0)) - (np.exp(-1.0) - 1.0)) < 1e-12
 
     def test_continuous_and_monotone(self):
         xs = np.linspace(-4, 4, 2001)
-        ys = nc.elu(xs)
+        ys = ops.elu(xs)
         assert np.all(np.diff(ys) > 0)
-        assert abs(nc.elu(np.float64(1e-9)) - nc.elu(np.float64(-1e-9))) < 1e-8
+        assert abs(ops.elu(np.float64(1e-9)) - ops.elu(np.float64(-1e-9))) < 1e-8
 
 
 class TestDropout:
     def test_rate_zero_identity(self):
         x = np.ones((10, 10), np.float32)
-        out, mask = nc.dropout(x, 0.0, Rng(0))
+        out, mask = ops.dropout(x, 0.0, Rng(0))
         assert np.array_equal(out, x)
         assert np.all(mask == 1)
 
     def test_inverted_scaling_mean(self):
         x = np.ones(100_000, np.float32)
-        out, _ = nc.dropout(x, 0.5, Rng(42))
+        out, _ = ops.dropout(x, 0.5, Rng(42))
         assert abs(out.mean() - 1.0) <= 0.02
         survivors = out[out != 0]
         assert np.allclose(survivors, 2.0)
 
     def test_rate_validation(self):
         with pytest.raises(ParameterError):
-            nc.dropout(np.zeros(3), 1.0, Rng(0))
+            ops.dropout(np.zeros(3), 1.0, Rng(0))
         with pytest.raises(ParameterError):
-            nc.dropout(np.zeros(3), -0.1, Rng(0))
+            ops.dropout(np.zeros(3), -0.1, Rng(0))
 
     def test_same_seed_same_mask(self):
         x = np.ones(1000, np.float32)
-        _, m1 = nc.dropout(x, 0.3, Rng(7))
-        _, m2 = nc.dropout(x, 0.3, Rng(7))
+        _, m1 = ops.dropout(x, 0.3, Rng(7))
+        _, m2 = ops.dropout(x, 0.3, Rng(7))
         assert np.array_equal(m1, m2)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_mask_comes_from_float32_draws(self, dtype):
         x = np.ones((40, 25), dtype)
-        _, mask = nc.dropout(x, 0.3, Rng(7))
+        _, mask = ops.dropout(x, 0.3, Rng(7))
         keep = Rng(7).random(x.shape, dtype=np.float32) >= np.float32(0.3)
         assert mask.dtype == dtype
         assert np.array_equal(mask, keep / dtype(0.7))
@@ -331,7 +331,7 @@ class TestSgdStep:
 
 
 def _switches():
-    return nc.maxpool(np.zeros((1, 4, 4, 2)), 2)[1]
+    return ops.maxpool(np.zeros((1, 4, 4, 2)), 2)[1]
 
 
 SPATIAL_OPS = {

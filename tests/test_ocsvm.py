@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anomkit import ocsvm
-from anomkit.errors import ConvergenceError, FittingError, InputError, UsageError
+from anomkit.errors import ConvergenceError, DimensionError, FittingError, InputError, UsageError
 from anomkit.rng import Rng
 
 from oracles import nu_dual_oracle
@@ -146,6 +146,11 @@ class TestNuProperty:
     def test_single_point_rejected(self):
         with pytest.raises(InputError):
             ocsvm.fit_ocsvm(np.ones((1, 3)), nu=0.5)
+
+    @pytest.mark.parametrize("X", [np.ones(4), np.ones((2, 2, 2))])
+    def test_solver_rejects_a_non_matrix(self, X):
+        with pytest.raises(DimensionError):
+            ocsvm.solve_nu_dual(X, 0.5)
 
     def test_kkt_violation_is_never_negative(self):
         # at a strictly optimal point the largest gradient among alphas that

@@ -5,7 +5,7 @@ import pytest
 
 from anomkit import patches, phantom, preprocess
 from anomkit.presets import PRESETS
-from anomkit.errors import InputError, UsageError
+from anomkit.errors import InputError, ParameterError, UsageError
 from anomkit.rng import Rng
 
 from oracles import pair_oracle
@@ -178,10 +178,15 @@ class TestBuildDataset:
 
     def test_unknown_split_rejected(self, prepped):
         vol, gt, prep = prepped
-        from anomkit.errors import ParameterError
-
         with pytest.raises(ParameterError):
             patches.build_dataset([(vol.volume_id, prep)], "bogus", "desk")
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, prepped, cap):
+        # cap=0 used to return a zero-row dataset, cap=-1 an untyped ValueError
+        vol, gt, prep = prepped
+        with pytest.raises(ParameterError, match="cap must be >= 1"):
+            patches.build_dataset([(vol.volume_id, prep)], "eval", "desk", rng=Rng(5), cap=cap)
 
 
 class TestCutAtCentroids:

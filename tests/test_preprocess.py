@@ -11,7 +11,8 @@ from anomkit import phantom, preprocess
 from anomkit.errors import AnomkitError, InputError, SegmentationError
 from anomkit.rng import Rng
 
-from oracles import segment_surfaces_oracle, slic_oracle, superpixel_records_oracle
+from oracles import (connected_regions_oracle, segment_surfaces_oracle, slic_oracle,
+                     superpixel_records_oracle)
 
 
 class TestSegmentSurfaces:
@@ -336,6 +337,42 @@ def slic_before_and_after_merge(img):
         mp.setattr(preprocess, "_enforce_connectivity", capture)
         after = preprocess.slic_superpixels(img)
     return seen[0], after
+
+
+def assert_same_components(labels):
+    n, comp = preprocess._connected_regions(labels)
+    n_want, comp_want = connected_regions_oracle(labels)
+    assert n == n_want
+    assert np.array_equal(comp, comp_want)
+
+
+class TestConnectedRegions:
+    """The component count and map, numbering included, against the sparse
+    graph and `connected_components`."""
+
+    @pytest.mark.parametrize("labels", [
+        np.zeros((1, 1), dtype=np.int64),
+        np.array([[0, 1, 1, 0, 2, 2, 0]]),
+        np.array([[0], [1], [1], [0], [2]]),
+        np.full((5, 7), 3),
+        np.indices((6, 9)).sum(axis=0) % 2,  # checkerboard: every pixel its own component
+        np.array([[0, 0, 1], [1, 0, 1], [0, 0, 0]]),
+    ])
+    def test_edge_cases(self, labels):
+        assert_same_components(labels)
+
+    def test_random_maps(self):
+        rng = Rng(305)
+        for _ in range(300):
+            shape = tuple(int(v) for v in rng.integers(1, 30, size=2))
+            levels = int(rng.integers(1, 6))
+            assert_same_components(rng.integers(0, levels, size=shape))
+
+    def test_slic_slices_of_one_desk_volume(self):
+        vol, _ = phantom.generate_volume(phantom.test_config(28))
+        for img in vol.data:
+            before, _ = slic_before_and_after_merge(img)
+            assert_same_components(before)
 
 
 class TestOrphanMerge:

@@ -6,10 +6,16 @@ as a bare name or as an attribute. Imports and `__all__` strings are not
 loads, and tests do not count: code that only tests call is not on any run
 path. An attribute of one of the benchmark's own modules (`checks.flat_labels`)
 is not a load of an anomkit name that happens to share it.
+
+The numcore package is held to the same rule for what it re-exports: each
+name in its `__all__` is imported by its `__init__` and loaded through the
+package by a run path, so an op has one public name, in `numcore.ops`.
 """
 
 import ast
 from pathlib import Path
+
+from anomkit import numcore as nc
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "anomkit"
@@ -49,3 +55,31 @@ def test_every_public_name_is_reached():
         for name in _public_definitions(tree) if name not in used
     ]
     assert not unreached, "public names that no run path reaches:\n" + "\n".join(unreached)
+
+
+def _numcore_loads(tree):
+    """Names a file takes from the numcore package: `from ...numcore import X`,
+    or the attribute X of a name bound to the package (`nc.X`)."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "numcore":
+                yield from (alias.name for alias in node.names)
+            elif node.module in (None, "anomkit"):
+                bound |= {alias.asname or alias.name for alias in node.names
+                          if alias.name == "numcore"}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id in bound):
+            yield node.attr
+
+
+def test_numcore_exports_only_what_runs_through_it():
+    init = ast.parse((PACKAGE / "numcore" / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(nc.__all__) == sorted(imported)
+    used = {name for path in READERS if PACKAGE / "numcore" not in path.parents
+            for name in _numcore_loads(ast.parse(path.read_text(), filename=str(path)))}
+    unused = sorted(set(nc.__all__) - used)
+    assert not unused, f"numcore exports that no run path loads: {', '.join(unused)}"
