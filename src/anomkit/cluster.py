@@ -138,7 +138,8 @@ class ClusterModel:
 
     def __post_init__(self):
         norms = np.linalg.norm(self.centroids, axis=1)
-        assert np.all(np.abs(norms - 1.0) <= 1e-9), "centroids must be unit norm"
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):
+            raise InputError(f"centroids must be unit norm, got row norms {norms}")
 
 
 def select_k(features, k_range, rng: Rng, restarts=5, max_iter=100) -> ClusterModel:

@@ -3,25 +3,28 @@
 Every autoencoder here is one `Autoencoder`: a numcore `Network` over an
 encoder layer list followed by a decoder layer list, whose `encode` runs the
 encoder layers alone. Each scale gets a `ScaleAutoencoder` (conv, pool and
-dense encoder; mirrored dense, unpool and deconv decoder); both are optimized
-jointly, one step per mini-batch covering the two scales of the same patch
-pairs. After that stage, the per-scale encodings are concatenated and the
-fusion `Autoencoder([Dense, Elu], [Dense])` is trained as a denoising
-autoencoder (encoders frozen, masking-noise corruption); its encoder output
-is the final feature vector z. Both stages run the same momentum-SGD loop.
-Every layer size comes from the preset (`presets.DcaePreset`, re-exported
-here with `PRESETS`); the dropout rate, SGD momentum and fusion masking
-probability are the module constants DROPOUT, MOMENTUM and CORRUPTION.
+dense encoder; mirrored dense, unpool and deconv decoder); the two are
+trained side by side, each by its own SGD over the same shuffled mini-batches
+of patch pairs. After that stage, the per-scale encodings are concatenated
+and the fusion `Autoencoder([Dense, Elu], [Dense])` is trained as a
+denoising autoencoder (encoders frozen, masking-noise corruption); its
+encoder output is the final feature vector z. Both stages run the same
+momentum-SGD loop. Every layer size comes from the preset
+(`presets.DcaePreset`, re-exported here with `PRESETS`); the dropout rate,
+SGD momentum and fusion masking probability are the module constants
+DROPOUT, MOMENTUM and CORRUPTION.
 
-The two scales run at the same time: wherever both are needed (a training
-step, or encoding a batch of pairs), scale 1's half runs on one worker
-thread and scale 2's half on the caller's thread. The halves share no
-layer, tape or generator, each draws its own RNG stream (`derive(1)` or
-`derive(2)` of the step's), and their results are joined in scale order;
-numpy's ufuncs, sgemm and Philox fills release the GIL, so the halves
-overlap on two cores and the outputs are bit-identical to running them one
-after the other. A failed half raises its own error once both have finished,
-scale 1's first.
+The two scales share no layer, tape, parameter or generator, so a stage that
+needs both (training the scales, or encoding them for the fusion DAE or for
+z) forks once: scale 1's whole run goes to a thread started for that call,
+scale 2's runs on the caller's thread, and the call joins the thread before
+it returns. Each scale draws its own RNG streams (`derive(1)` or `derive(2)`
+of each step's), and numpy's ufuncs, sgemm and Philox fills release the GIL,
+so the scales overlap on two cores and the outputs are bit-identical to
+running them one after the other. A failed scale does not stop the other:
+the error is raised once both runs have ended, scale 1's first. The failed
+stage leaves its trained flag and loss log as they were, and each scale's
+parameters as far as that scale's run got.
 
 Encoding runs each encoder's inference plan (`numcore.Network.infer`): no
 tape, no RNG and no Dropout, and the first ELU after a max pool that keeps no
@@ -29,20 +32,18 @@ switches, so it sees a quarter of the elements. The output is bit-identical
 to the layers' inference forward. Training runs the full layer list, where
 dropout sits between that ELU and the pool, and is unchanged.
 
-Inference runs in 128-row batches. Embedding one 4,671-pair desk volume on a
-2-core Xeon (one BLAS thread; medians of 11, median of three runs) took
-0.20 / 0.20 / 0.21 / 0.21 s at 512 / 256 / 128 / 64 rows with the scales one
-after the other and 0.12 / 0.12 / 0.13 / 0.16 s with them in parallel; the
-layer-by-layer forward the plan replaced took 0.33 s and 0.19 s at 128 rows.
-On one core, parallel took 0.21 s against 0.19 s serial at 128 rows. Larger
-batches gain little, and at 512 rows the layer-by-layer forward had raised
-the benchmark's peak RSS by 35-40 MB, so EMBED_ROWS stays 128. Every batch
-size gives the same output.
+Inference runs in 128-row batches. Embedding one 4,526-pair desk volume on
+a 2-core Xeon (one BLAS thread; medians of 20-40 interleaved calls, two runs)
+took 0.12-0.13 s at 64 to 512 rows with the scales on two threads, and
+0.19-0.21 s at 128 rows with them one after the other. On one core
+(`taskset -c 0`) the second thread costs about 4%: 0.227 / 0.231 s against
+0.216 / 0.224 s serial at 128 rows. There, 512 rows took 0.27 s against
+0.21-0.24 s at 64 to 256, so EMBED_ROWS stays 128. Every batch size gives
+the same output.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -144,36 +145,31 @@ def build_model(preset, rng: Rng) -> DcaeModel:
     return DcaeModel(preset=p, scale1=s1, scale2=s2, fusion=fusion)
 
 
-def _new_scale1_worker():
-    global _SCALE1_WORKER
-    _SCALE1_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dcae-scale1")
-
-
-_new_scale1_worker()
-# a forked child inherits the executor but not its thread, and would wait forever
-os.register_at_fork(after_in_child=_new_scale1_worker)
-
-
 def _both_scales(half1, half2):
-    """(half1(), half2()), with half1 on the scale-1 worker and half2 here.
+    """(half1(), half2()), with half1 on a thread of its own and half2 here.
 
-    Both halves have finished before this returns or raises; an error of
-    half1 takes precedence, as it would if the halves ran in scale order.
+    Both halves have finished, and the thread has ended, before this returns
+    or raises; an error of half1 takes precedence, as it would if the halves
+    ran in scale order.
     """
-    future = _SCALE1_WORKER.submit(half1)
-    try:
-        second = half2()
-    except BaseException:
-        future.result()
-        raise
-    return future.result(), second
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dcae-scale1") as worker:
+        future = worker.submit(half1)
+        try:
+            second = half2()
+        finally:
+            first = future.result()
+    return first, second
 
 
 def _check_patch_side(model: DcaeModel, dataset: PatchDataset):
-    side = dataset.preset.patch_side
-    if side != model.preset.patch_side:
-        raise UsageError(f"{side}px patches do not fit the {model.preset.name!r} model, "
-                         f"which takes {model.preset.patch_side}px patches")
+    side = model.preset.patch_side
+    if dataset.preset.patch_side != side:
+        raise UsageError(f"{dataset.preset.patch_side}px patches do not fit the "
+                         f"{model.preset.name!r} model, which takes {side}px patches")
+    expected = (len(dataset), side, side)
+    if dataset.scale1.shape != expected or dataset.scale2.shape != expected:
+        raise UsageError(f"the {model.preset.name!r} model expects two {expected} patch "
+                         f"arrays, got {dataset.scale1.shape} and {dataset.scale2.shape}")
 
 
 def _sgd_epochs(params, n, epochs, hyper: TrainConfig, rng: Rng, order_tag, step_tag, step):
@@ -181,7 +177,7 @@ def _sgd_epochs(params, n, epochs, hyper: TrainConfig, rng: Rng, order_tag, step
 
     Epoch e shuffles with rng.derive(order_tag + e); batch b of it calls
     step(row indices, rng.derive(step_tag + e * 100_000 + b)), which returns
-    (loss, grads aligned with params). Returns the (epoch, mean loss) log.
+    (loss, grads aligned with params). Returns the [epochs, batches] losses.
     """
     if epochs < 1 or hyper.batch_size < 1:
         raise ParameterError(f"epochs {epochs} and batch_size {hyper.batch_size} must be >= 1")
@@ -189,60 +185,64 @@ def _sgd_epochs(params, n, epochs, hyper: TrainConfig, rng: Rng, order_tag, step
         raise InputError("cannot train on a dataset with no rows")
     velocity = [np.zeros_like(p) for p in params]
     bs = hyper.batch_size
-    log = []
+    losses = np.empty((epochs, -(-n // bs)))
     for epoch in range(epochs):
         order = rng.derive(order_tag + epoch).permutation(n)
-        losses = []
         for bi, start in enumerate(range(0, n, bs)):
             loss, grads = step(order[start : start + bs],
                                rng.derive(step_tag + epoch * 100_000 + bi))
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}, batch {bi}")
             nc.sgd_step(params, grads, hyper.lr, MOMENTUM, velocity)
-            losses.append(loss)
-        log.append((epoch, float(np.mean(losses))))
-    return log
+            losses[epoch, bi] = loss
+    return losses
+
+
+def _epoch_log(losses):
+    """(epoch, mean batch loss) pairs of an [epochs, batches] loss array."""
+    return [(epoch, float(np.mean(row))) for epoch, row in enumerate(losses)]
 
 
 def train_dcae(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
                rng: Rng) -> DcaeModel:
-    """Jointly optimize both scale autoencoders on healthy patch pairs."""
+    """Train both scale autoencoders on healthy patch pairs, one scale per thread.
+
+    Each scale runs its own momentum SGD over the same shuffled batches of
+    pair rows; the log holds each epoch's mean over batches of the two
+    scales' mean loss. If a scale fails, the other still finishes its run,
+    and the error is raised with scales_trained and scale_log untouched.
+    """
     if dataset.split != "healthy-train":
         raise UsageError(f"train_dcae expects the healthy-train split, got {dataset.split!r}")
     _check_patch_side(model, dataset)
-    x1 = dataset.scale1[..., None]
-    x2 = dataset.scale2[..., None]
 
-    def half(net, x, step_rng):
-        out, tape = net.forward(x, True, step_rng)
-        grads = net.backward(tape, nc.mse_grad(x, out))
-        return nc.mse(x, out), grads
+    def train(net, x, scale):
+        def step(idx, step_rng):
+            batch = x[idx]
+            out, tape = net.forward(batch, True, step_rng.derive(scale))
+            return nc.mse(batch, out), net.backward(tape, nc.mse_grad(batch, out))
 
-    def step(idx, step_rng):
-        (l1, g1), (l2, g2) = _both_scales(
-            lambda: half(model.scale1, x1[idx], step_rng.derive(1)),
-            lambda: half(model.scale2, x2[idx], step_rng.derive(2)))
-        return 0.5 * (l1 + l2), g1 + g2
+        return _sgd_epochs(net.params(), len(dataset), hyper.epochs, hyper, rng, 1000, 0, step)
 
-    params = model.scale1.params() + model.scale2.params()
-    model.scale_log.extend(_sgd_epochs(params, len(dataset), hyper.epochs, hyper, rng,
-                                       1000, 0, step))
+    losses1, losses2 = _both_scales(lambda: train(model.scale1, dataset.scale1[..., None], 1),
+                                    lambda: train(model.scale2, dataset.scale2[..., None], 2))
+    model.scale_log.extend(_epoch_log(0.5 * (losses1 + losses2)))
     model.scales_trained = True
     return model
 
 
-def _batched(fn, model: DcaeModel, dataset: PatchDataset):
-    """fn(model, scale1 rows, scale2 rows) over EMBED_ROWS-row slices, stacked;
-    an empty dataset is one zero-row call, so the result keeps fn's width."""
-    return np.concatenate([fn(model, dataset.scale1[start : start + EMBED_ROWS],
-                              dataset.scale2[start : start + EMBED_ROWS])
-                           for start in range(0, len(dataset), EMBED_ROWS) or [0]], axis=0)
+def _batched(fn, rows):
+    """fn over EMBED_ROWS-row slices of rows, stacked; zero rows are one
+    zero-row call, so the result keeps fn's width."""
+    return np.concatenate([fn(rows[start : start + EMBED_ROWS])
+                           for start in range(0, len(rows), EMBED_ROWS) or [0]], axis=0)
 
 
-def _encode_scales(model: DcaeModel, scale1_batch, scale2_batch):
-    return np.concatenate(_both_scales(lambda: model.scale1.encode(scale1_batch[..., None]),
-                                       lambda: model.scale2.encode(scale2_batch[..., None])),
-                          axis=1)
+def _scale_codes(model: DcaeModel, dataset: PatchDataset):
+    """[len, 2 * code_dim] scale-1 then scale-2 codes, one scale per thread."""
+    x1, x2 = dataset.scale1[..., None], dataset.scale2[..., None]
+    return np.concatenate(_both_scales(lambda: _batched(model.scale1.encode, x1),
+                                       lambda: _batched(model.scale2.encode, x2)), axis=1)
 
 
 def train_fusion(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
@@ -251,7 +251,7 @@ def train_fusion(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
     _check_patch_side(model, dataset)
     if not model.scales_trained:
         raise UsageError("scale encoders must be trained before the fusion DAE")
-    clean = _batched(_encode_scales, model, dataset)
+    clean = _scale_codes(model, dataset)
 
     def step(idx, step_rng):
         target = clean[idx]
@@ -260,25 +260,16 @@ def train_fusion(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
         out, tape = model.fusion.forward(corrupted, training=True)
         return nc.mse(target, out), model.fusion.backward(tape, nc.mse_grad(target, out))
 
-    model.fusion_log.extend(_sgd_epochs(model.fusion.params(), clean.shape[0],
-                                        hyper.fusion_epochs, hyper, rng,
-                                        2_000_000, 3_000_000, step))
+    model.fusion_log.extend(_epoch_log(_sgd_epochs(model.fusion.params(), clean.shape[0],
+                                                   hyper.fusion_epochs, hyper, rng,
+                                                   2_000_000, 3_000_000, step)))
     model.fusion_trained = True
     return model
 
 
-def embed_pairs(model: DcaeModel, scale1_batch, scale2_batch):
-    """Feature vectors z for stacked patch batches; pure inference."""
+def embed_dataset(model: DcaeModel, dataset: PatchDataset):
+    """Feature vectors z of every pair; pure inference."""
+    _check_patch_side(model, dataset)
     if not (model.scales_trained and model.fusion_trained):
         raise UsageError("model is not fully trained")
-    side = model.preset.patch_side
-    expected = (len(scale1_batch), side, side)
-    if np.shape(scale1_batch) != expected or np.shape(scale2_batch) != expected:
-        raise UsageError(f"embed_pairs expects two {expected} batches, "
-                         f"got {np.shape(scale1_batch)} and {np.shape(scale2_batch)}")
-    return model.fusion.encode(_encode_scales(model, scale1_batch, scale2_batch))
-
-
-def embed_dataset(model: DcaeModel, dataset: PatchDataset):
-    _check_patch_side(model, dataset)
-    return _batched(embed_pairs, model, dataset)
+    return _batched(model.fusion.encode, _scale_codes(model, dataset))

@@ -55,10 +55,10 @@ class GradTape:
             raise UsageError(f"tape holds no record for {layer!r}") from None
 
 
-def glorot_uniform(rng: Rng, shape, fan_in, fan_out, dtype=np.float32):
-    """Symmetric uniform init in +-sqrt(6/(fan_in+fan_out))."""
+def glorot_uniform(rng: Rng, shape, fan_in, fan_out):
+    """Symmetric float32 uniform init in +-sqrt(6/(fan_in+fan_out))."""
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 class Layer:
@@ -89,20 +89,17 @@ class Layer:
 
 
 class Conv2D(Layer):
-    def __init__(self, kernel_size, in_channels, out_channels, dtype=np.float32):
+    def __init__(self, kernel_size, in_channels, out_channels):
         self.k = int(kernel_size)
         self.cin = int(in_channels)
         self.cout = int(out_channels)
-        self.dtype = dtype
-        self.kernels = np.zeros((self.k, self.k, self.cin, self.cout), dtype)
-        self.bias = np.zeros(self.cout, dtype)
+        self.kernels = np.zeros((self.k, self.k, self.cin, self.cout), np.float32)
+        self.bias = np.zeros(self.cout, np.float32)
 
     def init(self, rng):
         fan = self.k * self.k
-        self.kernels = glorot_uniform(
-            rng, self.kernels.shape, fan * self.cin, fan * self.cout, self.dtype
-        )
-        self.bias = np.zeros(self.cout, self.dtype)
+        self.kernels = glorot_uniform(rng, self.kernels.shape, fan * self.cin, fan * self.cout)
+        self.bias = np.zeros(self.cout, np.float32)
 
     def params(self):
         return [self.kernels, self.bias]
@@ -122,14 +119,13 @@ class Conv2D(Layer):
 class Deconv2D(Layer):
     """Adjoint-of-conv layer with a per-channel output bias."""
 
-    def __init__(self, kernel_size, out_channels, in_channels, dtype=np.float32):
+    def __init__(self, kernel_size, out_channels, in_channels):
         # maps [N,H,W,in_channels] -> [N, H+k-1, W+k-1, out_channels]
         self.k = int(kernel_size)
         self.cin = int(in_channels)  # channels of the incoming tensor
         self.cout = int(out_channels)
-        self.dtype = dtype
-        self.kernels = np.zeros((self.k, self.k, self.cout, self.cin), dtype)
-        self.bias = np.zeros(self.cout, dtype)
+        self.kernels = np.zeros((self.k, self.k, self.cout, self.cin), np.float32)
+        self.bias = np.zeros(self.cout, np.float32)
 
     # Conv2D's: Glorot-uniform kernels from k, cin and cout, and a zero bias
     init = Conv2D.init
@@ -174,18 +170,17 @@ class Unpool2D(Layer):
 
 
 class Dense(Layer):
-    def __init__(self, in_dim, out_dim, dtype=np.float32):
+    def __init__(self, in_dim, out_dim):
         self.din = int(in_dim)
         self.dout = int(out_dim)
         if self.dout < 1:
             raise ParameterError(f"dense unit count must be >= 1, got {out_dim}")
-        self.dtype = dtype
-        self.weight = np.zeros((self.din, self.dout), dtype)
-        self.bias = np.zeros(self.dout, dtype)
+        self.weight = np.zeros((self.din, self.dout), np.float32)
+        self.bias = np.zeros(self.dout, np.float32)
 
     def init(self, rng):
-        self.weight = glorot_uniform(rng, self.weight.shape, self.din, self.dout, self.dtype)
-        self.bias = np.zeros(self.dout, self.dtype)
+        self.weight = glorot_uniform(rng, self.weight.shape, self.din, self.dout)
+        self.bias = np.zeros(self.dout, np.float32)
 
     def params(self):
         return [self.weight, self.bias]
@@ -269,9 +264,11 @@ class Network:
         return out
 
     def forward(self, x, training=False, rng: Rng | None = None):
+        """(output, tape). Dropout layers, the only ones that draw, get the
+        stream rng.derive(index of the layer); every other layer gets None."""
         tape = GradTape(owner=id(self))
         for i, layer in enumerate(self.layers):
-            lrng = rng.derive(i) if rng is not None else None
+            lrng = rng.derive(i) if rng is not None and isinstance(layer, Dropout) else None
             x = layer.forward(x, tape, training, lrng)
         return x, tape
 

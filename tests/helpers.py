@@ -1,4 +1,7 @@
-"""Shared test utilities: finite-difference oracle and error measures."""
+"""Shared test utilities: finite-difference oracle, error measures and
+float64 copies of float32 networks."""
+
+import copy
 
 import numpy as np
 
@@ -17,6 +20,16 @@ def numerical_grad(f, x, eps=1e-3):
         g[i] = (f(xp) - f(xm)) / (2 * eps)
         it.iternext()
     return g
+
+
+def float64_twin(net):
+    """A deep copy of `net` whose parameters are float64 copies of its own."""
+    twin = copy.deepcopy(net)
+    for layer in twin.layers:
+        for name in ("kernels", "weight", "bias"):
+            if hasattr(layer, name):
+                setattr(layer, name, getattr(layer, name).astype(np.float64))
+    return twin
 
 
 def rel_err(a, b):

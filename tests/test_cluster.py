@@ -224,6 +224,12 @@ class TestAssign:
         replay = cluster.assign_batch(model, X)
         assert np.array_equal(replay, res.assignment)
 
+    def test_non_unit_centroid_rejected(self):
+        centroids = np.eye(3)
+        centroids[1] *= 1.5
+        with pytest.raises(InputError, match="unit norm"):
+            cluster.ClusterModel(centroids=centroids, k=3, db_trace=[])
+
 
 class TestLoopOracles:
     """The array code against its per-row and per-cluster loop formulation,

@@ -12,7 +12,7 @@ import pytest
 
 from anomkit import dcae, patches, phantom, preprocess
 from anomkit import numcore as nc
-from anomkit.errors import DimensionError, InputError, ParameterError, UsageError
+from anomkit.errors import DimensionError, InputError, ParameterError, TrainingError, UsageError
 from anomkit.rng import Rng
 
 from oracles import embed_oracle, train_fusion_oracle, train_scales_oracle
@@ -78,9 +78,9 @@ def test_matches_the_written_out_loops(healthy, preset, hyper):
     assert trained.scale_log == scale_log
     assert trained.fusion_log == fusion_log
     s1, s2 = healthy.scale1, healthy.scale2
-    assert np.array_equal(dcae.embed_dataset(trained, healthy),
-                          embed_oracle(ref, s1, s2, batch=50))
-    assert np.array_equal(dcae.embed_pairs(trained, s1, s2), embed_oracle(ref, s1, s2, len(s1)))
+    z = dcae.embed_dataset(trained, healthy)
+    assert np.array_equal(z, embed_oracle(ref, s1, s2, batch=50))
+    assert np.array_equal(z, embed_oracle(ref, s1, s2, len(s1)))
     # 128-row batches against the oracle's 512 rows, over several of each and
     # a partial last one of each
     tiled = _rows(healthy, np.resize(np.arange(len(healthy)), 600))
@@ -103,7 +103,7 @@ def test_encode_plan_equals_the_inference_forward(healthy, preset, hyper):
                 got = net.encode(batch)
                 assert got.dtype == want.dtype == dtype
                 assert np.array_equal(got, want)
-    codes = dcae._encode_scales(model, healthy.scale1, healthy.scale2)
+    codes = dcae._scale_codes(model, healthy)
     for dtype in (np.float32, np.float64):
         batch = codes.astype(dtype)
         want = nc.Network(model.fusion.encoder.layers).forward(batch, training=False)[0]
@@ -114,6 +114,10 @@ def _rows(ds, index):
     """The rows `index` of ds as a dataset of their own."""
     return patches.PatchDataset(ds.scale1[index], ds.scale2[index],
                                 [ds.sources[i] for i in index], ds.split, ds.preset)
+
+
+def _scale_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("dcae-scale1")]
 
 
 class TestScaleHalves:
@@ -154,23 +158,46 @@ class TestScaleHalves:
         conv.kernels = kernels[..., None]
         try:
             with pytest.raises(DimensionError, match=r"kernels must be \[k,k,Cin,Cout\]"):
-                dcae.embed_pairs(trained, s1, s2)
+                dcae.embed_dataset(trained, healthy)
         finally:
             conv.kernels = kernels
-        assert np.array_equal(dcae.embed_pairs(trained, s1, s2),
+        assert np.array_equal(dcae.embed_dataset(trained, healthy),
                               embed_oracle(trained, s1, s2, len(s1)))
+
+    def test_no_scale_thread_outlives_its_stage(self, healthy):
+        rng = Rng(98)
+        model = dcae.build_model(TINY, rng.derive(1))
+        hyper = dcae.TrainConfig(epochs=1, batch_size=64, fusion_epochs=1)
+        for stage in (lambda: dcae.train_dcae(model, healthy, hyper, rng.derive(2)),
+                      lambda: dcae.train_fusion(model, healthy, hyper, rng.derive(3)),
+                      lambda: dcae.embed_dataset(model, healthy)):
+            stage()
+            assert _scale_threads() == []
+
+    @pytest.mark.parametrize("broken, other", [("scale1", "scale2"), ("scale2", "scale1")])
+    def test_a_non_finite_scale_fails_once_the_other_has_trained(self, healthy, broken, other):
+        hyper = dcae.TrainConfig(lr=1e-2, epochs=2, batch_size=32)
+        clean = dcae.train_dcae(dcae.build_model(TINY, Rng(99)), healthy, hyper, Rng(100))
+        model = dcae.build_model(TINY, Rng(99))
+        getattr(model, broken).layers[-1].bias[:] = np.nan  # the linear output
+        with pytest.raises(TrainingError, match="non-finite loss nan at epoch 0, batch 0"):
+            dcae.train_dcae(model, healthy, hyper, Rng(100))
+        assert not model.scales_trained and model.scale_log == []
+        assert _scale_threads() == []
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(getattr(model, other).params(), getattr(clean, other).params(), strict=True))
 
     # Python 3.12+ warns on any fork of a process that has started a thread
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_gets_its_own_worker(self, healthy, trained):
-        s1, s2 = healthy.scale1[:8], healthy.scale2[:8]
-        expected = dcae.embed_pairs(trained, s1, s2)  # the parent's worker has started
+        first8 = _rows(healthy, np.arange(8))
+        expected = dcae.embed_dataset(trained, first8)  # the parent has run a scale thread
         pid = os.fork()
         if pid == 0:
             ok = False
             try:
-                ok = np.array_equal(dcae.embed_pairs(trained, s1, s2), expected)
+                ok = np.array_equal(dcae.embed_dataset(trained, first8), expected)
             finally:
                 os._exit(0 if ok else 1)
         deadline = time.monotonic() + 30
@@ -194,7 +221,7 @@ def test_embed_dataset_shape(healthy, trained):
     z = dcae.embed_dataset(trained, healthy)
     assert z.shape == (len(healthy), TINY.fusion_dim)
     assert np.all(np.isfinite(z))
-    assert np.array_equal(z, dcae.embed_pairs(trained, healthy.scale1, healthy.scale2))
+    assert np.array_equal(z, dcae.embed_dataset(trained, healthy))
 
 
 class TestZeroRows:
@@ -242,10 +269,10 @@ class TestCallOrder:
     def test_embed_before_training(self, healthy):
         model = dcae.build_model(TINY, Rng(85))
         with pytest.raises(UsageError):
-            dcae.embed_pairs(model, healthy.scale1[:2], healthy.scale2[:2])
+            dcae.embed_dataset(model, _rows(healthy, np.arange(2)))
         dcae.train_dcae(model, healthy, dcae.TrainConfig(epochs=1, batch_size=64), Rng(86))
         with pytest.raises(UsageError):  # scales alone are not enough
-            dcae.embed_pairs(model, healthy.scale1[:2], healthy.scale2[:2])
+            dcae.embed_dataset(model, _rows(healthy, np.arange(2)))
 
     def test_train_on_non_healthy_split(self, healthy):
         model = dcae.build_model(TINY, Rng(87))
@@ -270,9 +297,13 @@ class TestPatchSide:
         with pytest.raises(UsageError, match="16px patches"):
             self.CALLS[call](model, healthy)
 
-    def test_embed_pairs_checks_batch_shapes(self, healthy, trained):
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_scale_arrays_must_be_len_side_side(self, healthy, call):
+        model = dcae.build_model(TINY, Rng(89))
+        model.scales_trained = model.fusion_trained = True  # only the shapes are wrong
         s1, s2 = healthy.scale1[:4], healthy.scale2[:4]
-        for b1, b2 in ((s1[:, :8, :8], s2[:, :8, :8]), (s1, s2[:3]),
+        for b1, b2 in ((s1[:, :8, :8], s2[:, :8, :8]), (s1, s2[:3]), (s1[:3], s2),
                        (s1[..., None], s2[..., None])):
+            ds = patches.PatchDataset(b1, b2, healthy.sources[:4], healthy.split, healthy.preset)
             with pytest.raises(UsageError, match="expects two"):
-                dcae.embed_pairs(trained, b1, b2)
+                self.CALLS[call](model, ds)

@@ -6,8 +6,6 @@ parameter gradients stay close to those of a float64 twin with the same
 weights.
 """
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -15,23 +13,13 @@ from anomkit import dcae
 from anomkit import numcore as nc
 from anomkit.rng import Rng
 
-from helpers import rel_err
+from helpers import float64_twin, rel_err
 
 TINY = dcae.DcaePreset("tiny", patch_side=16, conv_kernels=4, conv_size=5, pool=2,
                        dense_hidden=16, code_dim=8, fusion_dim=4)
 # max |float32 - float64| over the largest magnitude of each array; about 84
 # float32 ulps, ten times the drift measured on the desk shapes below
 RTOL = 1e-5
-
-
-def float64_twin(net):
-    """A deep copy of `net` whose parameters are float64 copies of its own."""
-    twin = copy.deepcopy(net)
-    for layer in twin.layers:
-        for name in ("kernels", "weight", "bias"):
-            if hasattr(layer, name):
-                setattr(layer, name, getattr(layer, name).astype(np.float64))
-    return twin
 
 
 def training_pass(net, x, seed):

@@ -6,7 +6,7 @@ from anomkit import numcore as nc
 from anomkit.numcore import ops
 from anomkit.rng import Rng
 
-from helpers import numerical_grad, rel_err
+from helpers import float64_twin, numerical_grad, rel_err
 
 TOL = 1e-4
 EPS = 1e-3
@@ -52,8 +52,9 @@ def check_network_grads(net, x, target):
 
 def test_dense_layer_grad():
     rng = Rng(10)
-    net = nc.Network([nc.Dense(6, 4, dtype=np.float64), nc.Elu()])
+    net = nc.Network([nc.Dense(6, 4), nc.Elu()])
     net.init(rng)
+    net = float64_twin(net)
     x = rng.normal(size=6)
     target = rng.normal(size=4)
     check_network_grads(net, x, target)
@@ -63,12 +64,13 @@ def test_conv_pool_elu_stack_grad():
     rng = Rng(11)
     net = nc.Network(
         [
-            nc.Conv2D(3, 1, 2, dtype=np.float64),
+            nc.Conv2D(3, 1, 2),
             nc.Elu(),
             nc.MaxPool2D(2),
         ]
     )
     net.init(rng)
+    net = float64_twin(net)
     x = rng.normal(size=(7, 7, 1))
     target = rng.normal(size=(2, 2, 2))
     check_network_grads(net, x, target)
@@ -81,10 +83,11 @@ def test_deconv_unpool_grad():
         [
             pool,
             nc.Unpool2D(pool),
-            nc.Deconv2D(3, 1, 1, dtype=np.float64),
+            nc.Deconv2D(3, 1, 1),
         ]
     )
     net.init(rng)
+    net = float64_twin(net)
     x = rng.normal(size=(6, 6, 1))
     target = rng.normal(size=(8, 8, 1))
     check_network_grads(net, x, target)
@@ -96,24 +99,25 @@ def test_full_encoder_decoder_grad():
     pool = nc.MaxPool2D(2)
     net = nc.Network(
         [
-            nc.Conv2D(3, 1, 3, dtype=np.float64),
+            nc.Conv2D(3, 1, 3),
             nc.Elu(),
             pool,
             nc.Reshape((3 * 3 * 3,)),
-            nc.Dense(27, 8, dtype=np.float64),
+            nc.Dense(27, 8),
             nc.Elu(),
-            nc.Dense(8, 5, dtype=np.float64),
+            nc.Dense(8, 5),
             nc.Elu(),
-            nc.Dense(5, 8, dtype=np.float64),
+            nc.Dense(5, 8),
             nc.Elu(),
-            nc.Dense(8, 27, dtype=np.float64),
+            nc.Dense(8, 27),
             nc.Elu(),
             nc.Reshape((3, 3, 3)),
             nc.Unpool2D(pool),
-            nc.Deconv2D(3, 1, 3, dtype=np.float64),
+            nc.Deconv2D(3, 1, 3),
         ]
     )
     net.init(rng)
+    net = float64_twin(net)
     x = rng.normal(size=(8, 8, 1)) * 0.5
     target = x  # autoencoder objective
     check_network_grads(net, x, target)
@@ -141,14 +145,14 @@ def test_stale_tape_rejected():
     from anomkit.errors import UsageError
 
     rng = Rng(16)
-    net = nc.Network([nc.Dense(3, 2, dtype=np.float64)])
+    net = nc.Network([nc.Dense(3, 2)])
     net.init(rng)
     out, tape = net.forward(rng.normal(size=(1, 3)))
     net.backward(tape, np.ones_like(out))
     with pytest.raises(UsageError):
         net.backward(tape, np.ones_like(out))
 
-    other = nc.Network([nc.Dense(3, 2, dtype=np.float64)])
+    other = nc.Network([nc.Dense(3, 2)])
     other.init(rng)
     out2, tape2 = net.forward(rng.normal(size=(1, 3)))
     with pytest.raises(UsageError):

@@ -167,6 +167,7 @@ class TestConvGradients:
     def _backward(layer, in_shape, dtype, seed):
         rng = Rng(seed)
         layer.init(rng.derive(0))
+        layer.kernels, layer.bias = layer.kernels.astype(dtype), layer.bias.astype(dtype)
         x = rng.normal(size=in_shape).astype(dtype)
         tape = nc.GradTape(owner=None)
         grad = rng.normal(size=layer.forward(x, tape, True, None).shape).astype(dtype)
@@ -175,7 +176,7 @@ class TestConvGradients:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_deconv2d_layer_matches_oracle(self, k, dtype):
-        layer = nc.Deconv2D(k, out_channels=2, in_channels=3, dtype=dtype)
+        layer = nc.Deconv2D(k, out_channels=2, in_channels=3)
         x, grad, grad_x, (gk, gb) = self._backward(layer, (4, 6, 7, 3), dtype, 600 + k)
         want_x, want_k = deconv2d_backward_oracle(grad, x, layer.kernels)
         assert grad_x.dtype == gk.dtype == gb.dtype == dtype
@@ -186,7 +187,7 @@ class TestConvGradients:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_conv2d_kernel_grad_matches_oracle(self, k, dtype):
-        layer = nc.Conv2D(k, in_channels=3, out_channels=2, dtype=dtype)
+        layer = nc.Conv2D(k, in_channels=3, out_channels=2)
         x, grad, _, (gk, gb) = self._backward(layer, (4, 9, 8, 3), dtype, 700 + k)
         want_k, want_b = conv2d_param_grads_oracle(grad, x, layer.kernels)
         kernel_grad = ops.conv2d_kernel_grad(grad, x, layer.kernels)
@@ -242,6 +243,19 @@ class TestDropout:
         keep = Rng(7).random(x.shape, dtype=np.float32) >= np.float32(0.3)
         assert mask.dtype == dtype
         assert np.array_equal(mask, keep / dtype(0.7))
+
+    def test_a_network_hands_its_stream_to_dropout_only(self):
+        seen = []
+
+        class Spy(nc.Elu):
+            def forward(self, x, tape, training, rng):
+                seen.append(rng)
+                return super().forward(x, tape, training, rng)
+
+        x = np.ones((8, 50), np.float32)
+        out, _ = nc.Network([Spy(), nc.Dropout(0.3), Spy()]).forward(x, True, Rng(7))
+        assert seen == [None, None]
+        assert np.array_equal(out, ops.dropout(x, 0.3, Rng(7).derive(1))[0])
 
 
 class TestMse:
