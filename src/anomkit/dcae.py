@@ -16,15 +16,16 @@ DROPOUT, MOMENTUM and CORRUPTION.
 
 The two scales share no layer, tape, parameter or generator, so a stage that
 needs both (training the scales, or encoding them for the fusion DAE or for
-z) forks once: scale 1's whole run goes to a thread started for that call,
-scale 2's runs on the caller's thread, and the call joins the thread before
-it returns. Each scale draws its own RNG streams (`derive(1)` or `derive(2)`
-of each step's), and numpy's ufuncs, sgemm and Philox fills release the GIL,
-so the scales overlap on two cores and the outputs are bit-identical to
-running them one after the other. A failed scale does not stop the other:
-the error is raised once both runs have ended, scale 1's first. The failed
-stage leaves its trained flag and loss log as they were, and each scale's
-parameters as far as that scale's run got.
+z) forks once through `_fork.both`: scale 1's whole run goes to a thread
+started for that call, scale 2's runs on the caller's thread, and the call
+joins the thread before it returns. Each scale draws its own RNG streams
+(`derive(1)` or `derive(2)` of each step's), and numpy's ufuncs, sgemm and
+Philox fills release the GIL, so the scales overlap on two cores and the
+outputs are bit-identical to running them one after the other. A failed
+scale does not stop the other: the error is raised once both runs have
+ended, scale 1's first. The failed stage leaves its trained flag and loss
+log as they were, and each scale's parameters as far as that scale's run
+got.
 
 Encoding runs each encoder's inference plan (`numcore.Network.infer`): no
 tape, no RNG and no Dropout, and the first ELU after a max pool that keeps no
@@ -44,12 +45,12 @@ the same output.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import numcore as nc
+from ._fork import both
 from .errors import InputError, ParameterError, TrainingError, UsageError
 from .patches import PatchDataset
 from .presets import PRESETS, DcaePreset, get_preset  # noqa: F401  PRESETS is re-exported
@@ -145,22 +146,6 @@ def build_model(preset, rng: Rng) -> DcaeModel:
     return DcaeModel(preset=p, scale1=s1, scale2=s2, fusion=fusion)
 
 
-def _both_scales(half1, half2):
-    """(half1(), half2()), with half1 on a thread of its own and half2 here.
-
-    Both halves have finished, and the thread has ended, before this returns
-    or raises; an error of half1 takes precedence, as it would if the halves
-    ran in scale order.
-    """
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dcae-scale1") as worker:
-        future = worker.submit(half1)
-        try:
-            second = half2()
-        finally:
-            first = future.result()
-    return first, second
-
-
 def _check_patch_side(model: DcaeModel, dataset: PatchDataset):
     side = model.preset.patch_side
     if dataset.preset.patch_side != side:
@@ -224,8 +209,9 @@ def train_dcae(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
 
         return _sgd_epochs(net.params(), len(dataset), hyper.epochs, hyper, rng, 1000, 0, step)
 
-    losses1, losses2 = _both_scales(lambda: train(model.scale1, dataset.scale1[..., None], 1),
-                                    lambda: train(model.scale2, dataset.scale2[..., None], 2))
+    losses1, losses2 = both(lambda: train(model.scale1, dataset.scale1[..., None], 1),
+                            lambda: train(model.scale2, dataset.scale2[..., None], 2),
+                            "dcae-scale1")
     model.scale_log.extend(_epoch_log(0.5 * (losses1 + losses2)))
     model.scales_trained = True
     return model
@@ -241,8 +227,9 @@ def _batched(fn, rows):
 def _scale_codes(model: DcaeModel, dataset: PatchDataset):
     """[len, 2 * code_dim] scale-1 then scale-2 codes, one scale per thread."""
     x1, x2 = dataset.scale1[..., None], dataset.scale2[..., None]
-    return np.concatenate(_both_scales(lambda: _batched(model.scale1.encode, x1),
-                                       lambda: _batched(model.scale2.encode, x2)), axis=1)
+    return np.concatenate(both(lambda: _batched(model.scale1.encode, x1),
+                               lambda: _batched(model.scale2.encode, x2), "dcae-scale1"),
+                          axis=1)
 
 
 def train_fusion(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,

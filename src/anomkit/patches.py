@@ -8,12 +8,13 @@ preset's `patch_side` (`presets.PRESETS`); the 4x width is this module's own.
 
 `cut_pairs` cuts every pair of one slice at once: the slice is edge-padded
 once, the 1x4 means of the padded slice are taken once with a sliding
-window, and all crops are gathered by fancy indexing, the wide scale from
-those means at column stride 4. Each mean is `np.mean` over the same four
-values as a per-pair 1x4 average, so the pairs are bit-identical to cropping
-each one and averaging it (`tests/oracles.pair_oracle`). `build_dataset` keeps
-the in-retina records in the (slice, id) order `PreprocessedVolume.superpixels`
-holds them in, applies `cap` to those rows, and cuts pairs only for those kept.
+window, and all crops are gathered by indexing window views of the two at
+their top-left corners, the wide scale's view stepping 4 columns through the
+means. Each mean is `np.mean` over the same four values as a per-pair 1x4
+average, so the pairs are bit-identical to cropping each one and averaging
+it (`tests/oracles.pair_oracle`). `build_dataset` keeps the in-retina
+records in the (slice, id) order `PreprocessedVolume.superpixels` holds them
+in, applies `cap` to those rows, and cuts pairs only for those kept.
 """
 
 from __future__ import annotations
@@ -47,10 +48,12 @@ def cut_pairs(slice_img, centers, preset):
     # means[i, j] is the mean of padded[i, j : j + 4]: 1x4 average pooling of
     # every wide crop at once, each crop reading every 4th column
     means = sliding_window_view(padded, 4, axis=1).mean(axis=-1)
-    rows = (r + pad - s // 2)[:, None, None] + np.arange(s)[None, :, None]
-    cols1 = (c + pad - s // 2)[:, None, None] + np.arange(s)
-    cols2 = c[:, None, None] + 4 * np.arange(s)  # starts pad columns left of c
-    return padded[rows, cols1].astype(np.float32), means[rows, cols2].astype(np.float32)
+    top = r + pad - s // 2
+    scale1 = sliding_window_view(padded, (s, s))[top, c + pad - s // 2]
+    # the wide crop reads every 4th column of an (s, 4s - 3) window of means,
+    # starting pad columns left of c
+    scale2 = sliding_window_view(means, (s, 4 * s - 3))[..., ::4][top, c]
+    return scale1.astype(np.float32), scale2.astype(np.float32)
 
 
 def cut_at_centroids(rows, preset):

@@ -121,35 +121,6 @@ def _scale_threads():
 
 
 class TestScaleHalves:
-    def test_scale1_runs_on_the_worker_and_scale2_here(self):
-        ids = dcae._both_scales(threading.get_ident, threading.get_ident)
-        assert ids[1] == threading.get_ident() != ids[0]
-
-    def test_the_worker_finishes_before_an_error_is_raised(self):
-        finished = []
-
-        def slow():
-            time.sleep(0.05)
-            finished.append(True)
-
-        def fail():
-            raise InputError("scale 2")
-
-        with pytest.raises(InputError, match="scale 2"):
-            dcae._both_scales(slow, fail)
-        assert finished == [True]
-
-    def test_scale1_error_comes_first(self):
-        def fail1():
-            time.sleep(0.05)
-            raise DimensionError("scale 1")
-
-        def fail2():
-            raise InputError("scale 2")
-
-        with pytest.raises(DimensionError, match="scale 1"):
-            dcae._both_scales(fail1, fail2)
-
     @pytest.mark.parametrize("scale", ["scale1", "scale2"])
     def test_a_broken_scale_raises_its_typed_error(self, healthy, trained, scale):
         conv = getattr(trained, scale).layers[0]

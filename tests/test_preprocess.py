@@ -1,5 +1,8 @@
 """Surface segmentation, flattening, normalization, SLIC superpixels."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from anomkit import phantom, preprocess
-from anomkit.errors import AnomkitError, InputError, SegmentationError
+from anomkit.errors import AnomkitError, DimensionError, InputError, SegmentationError
 from anomkit.rng import Rng
 
 from oracles import (connected_regions_oracle, segment_surfaces_oracle, slic_oracle,
@@ -64,11 +67,10 @@ class TestSegmentSurfaces:
             phantom.healthy_config(33, n_slices=3, height=32, width=40))
         data = vol.data.copy()
         data[2, 0, 0] = data[1, 9, 3] = data[1, 5, 7] = value
-        for fn in (preprocess.segment_surfaces, preprocess.preprocess_volume):
+        for fn in (preprocess.segment_surfaces, preprocess.preprocess_volume,
+                   preprocess.slic_superpixels):
             with pytest.raises(InputError, match=rf"non-finite value {value} at index \(1, 5, 7\)"):
                 fn(data)
-        with pytest.raises(InputError, match=r"at index \(5, 7\)"):
-            preprocess.slic_superpixels(data[1])
 
 
 def outcome(fn, data):
@@ -89,6 +91,15 @@ def assert_same_outcome(got, want):
         assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
+def assert_slic_matches_oracle(stack):
+    """SLIC of a whole [S, H, W] stack equals the oracle on each slice."""
+    labels = preprocess.slic_superpixels(stack)
+    assert labels.shape == stack.shape
+    for got, img in zip(labels, stack, strict=True):
+        assert_same_outcome(got, slic_oracle(img))
+
+
+DEPTHS = st.integers(1, 4)  # slices per SLIC stack
 # coarse levels make constant slices and ties common
 LEVELS = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
 
@@ -99,15 +110,15 @@ class TestAgainstOracles:
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 10_000),
-           st.sampled_from([(6, 61, 77), (3, 96, 128), (2, 128, 128), (4, 50, 90)]))
-    def test_phantoms(self, seed, shape):
+           st.sampled_from([(6, 61, 77), (3, 96, 128), (2, 128, 128), (4, 50, 90)]), DEPTHS)
+    def test_phantoms(self, seed, shape, depth):
         n_slices, height, width = shape
         vol, _ = phantom.generate_volume(
             phantom.healthy_config(seed, n_slices=n_slices, height=height, width=width))
         assert_same_outcome(preprocess.segment_surfaces(vol.data),
                             segment_surfaces_oracle(vol.data))
-        for img in vol.data:
-            assert_same_outcome(preprocess.slic_superpixels(img), slic_oracle(img))
+        for start in range(0, n_slices, depth):
+            assert_slic_matches_oracle(vol.data[start : start + depth])
 
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(8, 14),
@@ -117,11 +128,11 @@ class TestAgainstOracles:
                             outcome(segment_surfaces_oracle, vol))
 
     @settings(max_examples=60, deadline=None)
-    @given(arrays(np.float64, st.tuples(st.integers(1, 3 * preprocess.STEP + 1),
+    @given(arrays(np.float64, st.tuples(DEPTHS, st.integers(1, 3 * preprocess.STEP + 1),
                                         st.integers(1, 3 * preprocess.STEP + 1)),
                   elements=LEVELS))
-    def test_random_slices_slic(self, img):
-        assert_same_outcome(preprocess.slic_superpixels(img), slic_oracle(img))
+    def test_random_slices_slic(self, stack):
+        assert_slic_matches_oracle(stack)
 
     # every residue of the height and the width modulo STEP, so every size of
     # the last grid cell, and with it every count of phases in the layout
@@ -134,13 +145,23 @@ class TestAgainstOracles:
     @given(st.data())
     def test_slic_on_every_last_cell_size(self, shape, data):
         """Sparse draws of the tie-heavy LEVELS, and dense seeded images of
-        coarse levels or uniform values."""
+        coarse levels or uniform values; a stack of four 128x128 slices fills
+        one SLIC pass, and four larger slices take one pass each."""
+        shape = (data.draw(DEPTHS),) + shape
         sparse = data.draw(arrays(np.float64, shape, elements=LEVELS))
-        assert_same_outcome(preprocess.slic_superpixels(sparse), slic_oracle(sparse))
+        assert_slic_matches_oracle(sparse)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         dense = (rng.choice([0.0, 0.25, 0.5, 1.0], size=shape) if data.draw(st.booleans())
                  else rng.random(shape))
-        assert_same_outcome(preprocess.slic_superpixels(dense), slic_oracle(dense))
+        assert_slic_matches_oracle(dense)
+
+    @pytest.mark.parametrize("per_pass", [1, 2, 3])
+    def test_passes_of_several_slices(self, monkeypatch, per_pass):
+        """Seven slices in passes of per_pass slices each, the last one short."""
+        vol, _ = phantom.generate_volume(
+            phantom.healthy_config(36, n_slices=7, height=29, width=34))
+        monkeypatch.setattr(preprocess, "SLIC_PIXELS", per_pass * 29 * 34 + 5)
+        assert_slic_matches_oracle(vol.data)
 
 
 class TestFlatten:
@@ -251,7 +272,7 @@ class TestNormalizeSlice:
 class TestSlic:
     def test_constant_image_gives_grid(self):
         img = np.full((32, 32), 0.5)
-        labels = preprocess.slic_superpixels(img)
+        labels = preprocess.slic_superpixels(img[None])[0]
         assert labels.shape == (32, 32)
         ids, areas = np.unique(labels, return_counts=True)
         assert ids.size == 64
@@ -264,7 +285,7 @@ class TestSlic:
     def test_partition_property(self):
         vol, _ = phantom.generate_volume(phantom.healthy_config(26))
         prep_img = vol.data[0]
-        labels = preprocess.slic_superpixels(prep_img)
+        labels = preprocess.slic_superpixels(prep_img[None])[0]
         surf = preprocess.segment_surfaces(vol.data[:1])
         sps = preprocess.superpixel_records(labels[None], surf)
         assert [sp.id for sp in sps] == np.unique(labels).tolist()
@@ -277,7 +298,7 @@ class TestSlic:
     def test_mean_area_within_quarter_of_target(self):
         vol, _ = phantom.generate_volume(phantom.healthy_config(27))
         for s in range(0, 8, 3):
-            labels = preprocess.slic_superpixels(vol.data[s])
+            labels = preprocess.slic_superpixels(vol.data[s : s + 1])
             mean_area = labels.size / np.unique(labels).size
             assert 12.0 <= mean_area <= 20.0
 
@@ -285,15 +306,24 @@ class TestSlic:
         from scipy import ndimage
 
         vol, _ = phantom.generate_volume(phantom.test_config(28))
-        labels = preprocess.slic_superpixels(vol.data[2])
+        labels = preprocess.slic_superpixels(vol.data[2:3])[0]
         for lab in np.unique(labels)[::17]:  # spot-check a spread of superpixels
             _, n = ndimage.label(labels == lab)
             assert n == 1
 
     def test_tiny_image_single_superpixel(self):
-        labels = preprocess.slic_superpixels(np.ones((3, 3)))
-        assert labels.shape == (3, 3)
+        labels = preprocess.slic_superpixels(np.ones((2, 3, 3)))
+        assert labels.shape == (2, 3, 3)
         assert np.unique(labels).size == 1
+
+    def test_empty_stack(self):
+        labels = preprocess.slic_superpixels(np.ones((0, 32, 32)))
+        assert labels.shape == (0, 32, 32) and labels.dtype == np.int64
+
+    @pytest.mark.parametrize("shape", [(32, 32), (1, 2, 32, 32)])
+    def test_a_stack_must_be_three_dimensional(self, shape):
+        with pytest.raises(DimensionError, match=r"stack must be \[slices, H, W\]"):
+            preprocess.slic_superpixels(np.ones(shape))
 
 
 def _grown_box(box, shape):
@@ -335,7 +365,7 @@ def slic_before_and_after_merge(img):
     merge = preprocess._enforce_connectivity
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(preprocess, "_enforce_connectivity", capture)
-        after = preprocess.slic_superpixels(img)
+        after = preprocess.slic_superpixels(img[None])[0]
     return seen[0], after
 
 
@@ -493,7 +523,7 @@ class TestPreprocessVolume:
     def test_volume_records_equal_per_slice_records(self):
         vol, _ = phantom.generate_volume(phantom.test_config(32))
         surf = preprocess.segment_surfaces(vol.data)
-        labels = np.stack([preprocess.slic_superpixels(img) for img in vol.data])
+        labels = preprocess.slic_superpixels(vol.data)
         records = preprocess.superpixel_records(labels, surf)
         expected = [sp for s in range(labels.shape[0])
                     for sp in superpixel_records_oracle(labels[s], s, surf)]
@@ -515,3 +545,59 @@ class TestPreprocessVolume:
         prep = preprocess.preprocess_volume(vol.data)
         for sp in prep.superpixels[::37]:
             assert sp.centroid == (float(sp.rows.mean()), float(sp.cols.mean()))
+
+    @pytest.mark.parametrize("n_slices", [1, 2, 3])
+    def test_halves_equal_per_slice_slic(self, n_slices):
+        vol, _ = phantom.generate_volume(
+            phantom.healthy_config(34, n_slices=n_slices, height=48, width=64))
+        prep = preprocess.preprocess_volume(vol.data)
+        flat, surf = preprocess.flatten(vol.data, preprocess.segment_surfaces(vol.data))
+        norm = [preprocess.normalize_slice(img, mask)
+                for img, mask in zip(flat, surf.band_mask(flat.shape[1]))]
+        expected = preprocess.superpixel_records(np.stack([slic_oracle(img) for img in norm]),
+                                                 surf)
+        assert len(prep.superpixels) == len(expected)
+        for got, want in zip(prep.superpixels, expected):
+            assert (got.id, got.slice_index, got.centroid, got.in_retina) == (
+                want.id, want.slice_index, want.centroid, want.in_retina)
+            assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+
+
+def _slic_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("preprocess-slic")]
+
+
+class TestSlicHalves:
+    """`preprocess_volume` runs SLIC on the first half of the slices on a
+    thread of its own and on the second half here."""
+
+    def test_no_slic_thread_outlives_the_call(self):
+        vol, _ = phantom.generate_volume(
+            phantom.healthy_config(37, n_slices=4, height=48, width=64))
+        preprocess.preprocess_volume(vol.data)
+        assert _slic_threads() == []
+
+    @pytest.mark.parametrize("failing, raised",
+                             [("first", "first"), ("second", "second"), ("both", "first")])
+    def test_a_failing_half_raises_once_both_have_ended(self, monkeypatch, failing, raised):
+        vol, _ = phantom.generate_volume(
+            phantom.healthy_config(37, n_slices=4, height=48, width=64))
+        merge = preprocess._enforce_connectivity
+        merged = {"first": 0, "second": 0}
+
+        def flaky(labels):
+            worker = threading.current_thread().name.startswith("preprocess-slic")
+            half = "first" if worker else "second"
+            if failing in (half, "both"):
+                if worker:
+                    time.sleep(0.05)  # the second half's error comes first in time
+                raise SegmentationError(f"{half} half")
+            merged[half] += 1
+            return merge(labels)
+
+        monkeypatch.setattr(preprocess, "_enforce_connectivity", flaky)
+        with pytest.raises(SegmentationError, match=f"{raised} half"):
+            preprocess.preprocess_volume(vol.data)
+        assert _slic_threads() == []
+        assert merged == {half: 0 if failing in (half, "both") else 2
+                          for half in ("first", "second")}
