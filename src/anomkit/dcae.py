@@ -33,14 +33,37 @@ switches, so it sees a quarter of the elements. The output is bit-identical
 to the layers' inference forward. Training runs the full layer list, where
 dropout sits between that ELU and the pool, and is unchanged.
 
-Inference runs in 128-row batches. Embedding one 4,526-pair desk volume on
-a 2-core Xeon (one BLAS thread; medians of 20-40 interleaved calls, two runs)
-took 0.12-0.13 s at 64 to 512 rows with the scales on two threads, and
-0.19-0.21 s at 128 rows with them one after the other. On one core
-(`taskset -c 0`) the second thread costs about 4%: 0.227 / 0.231 s against
-0.216 / 0.224 s serial at 128 rows. There, 512 rows took 0.27 s against
-0.21-0.24 s at 64 to 256, so EMBED_ROWS stays 128. Every batch size gives
-the same output.
+The plan's Conv2D and MaxPool2D run on the dataset's maps
+(`patches.PatchMaps`), not on its crops, which overlap heavily: a desk
+volume has about 4,800 crops of 16x16 on eight 128x128 slices. Each conv call
+takes one slice's maps, cut to the rows its pairs reach, or up to EMBED_ROWS
+loose crops. Its output goes through the p*p max at stride 1
+(`numcore.window_max`), and each pair's pooled window is gathered from that
+at stride p, from the pair's corner, through a bounds-checked window view:
+a corner outside its map raises InputError. The layers after the pool (ELU,
+Reshape, Dense, ELU, Dense, ELU) run on EMBED_ROWS-row batches of the
+gathered rows, taken in map order, which for a `build_dataset` dataset is
+its row order. The map path gives each row the bits the crop path gives it:
+- A crop's conv output is the same dot product of the same pixels as the
+  map's at the crop's corner plus that offset. The two are equal on an
+  sgemm whose row results do not depend on the row's place in the batch:
+  OpenBLAS's SkylakeX kernel is one, its AVX2 kernels are not
+  (`tests/oracles.py`).
+- A crop's pool takes the max of the same values in the same order, since
+  `window_max` folds its views as `pool_max` does, and max is exact.
+- Conv rows past p * pooled, which a crop's pool drops, are never read.
+- The Dense layers see the same 128-row batches as when each crop was
+  encoded, because their rows' bits can depend on the batch's row count
+  (`tests/oracles.py`).
+
+Embedding one 4,797-pair desk volume on a 2-core Xeon (one BLAS thread,
+untrained desk weights, medians of 15 calls per process) took 0.10-0.12 s
+against 0.23-0.26 s through the crops, and 0.09-0.12 s against 0.19-0.23 s
+on one core (`taskset -c 0`). EMBED_ROWS stays 128: 64, 128 and 256 rows
+took 94-116 ms with the scales on two threads and 107-121 ms on one core,
+and 512 rows 104-131 ms (medians of 20 interleaved calls, two runs each).
+Two batch sizes give the same output only where sgemm meets the conditions
+above, so EMBED_ROWS also fixes the output's low bits on other kernels.
 """
 
 from __future__ import annotations
@@ -48,11 +71,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import numcore as nc
 from ._fork import both
 from .errors import InputError, ParameterError, TrainingError, UsageError
-from .patches import PatchDataset
+from .patches import PatchDataset, map_groups
 from .presets import PRESETS, DcaePreset, get_preset  # noqa: F401  PRESETS is re-exported
 from .rng import Rng
 
@@ -224,12 +248,64 @@ def _batched(fn, rows):
                            for start in range(0, len(rows), EMBED_ROWS) or [0]], axis=0)
 
 
+def _pooled_windows(conv, p, maps, corners, side):
+    """The pooled [k, pooled, pooled, C] window of each of k crops of `maps`
+    at `corners`: one conv over the map rows the crops reach, the p*p max at
+    stride 1, and each crop's windows of it at stride p from its corner."""
+    m, phase, r, c = corners.T
+    top = r.min()
+    x = maps[:, :, top : r.max() + side]
+    y = nc.window_max(conv.infer(x.reshape(-1, *x.shape[2:], 1)), p)
+    y = y.reshape(x.shape[:2] + y.shape[1:])  # [maps, phases, h, w, C]
+    span = p * ((side - conv.k + 1) // p - 1) + 1
+    windows = sliding_window_view(y, (span, span), axis=(2, 3))  # [..., C, span, span]
+    return windows.transpose(0, 1, 2, 3, 5, 6, 4)[..., ::p, ::p, :][m, phase, r - top, c]
+
+
+def _batch_codes(fn, held, pooled):
+    """fn of each whole EMBED_ROWS-row batch of the `held` rows followed by
+    `pooled`'s, and a copy of the rows left over, so `pooled` can go."""
+    batches = []
+    if len(held):
+        need = EMBED_ROWS - len(held)
+        held, pooled = np.concatenate([held, pooled[:need]]), pooled[need:]
+        if len(held) == EMBED_ROWS:
+            batches, held = [held], held[:0]
+    whole = len(pooled) - len(pooled) % EMBED_ROWS
+    batches += [pooled[start : start + EMBED_ROWS] for start in range(0, whole, EMBED_ROWS)]
+    return [fn(batch) for batch in batches], np.concatenate([held, pooled[whole:]])
+
+
+def _encode_maps(net, blocks, corners, side):
+    """[len(corners), code_dim] codes of the side x side crops at `corners` of
+    `blocks`, by `net`'s inference plan: its Conv2D and MaxPool2D once per
+    run of maps, and the layers after them on EMBED_ROWS-row batches of the
+    gathered rows, taken in map order across the runs."""
+    conv, pool, *rest = net.encoder.plan
+    tail = nc.Network(rest)
+    n = (side - conv.k + 1) // pool.pool
+    rows, codes = [np.zeros(0, np.int64)], []
+    held = np.zeros((0, n, n, conv.cout), conv.kernels.dtype)  # rows not yet in a batch
+    for maps, local, run_rows in map_groups(blocks, corners, side, EMBED_ROWS):
+        rows.append(run_rows)
+        done, held = _batch_codes(tail.infer, held,
+                                  _pooled_windows(conv, pool.pool, maps, local, side))
+        codes += done
+    if len(held) or not codes:  # a zero-row batch keeps the width
+        codes.append(tail.infer(held))
+    out = np.empty_like(codes[0], shape=(len(corners), codes[0].shape[1]))
+    out[np.concatenate(rows)] = np.concatenate(codes)
+    return out
+
+
 def _scale_codes(model: DcaeModel, dataset: PatchDataset):
-    """[len, 2 * code_dim] scale-1 then scale-2 codes, one scale per thread."""
-    x1, x2 = dataset.scale1[..., None], dataset.scale2[..., None]
-    return np.concatenate(both(lambda: _batched(model.scale1.encode, x1),
-                               lambda: _batched(model.scale2.encode, x2), "dcae-scale1"),
-                          axis=1)
+    """[len, 2 * code_dim] scale-1 then scale-2 codes from the dataset's maps,
+    one scale per thread."""
+    side = model.preset.patch_side
+    (blocks1, corners1), (blocks2, corners2) = dataset.maps.scale(1), dataset.maps.scale(2)
+    return np.concatenate(both(lambda: _encode_maps(model.scale1, blocks1, corners1, side),
+                               lambda: _encode_maps(model.scale2, blocks2, corners2, side),
+                               "dcae-scale1"), axis=1)
 
 
 def train_fusion(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,

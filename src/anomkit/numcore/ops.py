@@ -16,7 +16,8 @@ Exactness contract (pool, unpool and ELU): a faster kernel must return, on
 finite inputs, values that are `np.array_equal` to the plain formula it
 replaces, in the same dtype, and the same pool switches. These kernels therefore
 take no data-dependent branch and change no rounding: pooling reduces the
-p*p strided window views with `np.maximum` and finds the first maximum by
+p*p strided window views with `np.maximum` (`window_max` folds the stride-1
+views in the same order) and finds the first maximum by
 equality sweeps (`first_equal`; `pool_max` skips them for inference, and
 SLIC reuses them to pick its nearest centre); unpooling scatters and
 gathers through the same views;
@@ -146,19 +147,39 @@ def first_equal(arrays, target):
     return idx
 
 
-def _pool_views(x, p):
-    """(x, its p*p window views, their elementwise max)."""
+def _pool_input(x, p):
+    """x as a batch that holds at least one p*p window."""
     if p < 1:
         raise ParameterError(f"pool size must be >= 1, got {p}")
     xb = _batch(x)
-    n, h, w, c = xb.shape
-    if h < p or w < p:
-        raise DimensionError(f"input {h}x{w} smaller than pool {p}")
-    views = _windows(xb, p, h // p, w // p)
+    if xb.shape[1] < p or xb.shape[2] < p:
+        raise DimensionError(f"input {xb.shape[1]}x{xb.shape[2]} smaller than pool {p}")
+    return xb
+
+
+def _max_of(views):
+    """Elementwise max of equal-shape views, folded in order as max(view, so far)."""
     out = views[0].copy()
     for v in views[1:]:
         np.maximum(v, out, out=out)
-    return xb, views, out
+    return out
+
+
+def _pool_views(x, p):
+    """(x, its p*p window views, their elementwise max)."""
+    xb = _pool_input(x, p)
+    views = _windows(xb, p, xb.shape[1] // p, xb.shape[2] // p)
+    return xb, views, _max_of(views)
+
+
+def window_max(x, p):
+    """Max of every p*p window at stride 1: [N, H, W, C] -> [N, H-p+1, W-p+1, C],
+    out[:, i, j] = max of x[:, i : i+p, j : j+p]. The views are folded in
+    `pool_max`'s order, so `pool_max(x[:, i:, j:], p)` is exactly
+    out[:, i::p, j::p] over its whole windows."""
+    xb = _pool_input(x, p)
+    h, w = xb.shape[1] - p + 1, xb.shape[2] - p + 1
+    return _max_of([xb[:, a : a + h, b : b + w] for a in range(p) for b in range(p)])
 
 
 def pool_max(x, p):

@@ -1,4 +1,24 @@
-"""Independent brute-force oracles used only by the test suite."""
+"""Independent brute-force oracles used only by the test suite.
+
+The tests compare the code with these oracles by `np.array_equal`. Which of
+those equalities hold depends on OpenBLAS's sgemm kernel, which the CI job
+prints:
+- On every kernel, the equalities whose two sides run sgemm on the same
+  operands: the crops (`pair_oracle`); the pool, unpool, ELU, dropout and
+  im2col kernels; `window_max` against `pool_max`; the encoders' inference
+  plan against their inference forward; the scale autoencoders' training
+  against `train_scales_oracle`; and every stage that calls no sgemm.
+- Only on an sgemm whose row results depend neither on the row's place in
+  the batch nor on the batch's row count: `dcae.embed_dataset` against
+  `embed_oracle`, and the fusion DAE's training against
+  `train_fusion_oracle`, which starts from `embed_oracle`'s scale codes.
+  The encoder convolves a whole slice map where the oracle convolves each
+  crop, and the oracle batches the Dense layers by its own `batch`.
+  OpenBLAS's SkylakeX kernel meets both conditions for batches of more than
+  6 rows at the desk preset's 1,152-wide Dense input, and of more than 1 row
+  at 128 inputs or fewer. Its Haswell (AVX2) kernel gives a row other low
+  bits unless the batch's row count is a multiple of 12.
+"""
 
 import itertools
 

@@ -15,12 +15,14 @@ from anomkit import numcore as nc
 from anomkit.errors import DimensionError, InputError, ParameterError, TrainingError, UsageError
 from anomkit.rng import Rng
 
+from helpers import border_centres, centre_volume
 from oracles import embed_oracle, train_fusion_oracle, train_scales_oracle
 
 TINY = dcae.DcaePreset("tiny", patch_side=16, conv_kernels=4, conv_size=5, pool=2,
                        dense_hidden=16, code_dim=8, fusion_dim=4)
 HYPER = dcae.TrainConfig(lr=1e-2, epochs=4, batch_size=16, fusion_epochs=4)
 SIDE8 = dataclasses.replace(TINY, name="tiny8", patch_side=8, conv_size=3)
+POOL3 = dataclasses.replace(TINY, name="pool3", conv_size=3, pool=3)  # conv 14 = 3 * 4 + 2
 DESK_HYPER = dcae.TrainConfig(epochs=1, fusion_epochs=1)  # the benchmark's batch of 64
 
 
@@ -108,6 +110,45 @@ def test_encode_plan_equals_the_inference_forward(healthy, preset, hyper):
         batch = codes.astype(dtype)
         want = nc.Network(model.fusion.encoder.layers).forward(batch, training=False)[0]
         assert np.array_equal(model.fusion.encode(batch), want)
+
+
+class TestMapPath:
+    """embed_dataset convolves whole slice maps and gathers each pair's pooled
+    windows from them: every row must equal its own crops' encoding."""
+
+    @staticmethod
+    def embed(preset, centres, width):
+        ds = patches.build_dataset([("v", centre_volume(centres, width))], "eval", preset)
+        model = dcae.build_model(preset, Rng(101))
+        model.scales_trained = model.fusion_trained = True  # exactness needs no training
+        return model, ds
+
+    @pytest.mark.parametrize("preset", [TINY, POOL3], ids=["tiny", "pool3"])
+    @pytest.mark.parametrize("width", [96, 97, 98, 99])  # W mod 4 = 0, 1, 2, 3
+    def test_every_border_and_column_phase(self, preset, width):
+        # 3 x 60 rows: the first 128-row batch after the pool spans all three slices
+        model, ds = self.embed(preset, [border_centres(20, width)] * 3, width)
+        assert np.array_equal(dcae.embed_dataset(model, ds),
+                              embed_oracle(model, ds.scale1, ds.scale2, dcae.EMBED_ROWS))
+
+    @pytest.mark.parametrize("centres", [
+        [border_centres(20, 62)],
+        [[(19, 61)]],
+        [border_centres(20, 62), [(7, 30)], border_centres(20, 62)],
+    ], ids=["one-slice", "one-pair", "a-one-pair-slice"])
+    def test_few_slices_and_pairs(self, centres):
+        model, ds = self.embed(TINY, centres, 62)
+        assert np.array_equal(dcae.embed_dataset(model, ds),
+                              embed_oracle(model, ds.scale1, ds.scale2, dcae.EMBED_ROWS))
+
+    # the 61px slices' maps: scale 1 is [1, 35, 76], scale 2 [4, 35, 31]
+    @pytest.mark.parametrize("field, value", [(0, 3), (0, -1), (1, 4), (2, 20), (2, -1),
+                                              (3, 16), (3, -1)])
+    def test_a_corner_outside_its_map_raises(self, field, value):
+        model, ds = self.embed(TINY, [[(0, 0), (19, 60)], [(5, 5)], [(10, 10)]], 61)
+        ds.maps.corners[1, field] = value
+        with pytest.raises(InputError, match="outside its map"):
+            dcae.embed_dataset(model, ds)
 
 
 def _rows(ds, index):

@@ -59,6 +59,19 @@ def test_maxpool_matches_oracle(case):
 
 
 @settings(deadline=None)
+@given(pooled_inputs())
+def test_window_max_at_each_offset_is_the_pool_from_there(case):
+    """The encoder takes each crop's pool from the stride-1 window max of its
+    whole map, at the crop's corner: the same values, zeros' signs included."""
+    x, p = case
+    out = ops.window_max(x, p)
+    for i in range(x.shape[1] - p + 1):
+        for j in range(x.shape[2] - p + 1):
+            want = ops.pool_max(x[:, i:, j:], p)
+            assert_same_bits(out[:, i::p, j::p][:, : want.shape[1], : want.shape[2]], want)
+
+
+@settings(deadline=None)
 @given(pooled_inputs(), st.data())
 def test_unpool_and_backward_match_oracle(case, data):
     x, p = case

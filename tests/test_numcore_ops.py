@@ -96,6 +96,20 @@ class TestMaxpool:
     def test_bad_pool_size(self):
         with pytest.raises(ParameterError):
             ops.maxpool(np.zeros((1, 4, 4, 1), np.float32), 0)
+        with pytest.raises(ParameterError):
+            ops.window_max(np.zeros((1, 4, 4, 1), np.float32), 0)
+
+    def test_window_max_matches_window_scan(self):
+        x = Rng(4).normal(size=(2, 7, 6, 3))
+        out = ops.window_max(x, 3)
+        assert out.shape == (2, 5, 4, 3)
+        for i in range(5):
+            for j in range(4):
+                assert np.array_equal(out[:, i, j], x[:, i : i + 3, j : j + 3].max(axis=(1, 2)))
+
+    def test_window_max_smaller_than_pool(self):
+        with pytest.raises(DimensionError, match="smaller than pool 3"):
+            ops.window_max(np.zeros((1, 2, 5, 1), np.float32), 3)
 
 
 class TestUnpool:
@@ -353,6 +367,7 @@ SPATIAL_OPS = {
     "conv2d_kernel_grad": lambda x: ops.conv2d_kernel_grad(x, x, np.zeros((1, 1, 2, 2))),
     "deconv2d": lambda x: ops.deconv2d(x, np.zeros((1, 1, 2, 2))),
     "pool_max": lambda x: ops.pool_max(x, 2),
+    "window_max": lambda x: ops.window_max(x, 2),
     "maxpool": lambda x: ops.maxpool(x, 2),
     "unpool": lambda x: ops.unpool(x, _switches()),
     "unpool_backward": lambda x: ops.unpool_backward(x, _switches()),

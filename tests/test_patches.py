@@ -8,6 +8,7 @@ from anomkit.presets import PRESETS
 from anomkit.errors import InputError, ParameterError, UsageError
 from anomkit.rng import Rng
 
+from helpers import border_centres, centre_volume
 from oracles import pair_oracle
 
 
@@ -16,7 +17,7 @@ class TestExtractPair:
 
     def test_constant_slice(self):
         img = np.full((64, 64), 0.3, np.float32)
-        s1, s2 = patches.cut_pairs(img, [(32, 32)], "desk")
+        s1, s2, _ = patches.cut_pairs(img, [(32, 32)], "desk")
         assert s1.shape == (1, 16, 16)
         assert s2.shape == (1, 16, 16)
         assert np.all(s1 == np.float32(0.3))
@@ -26,14 +27,14 @@ class TestExtractPair:
         rng = Rng(50)
         col = rng.uniform(size=(64, 1))
         img = np.repeat(col, 64, axis=1)  # constant along columns
-        s1, s2 = patches.cut_pairs(img, [(32, 32)], "desk")
+        s1, s2, _ = patches.cut_pairs(img, [(32, 32)], "desk")
         assert np.abs(s2 - s1).max() <= 1e-6
 
     def test_scale2_matches_mean_pool_oracle(self):
         rng = Rng(51)
         img = rng.uniform(size=(80, 120))
         r, c = 40, 60
-        _, s2 = patches.cut_pairs(img, [(r, c)], "desk")
+        _, s2, _ = patches.cut_pairs(img, [(r, c)], "desk")
         s = 16
         wide = img[r - 8 : r + 8, c - 32 : c + 32]
         oracle = np.zeros((s, s))
@@ -45,7 +46,7 @@ class TestExtractPair:
     def test_border_replication(self):
         img = np.zeros((20, 20), np.float32)
         img[0, :] = 1.0
-        s1, _ = patches.cut_pairs(img, [(0, 10)], "desk")
+        s1, _, _ = patches.cut_pairs(img, [(0, 10)], "desk")
         # rows above the image replicate row 0
         assert np.all(s1[0, :9, :] == 1.0)
 
@@ -58,7 +59,7 @@ class TestExtractPair:
 
     def test_paper_preset_shapes(self):
         img = np.zeros((200, 200), np.float32)
-        s1, s2 = patches.cut_pairs(img, [(100, 100)], "paper")
+        s1, s2, _ = patches.cut_pairs(img, [(100, 100)], "paper")
         assert s1.shape == (1, 32, 32)
         assert s2.shape == (1, 32, 32)
 
@@ -76,7 +77,7 @@ class TestCutPairsOracle:
         near_edge = ((np.minimum(r, h - 1 - r) < 2 * side)
                      | (np.minimum(c, w - 1 - c) < 2 * side))
         centers = np.concatenate([np.argwhere(near_edge), rng.integers(0, [h, w], size=(20, 2))])
-        cut = patches.cut_pairs(img, centers, preset)
+        cut = patches.cut_pairs(img, centers, preset)[:2]
         want = [np.stack(o) for o in zip(*(pair_oracle(img, ctr, side) for ctr in centers))]
         for got, oracle in zip(cut, want):
             assert got.dtype == oracle.dtype
@@ -93,8 +94,15 @@ class TestCutPairsOracle:
     def test_edge_band_around_an_interior(self, dtype):
         self.check("desk", (97, 150), dtype)
 
+    @pytest.mark.parametrize("scale", [1, 2])
+    def test_a_corner_outside_its_map_raises(self, scale):
+        *_, maps = patches.cut_pairs(np.zeros((20, 30)), [(0, 0), (19, 29)], "desk")
+        maps.corners[1, 3] += 1  # one column past the scale-2 map's last window
+        with pytest.raises(InputError, match="puts a 16px window outside its map"):
+            next(patches.map_groups(*maps.scale(scale), 16, 1))
+
     def test_no_centres_gives_empty_batches(self):
-        s1, s2 = patches.cut_pairs(np.zeros((10, 10)), np.zeros((0, 2)), "desk")
+        s1, s2, _ = patches.cut_pairs(np.zeros((10, 10)), np.zeros((0, 2)), "desk")
         assert s1.shape == s2.shape == (0, 16, 16)
 
 
@@ -176,6 +184,23 @@ class TestBuildDataset:
             assert np.array_equal(ds.scale1, np.stack([pairs[i][0] for i in keep]))
             assert np.array_equal(ds.scale2, np.stack([pairs[i][1] for i in keep]))
 
+    @pytest.mark.parametrize("width", [96, 97, 98, 99])  # W mod 4 = 0, 1, 2, 3
+    def test_crops_equal_the_oracle_in_every_column_phase(self, width):
+        prep = centre_volume([border_centres(20, width)] * 2, width)
+        ds = patches.build_dataset([("v", prep)], "eval", "desk")
+        pairs = [pair_oracle(prep.data[sp.slice_index], sp.centroid, 16)
+                 for sp in prep.superpixels]
+        assert np.array_equal(ds.scale1, np.stack([s1 for s1, _ in pairs]))
+        assert np.array_equal(ds.scale2, np.stack([s2 for _, s2 in pairs]))
+        assert len(ds.maps.scale1) == len(ds.maps.scale2) == 2
+
+    def test_maps_must_cover_every_row(self, prepped):
+        vol, _, prep = prepped
+        ds = patches.build_dataset([(vol.volume_id, prep)], "eval", "desk")
+        with pytest.raises(UsageError, match="corners"):
+            patches.PatchDataset(ds.scale1[1:], ds.scale2[1:], ds.sources[1:], "eval",
+                                 ds.preset, ds.maps)
+
     def test_unknown_split_rejected(self, prepped):
         vol, gt, prep = prepped
         with pytest.raises(ParameterError):
@@ -191,9 +216,10 @@ class TestBuildDataset:
 
 class TestCutAtCentroids:
     def test_no_rows_gives_empty_batches(self):
-        s1, s2 = patches.cut_at_centroids([], "desk")
+        s1, s2, maps = patches.cut_at_centroids([], "desk")
         assert s1.shape == s2.shape == (0, 16, 16)
         assert s1.dtype == s2.dtype == np.float32
+        assert maps.scale1 == maps.scale2 == [] and maps.corners.shape == (0, 4)
 
     def test_rows_in_any_order(self, prepped):
         # slices revisited out of order, and a second volume in between
@@ -203,7 +229,8 @@ class TestCutAtCentroids:
                                               superpixels=prep.superpixels)
         picks = Rng(55).permutation(len(prep.superpixels))[:60]
         rows = [((prep, other)[i % 2], prep.superpixels[j]) for i, j in enumerate(picks)]
-        s1, s2 = patches.cut_at_centroids(rows, "desk")
+        s1, s2, maps = patches.cut_at_centroids(rows, "desk")
+        assert len(maps.scale1) == len(maps.scale2) == len(set(maps.corners[:, 0].tolist()))
         for i, (vol, sp) in enumerate(rows):
             want = pair_oracle(vol.data[sp.slice_index],
                                (round(sp.centroid[0]), round(sp.centroid[1])), 16)

@@ -20,7 +20,7 @@ def prepped():
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_patches_take_the_presets_side(prepped, name):
     side = PRESETS[name].patch_side
-    s1, s2 = patches.cut_pairs(np.zeros((40, 40)), [(20, 20), (0, 39)], name)
+    s1, s2, _ = patches.cut_pairs(np.zeros((40, 40)), [(20, 20), (0, 39)], name)
     assert s1.shape == s2.shape == (2, side, side)
     ds = patches.build_dataset(prepped, "eval", name, rng=Rng(56), cap=5)
     assert ds.preset is PRESETS[name]
