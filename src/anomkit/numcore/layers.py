@@ -4,7 +4,8 @@ A `Network` is an ordered stack of layers. `forward` records every
 intermediate needed for the backward pass on a `GradTape`; `backward`
 consumes that tape exactly once and returns parameter gradients. A layer's
 forward is, unless it overrides it, `Layer.forward`: record the input on the
-tape and return `infer(x)`. MaxPool2D (its switches), Unpool2D (nothing),
+tape and return `infer(x)`. Conv2D (its input's im2col columns, which its
+kernel gradient multiplies), MaxPool2D (its switches), Unpool2D (nothing),
 Dropout (its mask) and Reshape (the input shape) record something else and
 keep their own. Unpool layers read the argmax switches recorded by their
 partner pool layer, so an encoder/decoder pair shares pooling geometry
@@ -104,6 +105,11 @@ class Conv2D(Layer):
     def params(self):
         return [self.kernels, self.bias]
 
+    def forward(self, x, tape, training, rng):
+        out, cols = ops.conv2d_forward(x, self.kernels, self.bias)
+        tape.put(self, cols)
+        return out
+
     def infer(self, x):
         return ops.conv2d_valid(x, self.kernels, self.bias)
 
@@ -135,9 +141,12 @@ class Deconv2D(Layer):
         return ops.deconv2d(x, self.kernels) + self.bias
 
     def backward(self, grad, tape):
-        gk = ops.conv2d_kernel_grad(tape.get(self), grad, self.kernels)
+        # the zero bias add keeps conv2d_valid's output bits: -0.0 becomes +0.0
+        grad_x, cols = ops.conv2d_forward(grad, self.kernels,
+                                          np.zeros(self.cin, self.kernels.dtype))
+        gk = ops.conv2d_kernel_grad(tape.get(self), cols, self.kernels)
         tape.grads[id(self)] = [gk, grad.reshape(-1, self.cout).sum(axis=0)]
-        return ops.conv2d_valid(grad, self.kernels, np.zeros(self.cin, self.kernels.dtype))
+        return grad_x
 
 
 class MaxPool2D(Layer):

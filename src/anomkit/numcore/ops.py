@@ -28,6 +28,7 @@ and the tests compare against them.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +60,12 @@ def conv2d_valid(x, kernels, bias):
     Output [N, H-k+1, W-k+1, Cout]:
         out[n,i,j,o] = bias[o] + sum_{a,b,c} x[n, i+a, j+b, c] * kernels[a,b,c,o]
     """
+    return conv2d_forward(x, kernels, bias)[0]
+
+
+def conv2d_forward(x, kernels, bias):
+    """(conv2d_valid(x, kernels, bias), the im2col columns of x it multiplied),
+    so a backward pass reuses the columns (`conv2d_kernel_grad`)."""
     xb = _batch(x)
     kernels = np.asarray(kernels)
     bias = np.asarray(bias)
@@ -71,19 +78,21 @@ def conv2d_valid(x, kernels, bias):
         raise DimensionError(f"input {xb.shape[1:3]} smaller than kernel {k}")
     if bias.shape != (cout,):
         raise DimensionError(f"bias must be [Cout]={cout}, got {bias.shape}")
-    out = _im2col(xb, k) @ kernels.reshape(-1, cout)
+    cols = _im2col(xb, k)
+    out = cols @ kernels.reshape(-1, cout)
     out += bias
-    return out
+    return out, cols
 
 
-def conv2d_kernel_grad(grad_out, x, kernels):
-    """Kernel gradient of conv2d_valid; Conv2D's input gradient is deconv2d(grad_out,
-    kernels). Deconv2D, conv2d_valid's adjoint, takes both gradients from conv ops:
-    conv2d_valid(grad_out, kernels, 0) and conv2d_kernel_grad(x, grad_out, kernels)."""
-    xb, gb = _batch(x), _batch(grad_out)
+def conv2d_kernel_grad(grad_out, cols, kernels):
+    """Kernel gradient of conv2d_valid from the im2col columns of its input x,
+    `conv2d_forward(x, ...)[1]`; Conv2D's input gradient is deconv2d(grad_out,
+    kernels). Deconv2D, conv2d_valid's adjoint, takes both gradients from one
+    conv2d_forward(grad_out, kernels, 0): its output, and the kernel gradient
+    conv2d_kernel_grad(x, its columns, kernels)."""
+    gb = _batch(grad_out)
     k, _, cin, cout = kernels.shape
-    cols = _im2col(xb, k).reshape(-1, k * k * cin)
-    return (cols.T @ gb.reshape(-1, cout)).reshape(kernels.shape)
+    return (cols.reshape(-1, k * k * cin).T @ gb.reshape(-1, cout)).reshape(kernels.shape)
 
 
 def deconv2d(x, kernels):
@@ -251,7 +260,10 @@ def dropout(x, rate, rng: Rng):
     x = np.asarray(x)
     if rate == 0.0:
         return x, np.ones_like(x)
-    keep = (rng.random(x.shape, dtype=np.float32) >= np.float32(rate)).astype(x.dtype)
+    # rng.random(dtype=float32) is (u >> 8) * 2**-24 of the stream's uint32
+    # words u, so it is >= float32(rate) exactly where u >= threshold
+    threshold = math.ceil(float(np.float32(rate)) * 2**24) << 8
+    keep = (rng.integers(0, 2**32, size=x.shape, dtype=np.uint32) >= threshold).astype(x.dtype)
     mask = keep / np.asarray(1.0 - rate, dtype=x.dtype)
     return x * mask, mask
 

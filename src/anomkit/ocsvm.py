@@ -22,6 +22,7 @@ is degenerate (a cloud around the origin) and raises FittingError.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -205,13 +206,10 @@ def segment_volume(model: OcSvmModel, features, superpixels, volume_shape) -> An
         raise UsageError(f"{len(scores)} feature rows for {len(superpixels)} superpixels")
     labels = scores < 0.0
     mask = np.zeros(volume_shape, dtype=bool)
-    ids = []
-    for sp, anomalous in zip(superpixels, labels):
-        ids.append((sp.slice_index, sp.id))
-        if anomalous:
-            mask[sp.slice_index][sp.rows, sp.cols] = True
+    for sp in compress(superpixels, labels):
+        mask[sp.slice_index][sp.rows, sp.cols] = True
     return AnomalyMap(
-        superpixel_ids=ids,
+        superpixel_ids=[(sp.slice_index, sp.id) for sp in superpixels],
         scores=scores,
         labels=labels,
         pixel_mask=mask,

@@ -141,6 +141,17 @@ class TestMapPath:
         assert np.array_equal(dcae.embed_dataset(model, ds),
                               embed_oracle(model, ds.scale1, ds.scale2, dcae.EMBED_ROWS))
 
+    def test_encoding_cuts_no_crops(self, monkeypatch):
+        model, ds = self.embed(TINY, [border_centres(20, 62)] * 2, 62)
+        want = embed_oracle(model, ds.scale1, ds.scale2, dcae.EMBED_ROWS)
+
+        def crops(*args):
+            raise AssertionError("a crop was cut")
+
+        monkeypatch.setattr(patches.PatchMaps, "crops", crops)
+        fresh = patches.PatchDataset(ds.maps, ds.sources, ds.split, ds.preset)
+        assert np.array_equal(dcae.embed_dataset(model, fresh), want)
+
     # the 61px slices' maps: scale 1 is [1, 35, 76], scale 2 [4, 35, 31]
     @pytest.mark.parametrize("field, value", [(0, 3), (0, -1), (1, 4), (2, 20), (2, -1),
                                               (3, 16), (3, -1)])
@@ -153,7 +164,7 @@ class TestMapPath:
 
 def _rows(ds, index):
     """The rows `index` of ds as a dataset of their own."""
-    return patches.PatchDataset(ds.scale1[index], ds.scale2[index],
+    return patches.PatchDataset(patches.PatchMaps.of_crops(ds.scale1[index], ds.scale2[index]),
                                 [ds.sources[i] for i in index], ds.split, ds.preset)
 
 
@@ -289,8 +300,7 @@ class TestCallOrder:
     def test_train_on_non_healthy_split(self, healthy):
         model = dcae.build_model(TINY, Rng(87))
         for split in ("anomaly-train", "eval"):
-            ds = patches.PatchDataset(healthy.scale1, healthy.scale2, healthy.sources,
-                                      split, healthy.preset)
+            ds = patches.PatchDataset(healthy.maps, healthy.sources, split, healthy.preset)
             with pytest.raises(UsageError):
                 dcae.train_dcae(model, ds, HYPER, Rng(88))
 
@@ -314,8 +324,10 @@ class TestPatchSide:
         model = dcae.build_model(TINY, Rng(89))
         model.scales_trained = model.fusion_trained = True  # only the shapes are wrong
         s1, s2 = healthy.scale1[:4], healthy.scale2[:4]
-        for b1, b2 in ((s1[:, :8, :8], s2[:, :8, :8]), (s1, s2[:3]), (s1[:3], s2),
-                       (s1[..., None], s2[..., None])):
-            ds = patches.PatchDataset(b1, b2, healthy.sources[:4], healthy.split, healthy.preset)
-            with pytest.raises(UsageError, match="expects two"):
-                self.CALLS[call](model, ds)
+        ds = patches.PatchDataset(patches.PatchMaps.of_crops(s1[:, :8, :8], s2[:, :8, :8]),
+                                  healthy.sources[:4], healthy.split, healthy.preset)
+        with pytest.raises(InputError, match="puts a 16px window outside its map"):
+            self.CALLS[call](model, ds)
+        for b1, b2 in ((s1, s2[:3]), (s1[:3], s2), (s1[..., None], s2[..., None])):
+            with pytest.raises(DimensionError, match="two equal"):
+                patches.PatchMaps.of_crops(b1, b2)

@@ -230,6 +230,13 @@ class TestSegmentVolume:
         assert amap.pixel_mask.sum() == 1
         assert bool(amap.pixel_mask[1, 2, 3])
         assert amap.superpixel_ids == [(0, 0), (1, 1)]
+        # every superpixel flagged, then none: ids list them all either way
+        for row, labels, pixels in ((feats[1], [True, True], 3), (feats[0], [False, False], 0)):
+            amap = ocsvm.segment_volume(model, np.stack([row, row]), sps, volume_shape=(2, 4, 4))
+            assert amap.labels.tolist() == labels
+            assert amap.pixel_mask.sum() == pixels
+            assert amap.pixel_mask[0, 0, :2].all() == amap.pixel_mask[1, 2, 3] == labels[0]
+            assert amap.superpixel_ids == [(0, 0), (1, 1)]
 
     def test_zero_rows_are_scored_like_any_others(self):
         model = ocsvm.fit_ocsvm(np.abs(Rng(39).normal(size=(50, 4))) + 1.0, nu=0.1)

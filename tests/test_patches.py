@@ -5,19 +5,27 @@ import pytest
 
 from anomkit import patches, phantom, preprocess
 from anomkit.presets import PRESETS
-from anomkit.errors import InputError, ParameterError, UsageError
+from anomkit.errors import DimensionError, InputError, ParameterError, UsageError
 from anomkit.rng import Rng
 
 from helpers import border_centres, centre_volume
 from oracles import pair_oracle
 
 
+def cut_pairs(slice_img, centers, preset):
+    """(scale1, scale2, maps) of the pairs at `centers`: one slice's maps and
+    the crops cut from them."""
+    maps = patches.slice_maps(slice_img, centers, preset)
+    side = PRESETS[preset].patch_side
+    return maps.crops(1, side), maps.crops(2, side), maps
+
+
 class TestExtractPair:
-    """`cut_pairs` on single centres."""
+    """`slice_maps` and the crops cut from them, on single centres."""
 
     def test_constant_slice(self):
         img = np.full((64, 64), 0.3, np.float32)
-        s1, s2, _ = patches.cut_pairs(img, [(32, 32)], "desk")
+        s1, s2, _ = cut_pairs(img, [(32, 32)], "desk")
         assert s1.shape == (1, 16, 16)
         assert s2.shape == (1, 16, 16)
         assert np.all(s1 == np.float32(0.3))
@@ -27,14 +35,14 @@ class TestExtractPair:
         rng = Rng(50)
         col = rng.uniform(size=(64, 1))
         img = np.repeat(col, 64, axis=1)  # constant along columns
-        s1, s2, _ = patches.cut_pairs(img, [(32, 32)], "desk")
+        s1, s2, _ = cut_pairs(img, [(32, 32)], "desk")
         assert np.abs(s2 - s1).max() <= 1e-6
 
     def test_scale2_matches_mean_pool_oracle(self):
         rng = Rng(51)
         img = rng.uniform(size=(80, 120))
         r, c = 40, 60
-        _, s2, _ = patches.cut_pairs(img, [(r, c)], "desk")
+        _, s2, _ = cut_pairs(img, [(r, c)], "desk")
         s = 16
         wide = img[r - 8 : r + 8, c - 32 : c + 32]
         oracle = np.zeros((s, s))
@@ -46,20 +54,20 @@ class TestExtractPair:
     def test_border_replication(self):
         img = np.zeros((20, 20), np.float32)
         img[0, :] = 1.0
-        s1, _, _ = patches.cut_pairs(img, [(0, 10)], "desk")
+        s1, _, _ = cut_pairs(img, [(0, 10)], "desk")
         # rows above the image replicate row 0
         assert np.all(s1[0, :9, :] == 1.0)
 
     def test_center_must_be_inside(self):
         with pytest.raises(InputError):
-            patches.cut_pairs(np.zeros((10, 10)), [(10, 0)], "desk")
+            cut_pairs(np.zeros((10, 10)), [(10, 0)], "desk")
         # one bad centre rejects the whole batch
         with pytest.raises(InputError):
-            patches.cut_pairs(np.zeros((10, 10)), [(5, 5), (0, -1)], "desk")
+            cut_pairs(np.zeros((10, 10)), [(5, 5), (0, -1)], "desk")
 
     def test_paper_preset_shapes(self):
         img = np.zeros((200, 200), np.float32)
-        s1, s2, _ = patches.cut_pairs(img, [(100, 100)], "paper")
+        s1, s2, _ = cut_pairs(img, [(100, 100)], "paper")
         assert s1.shape == (1, 32, 32)
         assert s2.shape == (1, 32, 32)
 
@@ -77,7 +85,7 @@ class TestCutPairsOracle:
         near_edge = ((np.minimum(r, h - 1 - r) < 2 * side)
                      | (np.minimum(c, w - 1 - c) < 2 * side))
         centers = np.concatenate([np.argwhere(near_edge), rng.integers(0, [h, w], size=(20, 2))])
-        cut = patches.cut_pairs(img, centers, preset)[:2]
+        cut = cut_pairs(img, centers, preset)[:2]
         want = [np.stack(o) for o in zip(*(pair_oracle(img, ctr, side) for ctr in centers))]
         for got, oracle in zip(cut, want):
             assert got.dtype == oracle.dtype
@@ -96,13 +104,13 @@ class TestCutPairsOracle:
 
     @pytest.mark.parametrize("scale", [1, 2])
     def test_a_corner_outside_its_map_raises(self, scale):
-        *_, maps = patches.cut_pairs(np.zeros((20, 30)), [(0, 0), (19, 29)], "desk")
+        *_, maps = cut_pairs(np.zeros((20, 30)), [(0, 0), (19, 29)], "desk")
         maps.corners[1, 3] += 1  # one column past the scale-2 map's last window
         with pytest.raises(InputError, match="puts a 16px window outside its map"):
             next(patches.map_groups(*maps.scale(scale), 16, 1))
 
     def test_no_centres_gives_empty_batches(self):
-        s1, s2, _ = patches.cut_pairs(np.zeros((10, 10)), np.zeros((0, 2)), "desk")
+        s1, s2, _ = cut_pairs(np.zeros((10, 10)), np.zeros((0, 2)), "desk")
         assert s1.shape == s2.shape == (0, 16, 16)
 
 
@@ -175,8 +183,9 @@ class TestBuildDataset:
                              (round(sp.centroid[0]), round(sp.centroid[1])), 16)
                  for sp in sps]
         sources = [(vol.volume_id, sp.slice_index, sp.id) for sp in sps]
-        for cap in (None, 100):
-            ds = patches.build_dataset([(vol.volume_id, prep)], "eval", "desk",
+        # every split's crops are cut from its maps on first access
+        for split, cap in (("eval", None), ("healthy-train", 100), ("anomaly-train", 100)):
+            ds = patches.build_dataset([(vol.volume_id, prep)], split, "desk",
                                        rng=Rng(5), cap=cap)
             keep = (range(len(sps)) if cap is None
                     else np.sort(Rng(5).choice(len(sps), size=cap, replace=False)))
@@ -198,8 +207,22 @@ class TestBuildDataset:
         vol, _, prep = prepped
         ds = patches.build_dataset([(vol.volume_id, prep)], "eval", "desk")
         with pytest.raises(UsageError, match="corners"):
-            patches.PatchDataset(ds.scale1[1:], ds.scale2[1:], ds.sources[1:], "eval",
-                                 ds.preset, ds.maps)
+            patches.PatchDataset(ds.maps, ds.sources[1:], "eval", ds.preset)
+        with pytest.raises(DimensionError, match="two equal"):
+            patches.PatchMaps.of_crops(ds.scale1, ds.scale2[1:])
+
+    @pytest.mark.parametrize("split", ["eval", "anomaly-train"])
+    def test_building_cuts_no_crops(self, prepped, monkeypatch, split):
+        vol, _, prep = prepped
+
+        def crops(*args):
+            raise AssertionError("a crop was cut")
+
+        monkeypatch.setattr(patches.PatchMaps, "crops", crops)
+        ds = patches.build_dataset([(vol.volume_id, prep)], split, "desk")
+        assert len(ds) == sum(sp.in_retina for sp in prep.superpixels)
+        with pytest.raises(AssertionError, match="a crop was cut"):
+            ds.scale1
 
     def test_unknown_split_rejected(self, prepped):
         vol, gt, prep = prepped
@@ -216,22 +239,25 @@ class TestBuildDataset:
 
 class TestCutAtCentroids:
     def test_no_rows_gives_empty_batches(self):
-        s1, s2, maps = patches.cut_at_centroids([], "desk")
-        assert s1.shape == s2.shape == (0, 16, 16)
-        assert s1.dtype == s2.dtype == np.float32
+        maps = patches.cut_at_centroids([], np.zeros(0, int), np.zeros(0, int),
+                                        np.zeros((0, 2), int), "desk")
         assert maps.scale1 == maps.scale2 == [] and maps.corners.shape == (0, 4)
+        for k in (1, 2):
+            crops = maps.crops(k, 16)
+            assert crops.shape == (0, 16, 16) and crops.dtype == np.float32
 
     def test_rows_in_any_order(self, prepped):
         # slices revisited out of order, and a second volume in between
         _, _, prep = prepped
-        other = preprocess.PreprocessedVolume(data=prep.data[::-1].copy(),
-                                              surfaces=prep.surfaces,
-                                              superpixels=prep.superpixels)
+        volumes = [prep.data, prep.data[::-1].copy()]
         picks = Rng(55).permutation(len(prep.superpixels))[:60]
-        rows = [((prep, other)[i % 2], prep.superpixels[j]) for i, j in enumerate(picks)]
-        s1, s2, maps = patches.cut_at_centroids(rows, "desk")
+        rows = [(i % 2, prep.superpixels[j]) for i, j in enumerate(picks)]
+        volume = np.array([v for v, _ in rows])
+        slices = np.array([sp.slice_index for _, sp in rows])
+        centers = np.array([(round(sp.centroid[0]), round(sp.centroid[1])) for _, sp in rows])
+        maps = patches.cut_at_centroids(volumes, volume, slices, centers, "desk")
         assert len(maps.scale1) == len(maps.scale2) == len(set(maps.corners[:, 0].tolist()))
-        for i, (vol, sp) in enumerate(rows):
-            want = pair_oracle(vol.data[sp.slice_index],
-                               (round(sp.centroid[0]), round(sp.centroid[1])), 16)
+        s1, s2 = maps.crops(1, 16), maps.crops(2, 16)
+        for i, (v, sp) in enumerate(rows):
+            want = pair_oracle(volumes[v][sp.slice_index], centers[i], 16)
             assert np.array_equal(s1[i], want[0]) and np.array_equal(s2[i], want[1])

@@ -14,8 +14,8 @@ from anomkit import phantom, preprocess
 from anomkit.errors import AnomkitError, DimensionError, InputError, SegmentationError
 from anomkit.rng import Rng
 
-from oracles import (connected_regions_oracle, segment_surfaces_oracle, slic_oracle,
-                     superpixel_records_oracle)
+from oracles import (_min_cost_path_oracle, connected_regions_oracle, segment_surfaces_oracle,
+                     slic_oracle, superpixel_records_oracle)
 
 
 class TestSegmentSurfaces:
@@ -126,6 +126,20 @@ class TestAgainstOracles:
     def test_random_volumes_surfaces(self, vol):
         assert_same_outcome(outcome(preprocess.segment_surfaces, vol),
                             outcome(segment_surfaces_oracle, vol))
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 12)),
+                  elements=st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf])),
+           st.integers(1, 9))
+    def test_min_cost_paths_on_constant_rows(self, rows, width):
+        """Costs constant along each row tie at every step, so the tie rule
+        picks every offset; inf rows can leave no finite path."""
+        cost = np.repeat(rows[:, :, None], width, axis=2)
+
+        def per_slice(c):
+            return np.stack([_min_cost_path_oracle(s, preprocess.SMOOTHNESS) for s in c])
+
+        assert_same_outcome(outcome(preprocess._min_cost_paths, cost), outcome(per_slice, cost))
 
     @settings(max_examples=60, deadline=None)
     @given(arrays(np.float64, st.tuples(DEPTHS, st.integers(1, 3 * preprocess.STEP + 1),
@@ -523,15 +537,20 @@ class TestPreprocessVolume:
     def test_volume_records_equal_per_slice_records(self):
         vol, _ = phantom.generate_volume(phantom.test_config(32))
         surf = preprocess.segment_surfaces(vol.data)
-        labels = preprocess.slic_superpixels(vol.data)
-        records = preprocess.superpixel_records(labels, surf)
-        expected = [sp for s in range(labels.shape[0])
-                    for sp in superpixel_records_oracle(labels[s], s, surf)]
-        assert len(records) == len(expected)
-        for got, want in zip(records, expected):
-            assert (got.id, got.slice_index, got.centroid, got.in_retina) == (
-                want.id, want.slice_index, want.centroid, want.in_retina)
-            assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+        slic = preprocess.slic_superpixels(vol.data)
+        # SLIC's ids give 16-bit keys; spread out, the keys need 32 bits
+        for labels in (slic, 40 * slic + 7):
+            records = preprocess.superpixel_records(labels, surf)
+            expected = [sp for s in range(labels.shape[0])
+                        for sp in superpixel_records_oracle(labels[s], s, surf)]
+            assert len(records) == len(expected)
+            for got, want in zip(records, expected):
+                assert (got.id, got.slice_index, got.centroid, got.in_retina) == (
+                    want.id, want.slice_index, want.centroid, want.in_retina)
+                assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+                assert got.rows.dtype == want.rows.dtype and got.cols.dtype == want.cols.dtype
+            # every record's pixels are cut from one array per coordinate
+            assert all(sp.rows.base is records[0].rows.base is not None for sp in records)
 
     def test_slice_label_map_rejected(self):
         from anomkit.errors import DimensionError

@@ -20,8 +20,8 @@ def prepped():
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_patches_take_the_presets_side(prepped, name):
     side = PRESETS[name].patch_side
-    s1, s2, _ = patches.cut_pairs(np.zeros((40, 40)), [(20, 20), (0, 39)], name)
-    assert s1.shape == s2.shape == (2, side, side)
+    maps = patches.slice_maps(np.zeros((40, 40)), [(20, 20), (0, 39)], name)
+    assert maps.crops(1, side).shape == maps.crops(2, side).shape == (2, side, side)
     ds = patches.build_dataset(prepped, "eval", name, rng=Rng(56), cap=5)
     assert ds.preset is PRESETS[name]
     assert ds.scale1.shape == ds.scale2.shape == (5, side, side)
@@ -29,7 +29,7 @@ def test_patches_take_the_presets_side(prepped, name):
 
 def test_unknown_preset_name_rejected_everywhere(prepped):
     calls = [
-        lambda: patches.cut_pairs(np.zeros((40, 40)), [(20, 20)], "huge"),
+        lambda: patches.slice_maps(np.zeros((40, 40)), [(20, 20)], "huge"),
         lambda: patches.build_dataset(prepped, "eval", "huge"),
         lambda: dcae.build_model("huge", Rng(57)),
     ]
