@@ -179,7 +179,8 @@ def build_model(preset, rng: Rng) -> DcaeModel:
 def _check_patch_side(model: DcaeModel, dataset: PatchDataset):
     """Raise UsageError unless the dataset's pairs have the model's side. The
     crops are not read: a corner whose window leaves its map raises
-    InputError where the maps are read."""
+    InputError where the maps are read, and `PatchMaps.of_crops` refuses
+    loose crops of any other side."""
     side = model.preset.patch_side
     if dataset.preset.patch_side != side:
         raise UsageError(f"{dataset.preset.patch_side}px patches do not fit the "

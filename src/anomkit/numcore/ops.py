@@ -28,7 +28,6 @@ and the tests compare against them.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -260,10 +259,7 @@ def dropout(x, rate, rng: Rng):
     x = np.asarray(x)
     if rate == 0.0:
         return x, np.ones_like(x)
-    # rng.random(dtype=float32) is (u >> 8) * 2**-24 of the stream's uint32
-    # words u, so it is >= float32(rate) exactly where u >= threshold
-    threshold = math.ceil(float(np.float32(rate)) * 2**24) << 8
-    keep = (rng.integers(0, 2**32, size=x.shape, dtype=np.uint32) >= threshold).astype(x.dtype)
+    keep = (rng.random(x.shape, dtype=np.float32) >= np.float32(rate)).astype(x.dtype)
     mask = keep / np.asarray(1.0 - rate, dtype=x.dtype)
     return x * mask, mask
 

@@ -72,12 +72,12 @@ class PatchMaps(NamedTuple):
     corners: np.ndarray  # [n, 4] int64 (map, phase, row, col) of the scale-2 window
 
     @classmethod
-    def of_crops(cls, scale1, scale2):
+    def of_crops(cls, scale1, scale2, side):
         """Each of n loose crop pairs, two [n, side, side] arrays, as its own
         map, at corner (i, 0, 0, 0)."""
         scale1, scale2 = np.asarray(scale1), np.asarray(scale2)
-        if scale1.ndim != 3 or scale1.shape != scale2.shape or scale1.shape[1] != scale1.shape[2]:
-            raise DimensionError(f"crops must be two equal [n, side, side] arrays, got "
+        if scale1.ndim != 3 or scale1.shape != scale2.shape or scale1.shape[1:] != (side, side):
+            raise DimensionError(f"crops must be two equal [n, {side}, {side}] arrays, got "
                                  f"{scale1.shape} and {scale2.shape}")
         corners = np.zeros((len(scale1), 4), np.int64)
         corners[:, 0] = np.arange(len(scale1))

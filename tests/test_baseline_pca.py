@@ -20,7 +20,7 @@ def _dataset(n, split="healthy-train", seed=70, preset="desk"):
         x = rng.uniform(size=(n, side * side))
         scales.append(x.reshape(n, side, side).astype(np.float32))
     return patches.PatchDataset(
-        maps=patches.PatchMaps.of_crops(*scales), sources=[("v", 0, i) for i in range(n)],
+        maps=patches.PatchMaps.of_crops(*scales, side), sources=[("v", 0, i) for i in range(n)],
         split=split, preset=p,
     )
 

@@ -164,7 +164,8 @@ class TestMapPath:
 
 def _rows(ds, index):
     """The rows `index` of ds as a dataset of their own."""
-    return patches.PatchDataset(patches.PatchMaps.of_crops(ds.scale1[index], ds.scale2[index]),
+    return patches.PatchDataset(patches.PatchMaps.of_crops(ds.scale1[index], ds.scale2[index],
+                                                           ds.preset.patch_side),
                                 [ds.sources[i] for i in index], ds.split, ds.preset)
 
 
@@ -324,10 +325,14 @@ class TestPatchSide:
         model = dcae.build_model(TINY, Rng(89))
         model.scales_trained = model.fusion_trained = True  # only the shapes are wrong
         s1, s2 = healthy.scale1[:4], healthy.scale2[:4]
-        ds = patches.PatchDataset(patches.PatchMaps.of_crops(s1[:, :8, :8], s2[:, :8, :8]),
-                                  healthy.sources[:4], healthy.split, healthy.preset)
+        # 8px maps, too small for the 16px window at each corner (i, 0, 0, 0)
+        small = patches.PatchMaps([s1[:, None, :8, :8]], [s2[:, None, :8, :8]],
+                                  patches.PatchMaps.of_crops(s1, s2, 16).corners)
+        ds = patches.PatchDataset(small, healthy.sources[:4], healthy.split, healthy.preset)
         with pytest.raises(InputError, match="puts a 16px window outside its map"):
             self.CALLS[call](model, ds)
-        for b1, b2 in ((s1, s2[:3]), (s1[:3], s2), (s1[..., None], s2[..., None])):
-            with pytest.raises(DimensionError, match="two equal"):
-                patches.PatchMaps.of_crops(b1, b2)
+        big1, big2 = (np.pad(s, ((0, 0), (0, 16), (0, 16)), mode="edge") for s in (s1, s2))
+        for b1, b2 in ((s1, s2[:3]), (s1[:3], s2), (s1[..., None], s2[..., None]),
+                       (s1[:, :8, :8], s2[:, :8, :8]), (big1, big2)):
+            with pytest.raises(DimensionError, match=r"two equal \[n, 16, 16\]"):
+                patches.PatchMaps.of_crops(b1, b2, 16)

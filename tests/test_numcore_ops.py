@@ -259,17 +259,6 @@ class TestDropout:
         assert mask.dtype == dtype
         assert np.array_equal(mask, keep / dtype(0.7))
 
-    @pytest.mark.parametrize("rate", [1e-9, 0.1, 0.2, 0.25, 1 / 3, 0.5, 0.75, 0.9, 0.999999])
-    @pytest.mark.parametrize("shape", [(64, 12, 12, 32), (3, 7, 5), (1,)])
-    def test_integer_threshold_keeps_the_float32_draws_survivors(self, rate, shape):
-        # and consumes the same stream words, so a following draw is unchanged
-        x = np.ones(shape, np.float32)
-        rng, ref = Rng(7), Rng(7)
-        _, mask = ops.dropout(x, rate, rng)
-        keep = ref.random(x.shape, dtype=np.float32) >= np.float32(rate)
-        assert np.array_equal(mask, keep / np.float32(1.0 - rate))
-        assert np.array_equal(rng.random(9), ref.random(9))
-
     def test_a_network_hands_its_stream_to_dropout_only(self):
         seen = []
 

@@ -209,7 +209,7 @@ class TestBuildDataset:
         with pytest.raises(UsageError, match="corners"):
             patches.PatchDataset(ds.maps, ds.sources[1:], "eval", ds.preset)
         with pytest.raises(DimensionError, match="two equal"):
-            patches.PatchMaps.of_crops(ds.scale1, ds.scale2[1:])
+            patches.PatchMaps.of_crops(ds.scale1, ds.scale2[1:], 16)
 
     @pytest.mark.parametrize("split", ["eval", "anomaly-train"])
     def test_building_cuts_no_crops(self, prepped, monkeypatch, split):

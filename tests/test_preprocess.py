@@ -538,8 +538,11 @@ class TestPreprocessVolume:
         vol, _ = phantom.generate_volume(phantom.test_config(32))
         surf = preprocess.segment_surfaces(vol.data)
         slic = preprocess.slic_superpixels(vol.data)
-        # SLIC's ids give 16-bit keys; spread out, the keys need 32 bits
-        for labels in (slic, 40 * slic + 7):
+        one = slic[:1]
+        # SLIC's ids give 16-bit keys; spread out, the keys need 32 bits; one
+        # slice whose largest id is 2**8 - 1 or 2**16 - 1 has 8- or 16-bit keys
+        for labels in (slic, 40 * slic + 7, np.minimum(one, 255),
+                       np.where(one == one.max(), 65535, one)):
             records = preprocess.superpixel_records(labels, surf)
             expected = [sp for s in range(labels.shape[0])
                         for sp in superpixel_records_oracle(labels[s], s, surf)]
