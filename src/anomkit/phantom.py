@@ -26,8 +26,9 @@ builds, evaluated here with numpy alone. Importing `scipy.interpolate`
 loads seven scipy subpackages (interpolate, linalg, optimize, sparse,
 spatial, fft and constants): importing every anomkit module took 81 MB of
 RSS and 0.7-1.0 s with it, against 55 MB and 0.5-0.7 s without it (2-core
-Xeon, scipy 1.17), which is a sixth of a `screen` bench run's peak RSS. So
-the package loads `scipy.ndimage` only. The two splines differ by under
+Xeon, scipy 1.17), which is a sixth of a `screen` bench run's peak RSS.
+The package loads no scipy module at all (the preprocess module docstring
+covers `scipy.ndimage`). The two splines differ by under
 1e-12 and the surfaces are rounded to rows, so the volumes are those that
 `CubicSpline` gives; `tests/oracles.phantom_oracle` keeps `CubicSpline` as
 the reference.

@@ -12,6 +12,22 @@ bottom surfaces, which keep MIN_GAP rows below the top; both change by at
 most SMOOTHNESS rows from one column to the next. A non-finite voxel is
 rejected with InputError before any of this.
 
+The module, and with it the package, runs on numpy alone. Its two scipy
+calls were the box filter, `ndimage.uniform_filter`, and the component
+labelling of the orphan merge, `ndimage.label`, and importing
+`scipy.ndimage` for them cost every process 19 MB of RSS and about 0.3 s:
+importing every module of the package read 55.1 MB and 0.51-0.56 s with it
+and 36.1 MB and 0.18-0.23 s without (five fresh processes each, 2-core Xeon,
+numpy 2.4, scipy 1.17). `_box_smooth` gives scipy's bits: it filters the
+rows, then the columns, each with scipy's running sums (`_running_means`),
+one vector add per step over all lines of the pass at once.
+`_connected_regions` joins the same-label runs of touching rows by hooking
+roots with `np.minimum.at`, where scipy labelled a grid of pixel and edge
+nodes. Both are faster than the
+scipy calls were: 0.99 against 1.17 ms per desk volume for the filter, and
+0.36 against 0.44 ms per 128x128 SLIC slice for the components (medians of
+30 interleaved runs).
+
 SLIC runs N_ITER k-means iterations from a grid of STEP-pixel cells, with
 spatial weight COMPACTNESS, each pixel restricted to the centres of its 3x3
 neighbouring cells (Achanta et al., TPAMI 2012). It takes no data-dependent
@@ -32,8 +48,7 @@ a sequential strict `<` sweep, and the centres are updated from one
 receive their own slice's pixels in raster order, as the sequential loop
 added them; so every slice's labels are those of SLIC on that slice alone.
 The label map of each slice is made connected by an orphan merge over its
-4-connected components, which `ndimage.label` finds on a grid of pixel and
-same-label edge nodes and numbers in raster order. Each label keeps its
+4-connected components, numbered in raster order. Each label keeps its
 largest component (ties to the lowest component id), and the other
 components settle in rounds, each taking the label of its largest
 already-settled neighbour by original area (ties to the lowest component
@@ -81,7 +96,6 @@ from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from ._fork import both
 from .errors import DimensionError, InputError, SegmentationError
@@ -200,6 +214,48 @@ def _check_finite(data):
         raise InputError(f"non-finite value {data[at]} at index {tuple(map(int, at))}")
 
 
+def _running_means(a):
+    """Means of the SMOOTH_WINDOW lines around each line along axis 0 of `a`,
+    edges extended, as a new contiguous array.
+
+    The arithmetic is `ndimage.uniform_filter1d`'s with mode "nearest": each
+    line is extended by size // 2 entries before and size - size // 2 - 1
+    after, its first sum is ((0.0 + e0) + e1) + ..., each later sum adds
+    e[j + size - 1] - e[j - 1] to the one before, and every sum is divided by
+    the size. With the lines along axis 0, each step of the running sum is one
+    vector add over all of them.
+    """
+    size, n = SMOOTH_WINDOW, len(a)
+    extended = a.take(np.arange(-(size // 2), n + size - 1 - size // 2).clip(0, n - 1), axis=0)
+    sums = np.empty(a.shape)
+    first = np.add(extended[0], 0.0, out=sums[0])
+    for line in extended[1:size]:
+        first += line
+    np.subtract(extended[size:], extended[: n - 1], out=sums[1:])
+    steps = list(sums)
+    for prev, step in zip(steps, steps[1:]):
+        np.add(prev, step, out=step)
+    sums /= size
+    return sums
+
+
+def _box_smooth(vol):
+    """Mean over the SMOOTH_WINDOW x SMOOTH_WINDOW in-slice box around each
+    voxel of a float64 [S, H, W] volume, edges extended: bit for bit
+    `ndimage.uniform_filter(vol, size=(1, SMOOTH_WINDOW, SMOOTH_WINDOW),
+    mode="nearest")`, which filters the rows first, then the columns.
+
+    Each pass runs on a copy whose filtered axis leads, so every step of a
+    running sum is one add over all S x W (or S x H) lines; the result is
+    a [S, H, W] view of a [W, S, H] array. The second pass holds three
+    volume-sized arrays besides `vol`, as the path search after it does:
+    `segment_surfaces` peaked at 48 MiB traced on a [4, 1024, 512] float64
+    volume with this filter and with scipy's.
+    """
+    rows = _running_means(vol.transpose(1, 0, 2))  # [H, S, W]
+    return _running_means(rows.transpose(2, 1, 0)).transpose(1, 2, 0)
+
+
 def segment_surfaces(volume_data) -> SurfacePair:
     """Locate top and bottom retina surfaces in every slice.
 
@@ -216,8 +272,7 @@ def segment_surfaces(volume_data) -> SurfacePair:
     _check_finite(vol)
 
     # the smoothed image gets no name, so it is freed before the path costs are built
-    grad = np.gradient(ndimage.uniform_filter(vol, size=(1, SMOOTH_WINDOW, SMOOTH_WINDOW),
-                                              mode="nearest"), axis=1)
+    grad = np.gradient(_box_smooth(vol), axis=1)
     flat = np.abs(grad).max(axis=(1, 2)) < 1e-9
     if flat.any():
         raise SegmentationError(f"slice {np.argmax(flat)}: no gradient evidence (constant image)")
@@ -267,16 +322,40 @@ def normalize_slice(slice_img, retina_mask):
 
 
 def _connected_regions(labels):
-    """(count, map) of the 4-connected same-label components, numbered from 0 in
-    raster order of their first pixel: `ndimage.label` of a (2H-1, 2W-1) grid of
-    pixel nodes and, between 4-neighbours, nodes set where the labels agree."""
+    """(count, map) of the 4-connected same-label components of a 2-D label
+    map, numbered from 0 in raster order of their first pixel.
+
+    A run is a maximal same-label stretch of one row; runs are numbered in
+    raster order of their first pixel, and each starts as its own root. Two
+    runs of touching rows are joined where a column holds the same label in
+    both; only the first such column of each pair of runs is kept, since the
+    label changes in neither row until one of them starts a run. Each round
+    hooks the larger root of every joined pair that still has two roots onto
+    the smaller (`np.minimum.at`), then jumps pointers until every run points
+    at its root. A root is only ever hooked onto a smaller one, so each
+    component's root is its lowest-numbered run, the run of its first pixel,
+    and a cumulative count over the roots numbers the components in raster
+    order.
+    """
     h, w = labels.shape
-    grid = np.ones((2 * h - 1, 2 * w - 1), dtype=bool)
-    grid[::2, 1::2] = labels[:, :-1] == labels[:, 1:]
-    grid[1::2, ::2] = labels[:-1] == labels[1:]
-    grid[1::2, 1::2] = False
-    comp, n_comp = ndimage.label(grid)
-    return n_comp, comp[::2, ::2] - 1
+    starts = np.ones((h, w), dtype=bool)
+    np.not_equal(labels[:, 1:], labels[:, :-1], out=starts[:, 1:])
+    first = np.flatnonzero(starts)
+    run = np.repeat(np.arange(len(first)), np.diff(first, append=h * w)).reshape(h, w)
+    joined = (labels[:-1] == labels[1:]) & (starts[:-1] | starts[1:])
+    a, b = run[:-1][joined], run[1:][joined]
+    root = np.arange(len(first))
+    while True:
+        a, b = root[a], root[b]
+        apart = a != b
+        if not apart.any():
+            break
+        a, b = a[apart], b[apart]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    number = np.cumsum(root == np.arange(len(first))) - 1
+    return int(number[-1]) + 1, number[root][run]
 
 
 def _enforce_connectivity(labels):

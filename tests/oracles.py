@@ -240,8 +240,9 @@ def segment_surfaces_oracle(volume_data):
 
 def connected_regions_oracle(labels):
     """(count, map) of the 4-connected same-label components, from a sparse
-    pixel graph and `connected_components`, as `_connected_regions` was built
-    before it used `ndimage.label`."""
+    pixel graph and scipy's `connected_components`, which numbers them in
+    raster order of their first pixel as `_connected_regions` does with
+    numpy alone. The oracles keep scipy; the package does not import it."""
     h, w = labels.shape
     idx = np.arange(h * w).reshape(h, w)
     edges_r = labels[:, :-1] == labels[:, 1:]

@@ -1,5 +1,7 @@
 """One-class SVM: solver-vs-oracle equivalence, nu-property, scoring rules."""
 
+from itertools import compress
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -237,6 +239,30 @@ class TestSegmentVolume:
             assert amap.pixel_mask.sum() == pixels
             assert amap.pixel_mask[0, 0, :2].all() == amap.pixel_mask[1, 2, 3] == labels[0]
             assert amap.superpixel_ids == [(0, 0), (1, 1)]
+
+    def test_mask_is_the_union_of_the_flagged_records(self):
+        """Hand-built records over every label of a random label volume, each
+        holding its own arrays: the mask is the pixels of the flagged ones."""
+        from anomkit.preprocess import Superpixel
+
+        rng = Rng(40)
+        healthy = np.abs(rng.normal(size=(300, 4))) + 1.0
+        model = ocsvm.fit_ocsvm(healthy, nu=0.1, tol=1e-10)
+        labels = rng.integers(0, 7, size=(3, 9, 11))
+        sps = []
+        for s, slice_labels in enumerate(labels):
+            for lab in np.unique(slice_labels):
+                rows, cols = np.nonzero(slice_labels == lab)
+                sps.append(Superpixel(id=int(lab), slice_index=s, rows=rows, cols=cols,
+                                      centroid=(rows.mean(), cols.mean()), in_retina=True))
+        flag = rng.random(len(sps)) < 0.4
+        feats = np.where(flag[:, None], -50.0, healthy.mean(axis=0))
+        amap = ocsvm.segment_volume(model, feats, sps, volume_shape=labels.shape)
+        assert amap.labels.tolist() == flag.tolist() and 0 < flag.sum() < len(sps)
+        want = np.zeros(labels.shape, dtype=bool)
+        for sp in compress(sps, flag):  # one assignment per record
+            want[sp.slice_index][sp.rows, sp.cols] = True
+        assert np.array_equal(amap.pixel_mask, want)
 
     def test_zero_rows_are_scored_like_any_others(self):
         model = ocsvm.fit_ocsvm(np.abs(Rng(39).normal(size=(50, 4))) + 1.0, nu=0.1)

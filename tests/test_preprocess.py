@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
@@ -176,6 +176,28 @@ class TestAgainstOracles:
             phantom.healthy_config(36, n_slices=7, height=29, width=34))
         monkeypatch.setattr(preprocess, "SLIC_PIXELS", per_pass * 29 * 34 + 5)
         assert_slic_matches_oracle(vol.data)
+
+
+class TestBoxSmooth:
+    """The in-slice box filter against `ndimage.uniform_filter`, bit for bit:
+    the surface tests compare argmin paths only, which can hide an ulp."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(8, 14), st.integers(1, 12)),
+                  elements=st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                                     st.floats(-1e6, 1e6))),
+           st.sampled_from([None, 1e3, 1e6, 1e9]))
+    @example(np.full((2, 8, 3), -0.0), None)  # each sum starts from +0.0, as scipy's does
+    def test_equals_uniform_filter(self, vol, offset):
+        if offset is not None:
+            # a large offset and a spread of about 1e-6 of it: the running
+            # sums cancel most of their digits at every step
+            vol = offset + vol * (offset * 1e-12)
+        size = preprocess.SMOOTH_WINDOW
+        want = ndimage.uniform_filter(vol, size=(1, size, size), mode="nearest")
+        got = preprocess._box_smooth(vol)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFlatten:
@@ -383,6 +405,29 @@ def slic_before_and_after_merge(img):
     return seen[0], after
 
 
+def _spiral(n):
+    """An n x n map of 0s and one 1-wide square spiral of 1s, its turns one row
+    or column apart, so each label is one long winding component."""
+    grid = np.zeros((n, n), dtype=np.int64)
+    r = c = turns = 0
+    dr, dc = 0, 1
+    grid[0, 0] = 1
+
+    def free(i, j):
+        return 0 <= i < n and 0 <= j < n and not grid[i, j]
+
+    def clear(i, j):
+        return not (0 <= i < n and 0 <= j < n) or not grid[i, j]
+
+    while turns < 2:
+        if free(r + dr, c + dc) and clear(r + 2 * dr, c + 2 * dc):
+            r, c, turns = r + dr, c + dc, 0
+            grid[r, c] = 1
+        else:
+            dr, dc, turns = dc, -dr, turns + 1
+    return grid
+
+
 def assert_same_components(labels):
     n, comp = preprocess._connected_regions(labels)
     n_want, comp_want = connected_regions_oracle(labels)
@@ -401,6 +446,10 @@ class TestConnectedRegions:
         np.full((5, 7), 3),
         np.indices((6, 9)).sum(axis=0) % 2,  # checkerboard: every pixel its own component
         np.array([[0, 0, 1], [1, 0, 1], [0, 0, 0]]),
+        # one winding component: its runs hook into long chains, so pointer
+        # jumping takes the most steps (8, against at most 6 on random maps)
+        _spiral(23),
+        _spiral(23).T,
     ])
     def test_edge_cases(self, labels):
         assert_same_components(labels)
