@@ -21,10 +21,6 @@ class PcaModel:
     mean: np.ndarray  # [d]
     components: np.ndarray  # [k, d] rows are orthonormal, descending eigenvalue
 
-    @property
-    def n_components(self) -> int:
-        return self.components.shape[0]
-
 
 def pca_fit(data, k) -> PcaModel:
     """Fit PCA on rows of `data`, keeping the top `k` components (k <= d)."""
@@ -61,10 +57,6 @@ def pca_project(model: PcaModel, x):
 class PcaBaseline:
     scale1: PcaModel
     scale2: PcaModel
-
-    @property
-    def dim(self) -> int:
-        return self.scale1.n_components + self.scale2.n_components
 
 
 def fit_pca_baseline(dataset: PatchDataset, mode) -> PcaBaseline:

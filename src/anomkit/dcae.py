@@ -27,29 +27,32 @@ ended, scale 1's first. The failed stage leaves its trained flag and loss
 log as they were, and each scale's parameters as far as that scale's run
 got.
 
-Encoding runs each encoder's inference plan (`numcore.Network.infer`): no
-tape, no RNG and no Dropout, and the first ELU after a max pool that keeps no
-switches, so it sees a quarter of the elements. The output is bit-identical
-to the layers' inference forward. Training runs the full layer list, where
-dropout sits between that ELU and the pool, and is unchanged.
+Encoding runs each encoder's inference plan (`numcore.Network.infer`): its
+layers' inference passes in order, with no tape, no RNG and no Dropout.
+Training runs the full layer list and is unchanged.
 
-The plan's Conv2D, MaxPool2D and first ELU run on the dataset's maps
-(`patches.PatchMaps`), not on its crops, which overlap heavily: a desk
-volume has about 4,800 crops of 16x16 on eight 128x128 slices. Encoding
-never reads the crops, so an encoded dataset never cuts them. Each conv call
-takes one slice's maps, cut to the rows its pairs reach, or up to EMBED_ROWS
-loose crops. Its output goes through the p*p max at stride 1
-(`numcore.window_max`) and the ELU, and each pair's pooled window is
+The plan's Conv2D, first ELU and MaxPool2D run on the dataset's maps
+(`patches.PatchMaps`, one per slice and scale), not on its crops, which
+overlap heavily: a desk volume has about 4,800 crops of 16x16 on eight
+128x128 slices. Encoding never reads the crops, so an encoded dataset never
+cuts them. Each conv call takes one slice's map, cut to the rows its pairs
+reach. Its output goes through the p*p max at stride 1
+(`numcore.window_max`) and then the ELU, and each pair's pooled window is
 gathered from that at stride p, from the pair's corner, through a
-bounds-checked window view: a corner outside its map raises InputError. The
-ELU is elementwise and the gather picks a subset of its input, so taking
-the ELU first changes no bit; on a desk volume of 4,797 pairs the pooled
-maps hold 3.2M (scale 1) and 3.9M (scale 2) values, against the 5.5M that
-each scale's gather takes. The layers
-after the ELU (Reshape, Dense, ELU, Dense, ELU) run on EMBED_ROWS-row
-batches of the gathered rows, taken in map order, which for a
-`build_dataset` dataset is its row order. The map path gives each row the
-bits the crop path gives it:
+bounds-checked window view: a corner outside its map raises InputError.
+
+`_encode_maps` is the one place that runs the ELU after the max, where the
+plan has it before the pool. The swap is exact because ELU is
+non-decreasing on every pair of floats, so the max of the ELUs is the ELU
+of the max; the ELU then sees a quarter of the conv output. The gather
+picks a subset of the ELU's elementwise output, so taking the ELU before
+the gather changes no bit either: on a desk volume of 4,797 pairs the
+pooled maps hold 3.2M (scale 1) and 3.9M (scale 2) values, against the 5.5M
+that each scale's gather takes. The layers after the pool (Reshape, Dense,
+ELU, Dense, ELU) run on EMBED_ROWS-row batches of the gathered rows, taken
+in map order, which for a `build_dataset` dataset is its row order.
+
+The map path gives each row the bits the crop path gives it:
 - A crop's conv output is the same dot product of the same pixels as the
   map's at the crop's corner plus that offset. The two are equal on an
   sgemm whose row results do not depend on the row's place in the batch:
@@ -179,8 +182,7 @@ def build_model(preset, rng: Rng) -> DcaeModel:
 def _check_patch_side(model: DcaeModel, dataset: PatchDataset):
     """Raise UsageError unless the dataset's pairs have the model's side. The
     crops are not read: a corner whose window leaves its map raises
-    InputError where the maps are read, and `PatchMaps.of_crops` refuses
-    loose crops of any other side."""
+    InputError where the maps are read."""
     side = model.preset.patch_side
     if dataset.preset.patch_side != side:
         raise UsageError(f"{dataset.preset.patch_side}px patches do not fit the "
@@ -254,19 +256,17 @@ def _batched(fn, rows):
                            for start in range(0, len(rows), EMBED_ROWS) or [0]], axis=0)
 
 
-def _pooled_windows(conv, p, elu, maps, corners, side):
+def _pooled_windows(conv, p, elu, one, phase, r, c, side):
     """The pooled and ELU'd [k, pooled, pooled, C] window of each of k crops
-    of `maps` at `corners`: one conv over the map rows the crops reach, the
-    p*p max at stride 1 and the ELU, and each crop's windows of that at
-    stride p from its corner."""
-    m, phase, r, c = corners.T
+    of the [phases, h, w] map `one` at corners (phase, r, c): one conv over
+    the map rows the crops reach, the p*p max at stride 1 and the ELU, and
+    each crop's windows of that at stride p from its corner."""
     top = r.min()
-    x = maps[:, :, top : r.max() + side]
-    y = elu.infer(nc.window_max(conv.infer(x.reshape(-1, *x.shape[2:], 1)), p))
-    y = y.reshape(x.shape[:2] + y.shape[1:])  # [maps, phases, h, w, C]
+    x = one[:, top : r.max() + side]
+    y = elu.infer(nc.window_max(conv.infer(x[..., None]), p))  # [phases, h, w, C]
     span = p * ((side - conv.k + 1) // p - 1) + 1
-    windows = sliding_window_view(y, (span, span), axis=(2, 3))  # [..., C, span, span]
-    return windows.transpose(0, 1, 2, 3, 5, 6, 4)[..., ::p, ::p, :][m, phase, r - top, c]
+    windows = sliding_window_view(y, (span, span), axis=(1, 2))  # [..., C, span, span]
+    return windows.transpose(0, 1, 2, 4, 5, 3)[..., ::p, ::p, :][phase, r - top, c]
 
 
 def _batch_codes(fn, held, pooled):
@@ -283,20 +283,20 @@ def _batch_codes(fn, held, pooled):
     return [fn(batch) for batch in batches], np.concatenate([held, pooled[whole:]])
 
 
-def _encode_maps(net, blocks, corners, side):
+def _encode_maps(net, maps, corners, side):
     """[len(corners), code_dim] codes of the side x side crops at `corners` of
-    `blocks`, by `net`'s inference plan: its Conv2D, MaxPool2D and first ELU
-    once per run of maps, and the layers after them on EMBED_ROWS-row batches
-    of the gathered rows, taken in map order across the runs."""
-    conv, pool, elu, *rest = net.encoder.plan  # the plan runs the pool before the ELU
+    `maps`, by `net`'s inference plan: its Conv2D, the MaxPool2D's max and
+    then the first ELU once per map, and the layers after them on
+    EMBED_ROWS-row batches of the gathered rows, taken in map order."""
+    conv, elu, pool, *rest = net.encoder.plan
     tail = nc.Network(rest)
     n = (side - conv.k + 1) // pool.pool
     rows, codes = [np.zeros(0, np.int64)], []
     held = np.zeros((0, n, n, conv.cout), conv.kernels.dtype)  # rows not yet in a batch
-    for maps, local, run_rows in map_groups(blocks, corners, side, EMBED_ROWS):
-        rows.append(run_rows)
+    for one, local, map_rows in map_groups(maps, corners, side):
+        rows.append(map_rows)
         done, held = _batch_codes(tail.infer, held,
-                                  _pooled_windows(conv, pool.pool, elu, maps, local, side))
+                                  _pooled_windows(conv, pool.pool, elu, one, *local, side))
         codes += done
     if len(held) or not codes:  # a zero-row batch keeps the width
         codes.append(tail.infer(held))
@@ -309,9 +309,9 @@ def _scale_codes(model: DcaeModel, dataset: PatchDataset):
     """[len, 2 * code_dim] scale-1 then scale-2 codes from the dataset's maps,
     one scale per thread."""
     side = model.preset.patch_side
-    (blocks1, corners1), (blocks2, corners2) = dataset.maps.scale(1), dataset.maps.scale(2)
-    return np.concatenate(both(lambda: _encode_maps(model.scale1, blocks1, corners1, side),
-                               lambda: _encode_maps(model.scale2, blocks2, corners2, side),
+    (maps1, corners1), (maps2, corners2) = dataset.maps.scale(1), dataset.maps.scale(2)
+    return np.concatenate(both(lambda: _encode_maps(model.scale1, maps1, corners1, side),
+                               lambda: _encode_maps(model.scale2, maps2, corners2, side),
                                "dcae-scale1"), axis=1)
 
 

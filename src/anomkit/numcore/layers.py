@@ -11,14 +11,13 @@ keep their own. Unpool layers read the argmax switches recorded by their
 partner pool layer, so an encoder/decoder pair shares pooling geometry
 through the tape.
 
-`Network.infer` runs the inference plan compiled from the layer list at
-construction: each layer's `infer`, with no tape and no RNG, Dropout layers
-(the identity outside training) left out, and every (Elu, MaxPool2D) pair
-run as (MaxPool2D, Elu). The pool then keeps no switches and the ELU sees
-1/p**2 of the elements. The swap is exact because ELU is non-decreasing on
-every pair of floats, so the max of the ELUs is the ELU of the max: the
-plan's output is `np.array_equal` to `forward(x, training=False)`. The plan
-holds layers, not their arrays, so it follows `init` and weight updates.
+`Network.infer` runs the inference plan: the layer list without its Dropout
+layers (the identity outside training), each layer's `infer` in order with
+no tape and no RNG, so a pool keeps no switches. Its output is
+`np.array_equal` to `forward(x, training=False)`. The plan holds layers, not
+their arrays, so it follows `init` and weight updates. The encoders run
+their ELU after the max pool, on a quarter of the elements, in
+`dcae._encode_maps`, not here.
 """
 
 from __future__ import annotations
@@ -258,9 +257,6 @@ class Network:
     def __init__(self, layers):
         self.layers = list(layers)
         self.plan = [layer for layer in self.layers if not isinstance(layer, Dropout)]
-        for i in range(len(self.plan) - 1):
-            if isinstance(self.plan[i], Elu) and isinstance(self.plan[i + 1], MaxPool2D):
-                self.plan[i], self.plan[i + 1] = self.plan[i + 1], self.plan[i]
 
     def init(self, rng: Rng):
         for i, layer in enumerate(self.layers):

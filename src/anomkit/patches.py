@@ -24,7 +24,7 @@ anomaly-train) never cuts them. A slice has two maps:
   phase c mod 4.
 Each row of a dataset records one corner (map, phase, row, col): its
 scale-2 window. Its scale-1 window is at (row, 4 * col + phase) of the same
-map's scale-1 map, whose only phase is 0.
+slice's scale-1 map, whose only phase is 0.
 
 `slice_maps` builds one slice's two maps and the corner of every centre on
 it. Each mean sums the same four values in the order `np.mean` does, so the
@@ -32,9 +32,8 @@ crops are bit-identical to cropping each pair and averaging it
 (`tests/oracles.pair_oracle`). `build_dataset` reads each volume's
 in-retina flags, slices, ids and centroids into arrays, in the (slice, id)
 order `PreprocessedVolume.superpixels` holds them in, applies `cap` to those
-rows, and builds maps only for the rows kept, once per run of rows on one
-slice (`cut_at_centroids`). A dataset made from loose crops makes each crop
-its own one-phase map, at corner (i, 0, 0, 0) (`PatchMaps.of_crops`).
+rows, and builds maps only for the rows kept, one pair of maps per run of
+rows on one slice (`cut_at_centroids`).
 
 On desk volumes (8 slices of 128x128, 4,500-4,900 in-retina superpixels,
 2-core Xeon, numpy 2.4, medians of 30 interleaved calls in each of two
@@ -54,37 +53,22 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionError, InputError, ParameterError, UsageError
+from .errors import InputError, ParameterError, UsageError
 from .presets import DcaePreset, get_preset
 from .rng import Rng
 
 
 class PatchMaps(NamedTuple):
-    """The maps a dataset's crops are windows of, and each row's corner.
+    """The maps a dataset's crops are windows of, and each row's corner: one
+    [phases, h, w] float32 map per slice run and scale, the corner's map
+    counting them in order."""
 
-    The maps come in blocks, [m, phases, h, w] float32 arrays: one map per
-    slice run, or one block of all the loose crops. A corner's map counts
-    across the blocks in order.
-    """
-
-    scale1: list  # [m, 1, h, w] blocks
-    scale2: list  # [m, phases, h, w2] blocks, aligned with scale1's
+    scale1: list  # [1, h, w] maps
+    scale2: list  # [4, h, w2] maps, aligned with scale1's
     corners: np.ndarray  # [n, 4] int64 (map, phase, row, col) of the scale-2 window
 
-    @classmethod
-    def of_crops(cls, scale1, scale2, side):
-        """Each of n loose crop pairs, two [n, side, side] arrays, as its own
-        map, at corner (i, 0, 0, 0)."""
-        scale1, scale2 = np.asarray(scale1), np.asarray(scale2)
-        if scale1.ndim != 3 or scale1.shape != scale2.shape or scale1.shape[1:] != (side, side):
-            raise DimensionError(f"crops must be two equal [n, {side}, {side}] arrays, got "
-                                 f"{scale1.shape} and {scale2.shape}")
-        corners = np.zeros((len(scale1), 4), np.int64)
-        corners[:, 0] = np.arange(len(scale1))
-        return cls([scale1[:, None]], [scale2[:, None]], corners)
-
     def scale(self, k):
-        """(blocks, corners) of scale k: scale 2's corners are the stored ones,
+        """(maps, corners) of scale k: scale 2's corners are the stored ones,
         and scale 1's are (map, 0, row, 4 * col + phase)."""
         if k == 2:
             return self.scale2, self.corners
@@ -93,29 +77,25 @@ class PatchMaps(NamedTuple):
 
     def crops(self, k, side):
         """The [n, side, side] scale-k crops: each corner's window of its map."""
-        blocks, corners = self.scale(k)
-        out = np.empty((len(corners), side, side), blocks[0].dtype if blocks else np.float32)
-        size = max([1, *map(len, blocks)])  # each block in one group
-        for maps, local, rows in map_groups(blocks, corners, side, size):
-            m, phase, r, c = local.T
-            out[rows] = sliding_window_view(maps, (side, side), axis=(2, 3))[m, phase, r, c]
+        maps, corners = self.scale(k)
+        out = np.empty((len(corners), side, side), maps[0].dtype if maps else np.float32)
+        for one, (phase, r, c), rows in map_groups(maps, corners, side):
+            out[rows] = sliding_window_view(one, (side, side), axis=(1, 2))[phase, r, c]
         return out
 
 
-def map_groups(blocks, corners, side, size):
-    """Each run of up to `size` consecutive maps of one block that some corner
-    reads, as (maps, corners, rows): the run's [m, phases, h, w] maps, its
-    rows' corners with the map counted from the run's first, and those rows'
-    indices.
+def map_groups(maps, corners, side):
+    """Each of the [phases, h, w] `maps` that some corner reads, as (map,
+    (phase, row, col), rows): the map, its rows' corners without the map
+    field, as three arrays, and those rows' indices.
 
-    Before the first run, raises InputError if some corner's side x side
+    Before the first map, raises InputError if some corner's side x side
     window does not lie inside its map.
     """
     corners = np.asarray(corners, dtype=np.int64).reshape(-1, 4)
-    sizes = [len(block) for block in blocks]
     # every map's (phases, h - side + 1, w - side + 1): a corner's last three fields' bounds
-    limits = np.repeat(np.array([(b.shape[1], b.shape[2] - side + 1, b.shape[3] - side + 1)
-                                 for b in blocks], np.int64).reshape(-1, 3), sizes, axis=0)
+    limits = np.array([(m.shape[0], m.shape[1] - side + 1, m.shape[2] - side + 1)
+                       for m in maps], np.int64).reshape(-1, 3)
     m = corners[:, 0]
     bad = (m < 0) | (m >= len(limits))
     bad[~bad] = ((corners[~bad, 1:] < 0) | (corners[~bad, 1:] >= limits[m[~bad]])).any(axis=1)
@@ -123,21 +103,16 @@ def map_groups(blocks, corners, side, size):
         raise InputError(f"corner {tuple(corners[bad][0].tolist())} puts a {side}px window "
                          f"outside its map")
     order = np.argsort(m, kind="stable")
-    sorted_maps = m[order]
-    start = 0
-    for block in blocks:
-        for first in range(start, start + len(block), size):
-            maps = block[first - start : first - start + size]
-            lo, hi = np.searchsorted(sorted_maps, [first, first + len(maps)])
-            if lo < hi:
-                rows = order[lo:hi]
-                yield maps, corners[rows] - (first, 0, 0, 0), rows
-        start += len(block)
+    bounds = np.searchsorted(m[order], np.arange(len(maps) + 1))
+    for i, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
+        if lo < hi:
+            rows = order[lo:hi]
+            yield maps[i], corners[rows, 1:].T, rows
 
 
 def slice_maps(slice_img, centers, preset) -> PatchMaps:
     """The maps of the pairs centred on integer pixels of one slice: its
-    [1, 1, H+s-1, W+s-1] and [1, 4, H+s-1, W2] maps, and the corner of each
+    [1, H+s-1, W+s-1] and [4, H+s-1, W2] maps, and the corner of each
     of the [n, 2] (row, col) `centers`, in their order."""
     side = get_preset(preset).patch_side
     img = np.asarray(slice_img)
@@ -164,7 +139,7 @@ def slice_maps(slice_img, centers, preset) -> PatchMaps:
     means /= 4
     map2 = np.ascontiguousarray(means.reshape(h + side - 1, w2, 4).transpose(2, 0, 1),
                                 dtype=np.float32)
-    return PatchMaps([map1[None, None]], [map2[None]],
+    return PatchMaps([map1[None]], [map2],
                      np.stack([np.zeros_like(r), c % 4, r, c // 4], axis=1))
 
 
@@ -176,13 +151,13 @@ def cut_at_centroids(volumes, volume, slices, centers, preset) -> PatchMaps:
     volume, slices = np.asarray(volume), np.asarray(slices)
     # a run starts where the volume or the slice changes; the first row starts one
     starts = np.flatnonzero(np.diff(volume, prepend=-1) | np.diff(slices, prepend=-1))
-    blocks1, blocks2, corners = [], [], [np.zeros((0, 4), np.int64)]
+    maps1, maps2, corners = [], [], [np.zeros((0, 4), np.int64)]
     for i, (a, b) in enumerate(zip(starts.tolist(), starts[1:].tolist() + [len(volume)])):
         maps = slice_maps(volumes[volume[a]][slices[a]], centers[a:b], p)
-        blocks1 += maps.scale1
-        blocks2 += maps.scale2
+        maps1 += maps.scale1
+        maps2 += maps.scale2
         corners.append(maps.corners + (i, 0, 0, 0))
-    return PatchMaps(blocks1, blocks2, np.concatenate(corners))
+    return PatchMaps(maps1, maps2, np.concatenate(corners))
 
 
 @dataclass

@@ -126,24 +126,16 @@ class SurfacePair:
 class Superpixel:
     """One superpixel of one slice: its id, its fractional (row, col) centroid,
     whether it lies in the retina, and its pixels' `rows` and `cols` in raster
-    order. The pixels are a (start, stop) span of (rows, cols) arrays that
-    `superpixel_records` shares across a volume's records, and are cut from
-    them on access; a record built by hand holds its own arrays."""
+    order. The pixels are the (start, stop) span of the (rows, cols) arrays
+    `pixels`, which `superpixel_records` shares across a volume's records, and
+    are cut from them on access."""
 
     __slots__ = ("id", "slice_index", "centroid", "in_retina", "_pixels", "_start", "_stop")
 
-    def __init__(self, id, slice_index, rows, cols, centroid, in_retina):
+    def __init__(self, pixels, id, slice_index, start, stop, centroid, in_retina):
         self.id, self.slice_index = id, slice_index
         self.centroid, self.in_retina = centroid, in_retina
-        self._pixels, self._start, self._stop = (rows, cols), 0, len(rows)
-
-    @classmethod
-    def _shared(cls, pixels, id, slice_index, start, stop, centroid, in_retina):
-        """A record whose pixels are pixels[0][start:stop], pixels[1][start:stop]."""
-        sp = cls.__new__(cls)
-        sp.id, sp.slice_index, sp.centroid, sp.in_retina = id, slice_index, centroid, in_retina
-        sp._pixels, sp._start, sp._stop = pixels, start, stop
-        return sp
+        self._pixels, self._start, self._stop = pixels, start, stop
 
     @property
     def rows(self):
@@ -554,7 +546,7 @@ def superpixel_records(labels, surfaces: SurfacePair) -> list:
     in_retina = ((surfaces.top[slices, col] <= centroid_r)
                  & (centroid_r <= surfaces.bottom[slices, col]))
     pixels = np.divmod(order % (h * w), w)  # (rows, cols) in record order
-    return list(map(Superpixel._shared, repeat(pixels), ids.tolist(), slices.tolist(),
+    return list(map(Superpixel, repeat(pixels), ids.tolist(), slices.tolist(),
                     (stops - counts).tolist(), stops.tolist(),
                     zip(centroid_r.tolist(), centroid_c.tolist()), in_retina.tolist()))
 

@@ -56,8 +56,8 @@ def centre_volume(centres, width, height=20, seed=0):
     `centres`, with an in-retina one-pixel superpixel at each (row, col) of
     its slice's list."""
     data = Rng(seed).uniform(size=(len(centres), height, width)).astype(np.float32)
-    superpixels = [Superpixel(id=i, slice_index=s, rows=np.array([r]), cols=np.array([c]),
-                              centroid=(float(r), float(c)), in_retina=True)
+    superpixels = [Superpixel(pixels=(np.array([r]), np.array([c])), id=i, slice_index=s,
+                              start=0, stop=1, centroid=(float(r), float(c)), in_retina=True)
                    for s, slice_centres in enumerate(centres)
                    for i, (r, c) in enumerate(slice_centres)]
     return PreprocessedVolume(data=data, surfaces=None, superpixels=superpixels)

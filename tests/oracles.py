@@ -172,8 +172,8 @@ def superpixel_records_oracle(labels, slice_index, surfaces):
     in_retina = ((surfaces.top[slice_index, col] <= centroid_r)
                  & (centroid_r <= surfaces.bottom[slice_index, col]))
     return [
-        Superpixel(id=lab, slice_index=slice_index, rows=rows[a:b], cols=cols[a:b],
-                   centroid=(r, c), in_retina=inside)
+        Superpixel(pixels=(rows[a:b], cols[a:b]), id=lab, slice_index=slice_index, start=0,
+                   stop=b - a, centroid=(r, c), in_retina=inside)
         for lab, a, b, r, c, inside in zip(
             ids.tolist(), starts.tolist(), (starts + counts).tolist(),
             centroid_r.tolist(), centroid_c.tolist(), in_retina.tolist())

@@ -11,16 +11,19 @@ from anomkit.rng import Rng
 
 
 def _dataset(n, split="healthy-train", seed=70, preset="desk"):
-    """Random patch pairs of the preset's side."""
+    """Random patch pairs of the preset's side, each crop its own one-phase
+    map, read at corner (i, 0, 0, 0)."""
     rng = Rng(seed)
     p = PRESETS[preset]
     side = p.patch_side
     scales = []
     for s in range(2):
         x = rng.uniform(size=(n, side * side))
-        scales.append(x.reshape(n, side, side).astype(np.float32))
+        scales.append(list(x.reshape(n, 1, side, side).astype(np.float32)))
+    corners = np.zeros((n, 4), np.int64)
+    corners[:, 0] = np.arange(n)
     return patches.PatchDataset(
-        maps=patches.PatchMaps.of_crops(*scales, side), sources=[("v", 0, i) for i in range(n)],
+        maps=patches.PatchMaps(*scales, corners), sources=[("v", 0, i) for i in range(n)],
         split=split, preset=p,
     )
 
@@ -31,8 +34,8 @@ class TestFit:
         for name, n in (("desk", 60), ("paper", 140)):
             base = baseline_pca.fit_pca_baseline(_dataset(n, preset=name), "fixed")
             fusion_dim = PRESETS[name].fusion_dim
-            assert base.scale1.n_components == base.scale2.n_components == fusion_dim // 2
-            assert base.dim == fusion_dim
+            assert base.scale1.components.shape[0] == fusion_dim // 2
+            assert base.scale2.components.shape[0] == fusion_dim // 2
 
     def test_non_healthy_split_rejected(self):
         with pytest.raises(FittingError):
@@ -58,5 +61,5 @@ def test_embed_batches_concatenates_per_scale_projections():
         pca_project(base.scale1, other.scale1.reshape(9, -1)),
         pca_project(base.scale2, other.scale2.reshape(9, -1)),
     ], axis=1)
-    assert z.shape == (9, base.dim)
+    assert z.shape == (9, PRESETS["desk"].fusion_dim)
     assert np.array_equal(z, expected)

@@ -93,9 +93,9 @@ def test_matches_the_written_out_loops(healthy, preset, hyper):
 @pytest.mark.parametrize("preset, hyper", [(TINY, HYPER), (dcae.PRESETS["desk"], DESK_HYPER)],
                          ids=["tiny", "desk"])
 def test_encode_plan_equals_the_inference_forward(healthy, preset, hyper):
-    """The trained encoders' plans (no dropout, max-only pool, ELU after the
-    pool) against their layers' inference forward, in float32 and float64,
-    on the patches and on them scaled into ELU's linear and saturated ends."""
+    """The trained encoders' plans (no dropout, a pool that keeps no switches)
+    against their layers' inference forward, in float32 and float64, on the
+    patches and on them scaled into ELU's linear and saturated ends."""
     model = _trained(healthy, preset=preset, hyper=hyper)
     for net, x in ((model.scale1, healthy.scale1), (model.scale2, healthy.scale2)):
         for dtype in (np.float32, np.float64):
@@ -163,9 +163,8 @@ class TestMapPath:
 
 
 def _rows(ds, index):
-    """The rows `index` of ds as a dataset of their own."""
-    return patches.PatchDataset(patches.PatchMaps.of_crops(ds.scale1[index], ds.scale2[index],
-                                                           ds.preset.patch_side),
+    """The rows `index` of ds as a dataset of their own, on the same maps."""
+    return patches.PatchDataset(ds.maps._replace(corners=ds.maps.corners[index]),
                                 [ds.sources[i] for i in index], ds.split, ds.preset)
 
 
@@ -326,13 +325,9 @@ class TestPatchSide:
         model.scales_trained = model.fusion_trained = True  # only the shapes are wrong
         s1, s2 = healthy.scale1[:4], healthy.scale2[:4]
         # 8px maps, too small for the 16px window at each corner (i, 0, 0, 0)
-        small = patches.PatchMaps([s1[:, None, :8, :8]], [s2[:, None, :8, :8]],
-                                  patches.PatchMaps.of_crops(s1, s2, 16).corners)
+        corners = np.zeros((4, 4), np.int64)
+        corners[:, 0] = np.arange(4)
+        small = patches.PatchMaps(list(s1[:, None, :8, :8]), list(s2[:, None, :8, :8]), corners)
         ds = patches.PatchDataset(small, healthy.sources[:4], healthy.split, healthy.preset)
         with pytest.raises(InputError, match="puts a 16px window outside its map"):
             self.CALLS[call](model, ds)
-        big1, big2 = (np.pad(s, ((0, 0), (0, 16), (0, 16)), mode="edge") for s in (s1, s2))
-        for b1, b2 in ((s1, s2[:3]), (s1[:3], s2), (s1[..., None], s2[..., None]),
-                       (s1[:, :8, :8], s2[:, :8, :8]), (big1, big2)):
-            with pytest.raises(DimensionError, match=r"two equal \[n, 16, 16\]"):
-                patches.PatchMaps.of_crops(b1, b2, 16)

@@ -70,7 +70,7 @@ def test_superpixel_majority_type():
                        [1, 1, 3]])
 
     def sp(rows, cols):
-        return Superpixel(0, 0, np.array(rows), np.array(cols), (0.0, 0.0), True)
+        return Superpixel((np.array(rows), np.array(cols)), 0, 0, 0, len(rows), (0.0, 0.0), True)
 
     assert metrics.superpixel_majority_type(sp([0, 0, 1], [1, 2, 2]), labels) == 2
     # two pixels each of types 1 and 2: the tie goes to the lower type

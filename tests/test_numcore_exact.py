@@ -122,9 +122,10 @@ def test_inference_dropout_layer_is_the_identity(x, grad_dtype, data):
 @settings(deadline=None)
 @given(DTYPES, st.data())
 def test_elu_is_non_decreasing_on_adjacent_floats(dtype, data):
-    """The plan runs ELU after the max pool; that is exact only if ELU never
-    decreases from one float to the next. Checked on runs of adjacent floats
-    near 0, near the -1 saturation and from the tie values."""
+    """`dcae._encode_maps` runs the encoders' ELU after the max pool; that is
+    exact only if ELU never decreases from one float to the next. Checked on
+    runs of adjacent floats near 0, near the -1 saturation and from the tie
+    values."""
     width = 32 if dtype == np.float32 else 64
     start = data.draw(st.one_of(st.floats(-2.0**-20, 2.0**-20, width=width),
                                 st.floats(-64.0, -8.0, width=width), TIES))
@@ -147,10 +148,10 @@ def test_im2col_matches_oracle(dtype, k, c):
     assert_same(ops._im2col(strided, k), _im2col_oracle(strided, k))
 
 
-def test_plan_drops_dropout_and_pools_before_elu():
+def test_plan_is_the_layers_without_dropout_in_order():
     conv, elu, drop, pool = nc.Conv2D(3, 1, 2), nc.Elu(), nc.Dropout(0.5), nc.MaxPool2D(2)
     net = nc.Network([conv, elu, drop, pool, nc.Reshape((8,)), nc.Elu(), nc.Dropout(0.1)])
-    assert [type(layer) for layer in net.plan] == [nc.Conv2D, nc.MaxPool2D, nc.Elu,
+    assert [type(layer) for layer in net.plan] == [nc.Conv2D, nc.Elu, nc.MaxPool2D,
                                                    nc.Reshape, nc.Elu]
     net.init(Rng(3))
     x = Rng(4).normal(size=(5, 6, 6, 1))

@@ -17,7 +17,7 @@ def test_collinear_data_first_component():
     c0 = model.components[0]
     assert np.allclose(np.abs(c0), 1 / np.sqrt(2), atol=1e-9)
     assert c0[0] > 0  # sign rule: first nonzero coordinate positive
-    assert model.n_components == 1
+    assert model.components.shape[0] == 1
     # the one component reconstructs every point
     recon = pca_project(model, data) @ model.components + model.mean
     assert np.allclose(recon, data, atol=1e-9)
@@ -40,7 +40,7 @@ def test_orthonormal_components_and_distance_preservation():
 def test_degenerate_zero_variance():
     data = np.ones((10, 5))
     model = pca_fit(data, 1)
-    assert model.n_components == 1
+    assert model.components.shape[0] == 1
     c0 = model.components[0]
     assert np.all(np.isfinite(c0))
     assert abs(np.linalg.norm(c0) - 1.0) <= 1e-12

@@ -134,8 +134,8 @@ class TestNuProperty:
         from anomkit.preprocess import Superpixel
 
         X = np.array([[1.5, -2.0], [1.5, -2.0]])
-        sp = Superpixel(id=0, slice_index=0, rows=np.array([0]), cols=np.array([0]),
-                        centroid=(0.0, 0.0), in_retina=True)
+        sp = Superpixel(pixels=(np.array([0]), np.array([0])), id=0, slice_index=0, start=0,
+                        stop=1, centroid=(0.0, 0.0), in_retina=True)
         for nu in (0.3, 0.7, 1.0):
             model = ocsvm.fit_ocsvm(X, nu=nu)
             # at nu = 1 both alphas sit at the cap 1/(nu*n) = 1/2
@@ -221,10 +221,10 @@ class TestSegmentVolume:
         model = ocsvm.fit_ocsvm(healthy, nu=0.1, tol=1e-10)
 
         sps = [
-            Superpixel(id=0, slice_index=0, rows=np.array([0, 0]), cols=np.array([0, 1]),
-                       centroid=(0.0, 0.5), in_retina=True),
-            Superpixel(id=1, slice_index=1, rows=np.array([2]), cols=np.array([3]),
-                       centroid=(2.0, 3.0), in_retina=True),
+            Superpixel(pixels=(np.array([0, 0]), np.array([0, 1])), id=0, slice_index=0,
+                       start=0, stop=2, centroid=(0.0, 0.5), in_retina=True),
+            Superpixel(pixels=(np.array([2]), np.array([3])), id=1, slice_index=1,
+                       start=0, stop=1, centroid=(2.0, 3.0), in_retina=True),
         ]
         feats = np.stack([healthy.mean(axis=0), -50.0 * np.ones(4)])
         amap = ocsvm.segment_volume(model, feats, sps, volume_shape=(2, 4, 4))
@@ -253,7 +253,8 @@ class TestSegmentVolume:
         for s, slice_labels in enumerate(labels):
             for lab in np.unique(slice_labels):
                 rows, cols = np.nonzero(slice_labels == lab)
-                sps.append(Superpixel(id=int(lab), slice_index=s, rows=rows, cols=cols,
+                sps.append(Superpixel(pixels=(rows, cols), id=int(lab), slice_index=s,
+                                      start=0, stop=len(rows),
                                       centroid=(rows.mean(), cols.mean()), in_retina=True))
         flag = rng.random(len(sps)) < 0.4
         feats = np.where(flag[:, None], -50.0, healthy.mean(axis=0))

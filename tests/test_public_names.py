@@ -7,6 +7,11 @@ loads, and tests do not count: code that only tests call is not on any run
 path. An attribute of one of the benchmark's own modules (`checks.flat_labels`)
 is not a load of an anomkit name that happens to share it.
 
+The same rule holds for the public methods, properties and classmethods of
+the package's classes: each name is loaded somewhere in `src/anomkit` or
+`perfbench`, usually as an attribute. Dunders are called by Python itself
+and are exempt, as are names with a leading underscore.
+
 The numcore package is held to the same rule for what it re-exports: each
 name in its `__all__` is imported by its `__init__` and loaded through the
 package by a run path, so an op has one public name, in `numcore.ops`.
@@ -79,6 +84,28 @@ def _numcore_loads(tree):
         if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
                 and isinstance(node.value, ast.Name) and node.value.id in bound):
             yield node.attr
+
+
+def _public_members(tree):
+    """(class, name) of each public function defined in the body of a
+    module-level class: methods, properties and classmethods alike."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not member.name.startswith("_")):
+                    yield node.name, member.name
+
+
+def test_every_public_member_is_reached():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in READERS}
+    used = {name for tree in trees.values() for name in _loads(tree)}
+    unreached = [
+        f"{path.relative_to(PACKAGE.parent)}: {cls}.{name}"
+        for path, tree in trees.items() if PACKAGE in path.parents
+        for cls, name in _public_members(tree) if name not in used
+    ]
+    assert not unreached, "public members that no run path reaches:\n" + "\n".join(unreached)
 
 
 def test_numcore_exports_only_what_runs_through_it():
