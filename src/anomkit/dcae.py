@@ -29,50 +29,40 @@ got.
 
 Encoding runs each encoder's inference plan (`numcore.Network.infer`): its
 layers' inference passes in order, with no tape, no RNG and no Dropout.
-Training runs the full layer list and is unchanged.
+Training runs the full layer list.
 
 The plan's Conv2D, first ELU and MaxPool2D run on the dataset's maps
 (`patches.PatchMaps`, one per slice and scale), not on its crops, which
-overlap heavily: a desk volume has about 4,800 crops of 16x16 on eight
-128x128 slices. Encoding never reads the crops, so an encoded dataset never
-cuts them. Each conv call takes one slice's map, cut to the rows its pairs
-reach. Its output goes through the p*p max at stride 1
-(`numcore.window_max`) and then the ELU, and each pair's pooled window is
-gathered from that at stride p, from the pair's corner, through a
-bounds-checked window view: a corner outside its map raises InputError.
+overlap heavily, so each map pixel is convolved once. Encoding never reads
+the crops, so an encoded dataset never cuts them. Each conv call takes one
+slice's map, cut to the rows its pairs reach. Its output goes through the
+p*p max at stride 1 (`numcore.window_max`) and then the ELU, and each pair's
+pooled window is gathered from that at stride p, from the pair's corner,
+through a bounds-checked window view: a corner outside its map raises
+InputError.
 
 `_encode_maps` is the one place that runs the ELU after the max, where the
 plan has it before the pool. The swap is exact because ELU is
 non-decreasing on every pair of floats, so the max of the ELUs is the ELU
-of the max; the ELU then sees a quarter of the conv output. The gather
-picks a subset of the ELU's elementwise output, so taking the ELU before
-the gather changes no bit either: on a desk volume of 4,797 pairs the
-pooled maps hold 3.2M (scale 1) and 3.9M (scale 2) values, against the 5.5M
-that each scale's gather takes. The layers after the pool (Reshape, Dense,
-ELU, Dense, ELU) run on EMBED_ROWS-row batches of the gathered rows, taken
-in map order, which for a `build_dataset` dataset is its row order.
+of the max. The gather picks a subset of the ELU's elementwise output, so
+taking the ELU before the gather changes no bit either, and the ELU runs
+once per map value rather than once per overlapping window value. The
+layers after the pool (Reshape, Dense, ELU, Dense, ELU) run on
+EMBED_ROWS-row batches of the gathered rows, taken in map order, which for
+a `build_dataset` dataset is its row order.
 
-The map path gives each row the bits the crop path gives it:
+Each row gets the bits of its crop's encoding on an sgemm that meets the
+conditions `tests/oracles.py` states and probes:
 - A crop's conv output is the same dot product of the same pixels as the
-  map's at the crop's corner plus that offset. The two are equal on an
-  sgemm whose row results do not depend on the row's place in the batch:
-  OpenBLAS's SkylakeX kernel is one, its AVX2 kernels are not
-  (`tests/oracles.py`).
+  map's at the crop's corner plus that offset.
 - A crop's pool takes the max of the same values in the same order, since
   `window_max` folds its views as `pool_max` does, and max is exact.
 - Conv rows past p * pooled, which a crop's pool drops, are never read.
-- The Dense layers see the same 128-row batches as when each crop was
-  encoded, because their rows' bits can depend on the batch's row count
-  (`tests/oracles.py`).
-
-Embedding one 4,797-pair desk volume on a 2-core Xeon (one BLAS thread,
-untrained desk weights, medians of 15 calls per process) took 0.10-0.12 s
-against 0.23-0.26 s through the crops, and 0.09-0.12 s against 0.19-0.23 s
-on one core (`taskset -c 0`). EMBED_ROWS stays 128: 64, 128 and 256 rows
-took 94-116 ms with the scales on two threads and 107-121 ms on one core,
-and 512 rows 104-131 ms (medians of 20 interleaved calls, two runs each).
-Two batch sizes give the same output only where sgemm meets the conditions
-above, so EMBED_ROWS also fixes the output's low bits on other kernels.
+- The Dense layers run on fixed EMBED_ROWS-row batches, however the rows
+  fall on maps, because a row's bits can depend on its batch's row count.
+EMBED_ROWS is fixed rather than tuned per call: two batch sizes give the
+same output only on such an sgemm, so it also fixes the output's low bits on
+other kernels. The batch sizes around it encode no faster.
 """
 
 from __future__ import annotations

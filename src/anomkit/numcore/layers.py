@@ -15,9 +15,8 @@ through the tape.
 layers (the identity outside training), each layer's `infer` in order with
 no tape and no RNG, so a pool keeps no switches. Its output is
 `np.array_equal` to `forward(x, training=False)`. The plan holds layers, not
-their arrays, so it follows `init` and weight updates. The encoders run
-their ELU after the max pool, on a quarter of the elements, in
-`dcae._encode_maps`, not here.
+their arrays, so it follows `init` and weight updates. The encoders' map
+path runs its ELU after the max, in `dcae._encode_maps`, not here.
 """
 
 from __future__ import annotations
@@ -304,8 +303,9 @@ def sgd_step(params, grads, lr, momentum, velocity):
     The lists are aligned elementwise; each velocity has its parameter's
     shape and dtype. Each array is updated with numpy's same-kind casting, so
     a float64 gradient moves a float32 parameter by (momentum*v - lr*g)
-    rounded once to float32, as the out-of-place step did. Every gradient is
-    checked before any array changes, so a failed step changes nothing.
+    rounded once to float32, as the out-of-place step of
+    `tests/oracles.momentum_step_oracle` does. Every gradient is checked
+    before any array changes, so a failed step changes nothing.
     """
     if lr <= 0:
         raise ParameterError(f"learning rate must be > 0, got {lr}")

@@ -12,18 +12,17 @@ included, and a float64 network (the finite-difference tests) stays float64.
 Sums accumulate in that dtype; the drift this allows in a float32 model is
 bounded by a test against a float64 twin of the same model.
 
-Exactness contract (pool, unpool and ELU): a faster kernel must return, on
-finite inputs, values that are `np.array_equal` to the plain formula it
-replaces, in the same dtype, and the same pool switches. These kernels therefore
-take no data-dependent branch and change no rounding: pooling reduces the
-p*p strided window views with `np.maximum` (`window_max` folds the stride-1
-views in the same order) and finds the first maximum by
-equality sweeps (`first_equal`; `pool_max` skips them for inference, and
-SLIC reuses them to pick its nearest centre); unpooling scatters and
-gathers through the same views;
-ELU adds max(x, 0) to expm1(min(x, 0)), of which one term is always
-zero. `tests/oracles.py` keeps the earlier argmax and `np.where` kernels,
-and the tests compare against them.
+Exactness contract (pool, unpool and ELU): on finite inputs, each kernel
+returns values that are `np.array_equal` to its plain formula (an argmax
+over the window, `np.where`), in the same dtype, and the same pool switches.
+These kernels therefore take no data-dependent branch and change no
+rounding: pooling reduces the p*p strided window views with `np.maximum`
+(`window_max` folds the stride-1 views in the same order) and finds the
+first maximum by equality sweeps (`first_equal`; `pool_max` skips them for
+inference, and SLIC reuses them to pick its nearest centre); unpooling
+scatters and gathers through the same views; ELU adds max(x, 0) to
+expm1(min(x, 0)), of which one term is always zero. `tests/oracles.py` keeps
+the argmax and `np.where` formulas, and the tests compare against them.
 """
 
 from __future__ import annotations

@@ -208,8 +208,7 @@ def segment_volume(model: OcSvmModel, features, superpixels, volume_shape) -> An
     mask = np.zeros(volume_shape, dtype=bool)
     flagged = list(compress(superpixels, labels))
     if flagged:
-        # one assignment for every flagged pixel: 0.91 against 1.19 ms per desk
-        # volume at 10% flagged for one per superpixel
+        # one assignment for every flagged pixel, not one per superpixel
         rows = [sp.rows for sp in flagged]
         slices = np.repeat([sp.slice_index for sp in flagged], [len(r) for r in rows])
         mask[slices, np.concatenate(rows), np.concatenate([sp.cols for sp in flagged])] = True

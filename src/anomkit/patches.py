@@ -34,12 +34,6 @@ in-retina flags, slices, ids and centroids into arrays, in the (slice, id)
 order `PreprocessedVolume.superpixels` holds them in, applies `cap` to those
 rows, and builds maps only for the rows kept, one pair of maps per run of
 rows on one slice (`cut_at_centroids`).
-
-On desk volumes (8 slices of 128x128, 4,500-4,900 in-retina superpixels,
-2-core Xeon, numpy 2.4, medians of 30 interleaved calls in each of two
-runs), `build_dataset` for the eval split takes 6-9 ms. It took 19-23 ms
-when it walked the rows as Python tuples and cut the 9.3-10.0 MB of crops
-per volume that encoding never reads.
 """
 
 from __future__ import annotations

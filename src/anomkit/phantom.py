@@ -22,16 +22,12 @@ with `width <= 2a + 4`, raises `GenerationError`.
 
 The surfaces undulate along a not-a-knot cubic spline through a few random
 control points (`_smooth_curve`), the spline `scipy.interpolate.CubicSpline`
-builds, evaluated here with numpy alone. Importing `scipy.interpolate`
-loads seven scipy subpackages (interpolate, linalg, optimize, sparse,
-spatial, fft and constants): importing every anomkit module took 81 MB of
-RSS and 0.7-1.0 s with it, against 55 MB and 0.5-0.7 s without it (2-core
-Xeon, scipy 1.17), which is a sixth of a `screen` bench run's peak RSS.
-The package loads no scipy module at all (the preprocess module docstring
-covers `scipy.ndimage`). The two splines differ by under
-1e-12 and the surfaces are rounded to rows, so the volumes are those that
-`CubicSpline` gives; `tests/oracles.phantom_oracle` keeps `CubicSpline` as
-the reference.
+builds, evaluated here with numpy alone: importing `scipy.interpolate` would
+load seven scipy subpackages (interpolate, linalg, optimize, sparse,
+spatial, fft and constants) into every process, and the package loads no
+scipy module at all. The two splines differ by under 1e-12 and the surfaces
+are rounded to rows, so the volumes are those that `CubicSpline` gives;
+`tests/oracles.phantom_oracle` keeps `CubicSpline` as the reference.
 
 Generation is a pure function of the config (seed included), so the same
 config reproduces bit-identical volumes.
@@ -132,9 +128,8 @@ def _smooth_curve(rng: Rng, length, n_ctrl, amplitude):
     truncated-power basis {1, t, t^2, t^3} and (t - x_k)^3 for t > x_k, with
     knots x_2 ... x_{n-3}, it is the one interpolant of n basis functions; for
     n <= 4 points it is the interpolating polynomial of degree n - 1. It is
-    not `CubicSpline` itself because `scipy.interpolate` would add about
-    26 MB of RSS and a quarter second or more to every process (module
-    docstring); `tests/oracles.phantom_oracle` still renders with it.
+    not `CubicSpline` itself, which would load scipy (module docstring);
+    `tests/oracles.phantom_oracle` renders with it.
     """
     xs = np.linspace(0.0, 1.0, n_ctrl)
     ys = rng.uniform(-amplitude, amplitude, size=n_ctrl)

@@ -12,81 +12,58 @@ bottom surfaces, which keep MIN_GAP rows below the top; both change by at
 most SMOOTHNESS rows from one column to the next. A non-finite voxel is
 rejected with InputError before any of this.
 
-The module, and with it the package, runs on numpy alone. Its two scipy
-calls were the box filter, `ndimage.uniform_filter`, and the component
-labelling of the orphan merge, `ndimage.label`, and importing
-`scipy.ndimage` for them cost every process 19 MB of RSS and about 0.3 s:
-importing every module of the package read 55.1 MB and 0.51-0.56 s with it
-and 36.1 MB and 0.18-0.23 s without (five fresh processes each, 2-core Xeon,
-numpy 2.4, scipy 1.17). `_box_smooth` gives scipy's bits: it filters the
-rows, then the columns, each with scipy's running sums (`_running_means`),
-one vector add per step over all lines of the pass at once.
-`_connected_regions` joins the same-label runs of touching rows by hooking
-roots with `np.minimum.at`, where scipy labelled a grid of pixel and edge
-nodes. Both are faster than the
-scipy calls were: 0.99 against 1.17 ms per desk volume for the filter, and
-0.36 against 0.44 ms per 128x128 SLIC slice for the components (medians of
-30 interleaved runs).
+The module, and with it the package, runs on numpy alone: scipy is not
+imported, to keep the import footprint small. `_box_smooth` gives the bits
+of `scipy.ndimage.uniform_filter` with mode "nearest": it filters the rows,
+then the columns, each with scipy's running sums (`_running_means`), one
+vector add per step over all lines of the pass at once. `_connected_regions`
+numbers the same-label 4-connected components in raster order of their
+first pixel, joining the same-label runs of touching rows by hooking roots
+with `np.minimum.at`. `tests/oracles.py` keeps scipy's filter and graph
+components as the reference.
 
 SLIC runs N_ITER k-means iterations from a grid of STEP-pixel cells, with
 spatial weight COMPACTNESS, each pixel restricted to the centres of its 3x3
 neighbouring cells (Achanta et al., TPAMI 2012). It takes no data-dependent
-branch per pixel: on a 128x128 float64 slice, an `np.where` select took
-78 us against 6 us for `np.minimum` (2-core Xeon, numpy 2.4), and two
-selects per candidate were most of the earlier loop's time. A stack of
-slices is laid out once as [slice, row phase, col phase, grid row, grid
-col], pixel (STEP*i + a, STEP*j + b) of slice s at [s, a, b, i, j]; rows and
-columns clipped into the last cell are extra phases, and positions no pixel
-fills are virtual and dropped on the way back to raster order. Each
-candidate's centres are then one slice of a [S, 1, 1, gr+2, gc+2] centre
-grid with a one-cell border whose row is inf, so an off-grid candidate lies
-at infinite distance, and the row and column terms are computed per phase
-of their own axis, into buffers allocated once. Each pixel takes the first
-of its nine candidates whose distance equals their minimum, the tie rule of
-a sequential strict `<` sweep, and the centres are updated from one
-`bincount` per sum over the keys slice * gr * gc + label, whose bins each
-receive their own slice's pixels in raster order, as the sequential loop
-added them; so every slice's labels are those of SLIC on that slice alone.
-The label map of each slice is made connected by an orphan merge over its
-4-connected components, numbered in raster order. Each label keeps its
-largest component (ties to the lowest component id), and the other
-components settle in rounds, each taking the label of its largest
-already-settled neighbour by original area (ties to the lowest component
-id), so the result does not depend on visiting order. `superpixel_records`
-turns the stacked [S, H, W] label volume into complete `Superpixel` records
-in one pass, keyed by slice * n_ids + id in the smallest unsigned dtype that
-holds every key (numpy radix-sorts keys of 16 bits or fewer; a desk volume
-has 8 x 1,024 keys): the pixel order from one stable argsort, counts and
-centroid sums from `np.bincount` (the sums are integer-valued, so exact),
-and the in-retina flag from one vectorized band comparison at the rounded
-centroid column. The records share the volume's (rows, cols) arrays in that
-order, and each keeps its (start, stop) in them and cuts its `rows` and
-`cols` on access. On a desk volume this took 12-17 ms against 24-31 ms when
-every record held two array views of its own (medians of 30 interleaved
-calls in each of two runs, 2-core Xeon); about 3.7 ms of 12 is Python's
-cyclic garbage collector, which the 8,192 new records set off.
+branch per pixel: every candidate's distance is computed for every pixel,
+and the nearest is found by equality sweeps. A stack of slices is laid out
+once as [slice, row phase, col phase, grid row, grid col], pixel
+(STEP*i + a, STEP*j + b) of slice s at [s, a, b, i, j]; rows and columns
+clipped into the last cell are extra phases, and positions no pixel fills
+are virtual and dropped on the way back to raster order. Each candidate's
+centres are then one slice of a [S, 1, 1, gr+2, gc+2] centre grid with a
+one-cell border whose row is inf, so an off-grid candidate lies at infinite
+distance, and the row and column terms are computed per phase of their own
+axis, into buffers allocated once. Each pixel takes the first of its nine
+candidates whose distance equals their minimum, the tie rule of a sequential
+strict `<` sweep, and the centres are updated from one `bincount` per sum
+over the keys slice * gr * gc + label, whose bins each receive their own
+slice's pixels in raster order, as the sequential loop added them; so every
+slice's labels are those of SLIC on that slice alone. The label map of each
+slice is made connected by an orphan merge over its 4-connected components
+(`_enforce_connectivity`). `superpixel_records` turns the stacked [S, H, W]
+label volume into complete `Superpixel` records in one pass, keyed by
+slice * n_ids + id in the smallest unsigned dtype that holds every key
+(numpy radix-sorts keys of 16 bits or fewer; a desk volume has 8 x 1,024
+keys): the pixel order from one stable argsort, counts and centroid sums
+from `np.bincount` (the sums are integer-valued, so exact), and the
+in-retina flag from one vectorized band comparison at the rounded centroid
+column. The records share the volume's (rows, cols) arrays in that order,
+and each keeps its (start, stop) in them and cuts its `rows` and `cols` on
+access, so a record holds no arrays of its own.
 
 `preprocess_volume` runs SLIC on the first half of a volume's slices on a
 thread started for the call (`_fork.both`) and on the second half on the
 caller's thread; numpy's ufuncs release the GIL, so the halves overlap on
 two cores. An error is raised only once both halves have ended, the first
 half's first, and the empty first half of a 1-slice volume does no work. A
-half runs as stacks, not one slice at a time, and a stack goes through SLIC
-at most SLIC_PIXELS pixels (four 128x128 slices; a larger slice goes alone)
-per pass, which keeps the [9, S, ...] float64 distance array at or below
-4.7 MB per thread. SLIC of one 8x128x128 volume (2-core Xeon, one BLAS
-thread, medians of 5 passes over 10 volumes, two runs):
-
-- one slice per call, one thread: 125-143 ms;
-- one slice per task on two threads: 96-113 ms, at 149-179 ms of CPU (each
-  op covers one slice's 16k pixels between GIL hand-offs);
-- one 8-slice stack on one thread: 135-140 ms, against 120-133 ms for its
-  two 4-slice halves one after the other;
-- the two halves on two threads: 77-78 ms at 136-141 ms of CPU.
-
-On one core (`taskset -c 0`) the halves took 139-163 ms against 134-151 ms
-one slice per call, and the whole of `preprocess_volume`, interleaved with
-the one-slice version in one process, took 182-220 ms against 182-220 ms.
+half runs as stacks, not one slice at a time, so each numpy call covers
+several slices between GIL hand-offs. A stack goes through SLIC at most
+SLIC_PIXELS pixels (four 128x128 slices; a larger slice goes alone) per
+pass, because one stack of a whole volume runs slower than its halves in
+turn. The [9, S, ...] float64 distance array holds nine values per position
+of a pass's phase layout: at most 9 * 8 * SLIC_PIXELS bytes per thread when
+the slices' sides are multiples of STEP.
 """
 
 from __future__ import annotations
@@ -165,10 +142,9 @@ def _min_cost_paths(cost):
     alone, so it picks the offset an argmin over every row would. Those
     costs, [W, S, H + 2 * SMOOTHNESS] float64, are about one float64 copy of
     the volume, against an int8 offset per voxel for a sweep that takes each
-    column's argmin, which ran twice as long (2.5 against 4.7 ms on an
-    [8, 128, 128] cost, 2-core Xeon). `segment_surfaces` drops its smoothed
-    image instead, so its peak stays below that of the argmin sweep: 48 MiB
-    against 50 MiB traced on a [4, 1024, 512] float64 volume of 16 MiB.
+    column's argmin, which is slower. `segment_surfaces` frees its smoothed
+    image before the sweep instead, so its peak stays below the argmin
+    sweep's.
     """
     n_slices, h, w = cost.shape
     b = SMOOTHNESS
@@ -240,9 +216,8 @@ def _box_smooth(vol):
     Each pass runs on a copy whose filtered axis leads, so every step of a
     running sum is one add over all S x W (or S x H) lines; the result is
     a [S, H, W] view of a [W, S, H] array. The second pass holds three
-    volume-sized arrays besides `vol`, as the path search after it does:
-    `segment_surfaces` peaked at 48 MiB traced on a [4, 1024, 512] float64
-    volume with this filter and with scipy's.
+    volume-sized arrays besides `vol`, as the path search after it does, so
+    the filter does not raise `segment_surfaces`' peak.
     """
     rows = _running_means(vol.transpose(1, 0, 2))  # [H, S, W]
     return _running_means(rows.transpose(2, 1, 0)).transpose(1, 2, 0)
@@ -356,7 +331,8 @@ def _enforce_connectivity(labels):
     Each label keeps its largest component (ties to the lowest component
     id); the other components, the orphans, settle in rounds: every orphan
     that touches a settled component takes the label of its largest such
-    neighbour by original area, ties to the lowest component id.
+    neighbour by original area, ties to the lowest component id, so the
+    result does not depend on visiting order.
     """
     n_comp, comp = _connected_regions(labels)
     flat_comp = comp.ravel()

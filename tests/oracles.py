@@ -7,17 +7,25 @@ prints:
   operands: the crops (`pair_oracle`); the pool, unpool, ELU, dropout and
   im2col kernels; `window_max` against `pool_max`; the encoders' inference
   plan against their inference forward; the scale autoencoders' training
-  against `train_scales_oracle`; and every stage that calls no sgemm.
+  against `train_scales_oracle`; the fusion DAE's training against
+  `train_fusion_oracle` fed the map path's codes; and every stage that calls
+  no sgemm.
 - Only on an sgemm whose row results depend neither on the row's place in
-  the batch nor on the batch's row count: `dcae.embed_dataset` against
-  `embed_oracle`, and the fusion DAE's training against
-  `train_fusion_oracle`, which starts from `embed_oracle`'s scale codes.
-  The encoder convolves a whole slice map where the oracle convolves each
-  crop, and the oracle batches the Dense layers by its own `batch`.
+  the batch nor on the batch's row count: `dcae.embed_dataset` and its codes
+  against `embed_oracle` and `scale_codes_oracle`, and the fusion DAE's
+  training against `train_fusion_oracle` on the crops' codes. The encoder
+  convolves a whole slice map where the oracle convolves each crop, and the
+  oracle batches the Dense layers by its own `batch`.
   OpenBLAS's SkylakeX kernel meets both conditions for batches of more than
   6 rows at the desk preset's 1,152-wide Dense input, and of more than 1 row
   at 128 inputs or fewer. Its Haswell (AVX2) kernel gives a row other low
   bits unless the batch's row count is a multiple of 12.
+
+`sgemm_rows_independent` probes the running kernel for both conditions at
+given widths and row counts. Where it fails,
+`tests/test_dcae.py::test_matches_the_written_out_loops` asserts the
+every-kernel equalities and compares the codes and z with the crops' within
+a bound derived from float32 rounding (`test_dcae._float32_bound`).
 """
 
 import itertools
@@ -321,7 +329,8 @@ def encode_oracle(layers, batch):
     return x
 
 
-def _scale_codes_oracle(model, scale1, scale2):
+def scale_codes_oracle(model, scale1, scale2):
+    """[n, 2 * code_dim] scale-1 then scale-2 codes of the crops, in one batch."""
     z1 = encode_oracle(model.scale1.layers[:SCALE_ENCODER_LAYERS], scale1[..., None])
     z2 = encode_oracle(model.scale2.layers[:SCALE_ENCODER_LAYERS], scale2[..., None])
     return np.concatenate([z1, z2], axis=1)
@@ -331,10 +340,34 @@ def embed_oracle(model, scale1, scale2, batch=512):
     """Fusion hidden layer over per-batch concatenated scale codes."""
     outs = []
     for start in range(0, len(scale1), batch):
-        codes = _scale_codes_oracle(model, scale1[start : start + batch],
-                                    scale2[start : start + batch])
+        codes = scale_codes_oracle(model, scale1[start : start + batch],
+                                   scale2[start : start + batch])
         outs.append(encode_oracle(model.fusion.layers[:FUSION_ENCODER_LAYERS], codes))
     return np.concatenate(outs, axis=0)
+
+
+def sgemm_rows_independent(widths, row_counts, places=32):
+    """Whether float32 matmul gives every row the same bits whatever the
+    batch's row count and the row's place in it, at each (inputs, outputs)
+    width pair of `widths` and each row count of `row_counts`.
+
+    Each batch of m rows, starting at each of the first `places` rows of one
+    random matrix, must equal the same rows of that whole matrix's product.
+    The matrix has max(row_counts) + places rows, so the whole product is a
+    further row count, and a batch's row i sits at place i in it and at place
+    start + i in the whole product.
+    """
+    rng = np.random.default_rng(0)
+    rows = max(row_counts) + places
+    for inputs, outputs in widths:
+        a = rng.standard_normal((rows, inputs), dtype=np.float32)
+        w = rng.standard_normal((inputs, outputs), dtype=np.float32)
+        whole = a @ w
+        for m in row_counts:
+            for start in range(places):
+                if not np.array_equal(a[start : start + m] @ w, whole[start : start + m]):
+                    return False
+    return True
 
 
 def backward_oracle(net, tape, grad_out):
@@ -388,13 +421,16 @@ def train_scales_oracle(model, dataset, hyper, rng):
     return log
 
 
-def train_fusion_oracle(model, dataset, hyper, rng):
+def train_fusion_oracle(model, dataset, hyper, rng, codes=None):
     """Masking-noise momentum SGD of the fusion net on frozen scale codes;
-    returns the (epoch, mean loss) log."""
-    clean = np.concatenate(
-        [_scale_codes_oracle(model, dataset.scale1[start : start + 512],
-                             dataset.scale2[start : start + 512])
-         for start in range(0, len(dataset), 512)], axis=0).astype(np.float32)
+    returns the (epoch, mean loss) log. The codes are `codes` when given,
+    else the crops' codes in 512-row batches."""
+    if codes is None:
+        codes = np.concatenate(
+            [scale_codes_oracle(model, dataset.scale1[start : start + 512],
+                                dataset.scale2[start : start + 512])
+             for start in range(0, len(dataset), 512)], axis=0)
+    clean = np.asarray(codes, dtype=np.float32)
     n = clean.shape[0]
     params = model.fusion.params()
     velocity = None

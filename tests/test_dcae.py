@@ -13,10 +13,12 @@ import pytest
 from anomkit import dcae, patches, phantom, preprocess
 from anomkit import numcore as nc
 from anomkit.errors import DimensionError, InputError, ParameterError, TrainingError, UsageError
+from anomkit.numcore import ops
 from anomkit.rng import Rng
 
 from helpers import border_centres, centre_volume
-from oracles import embed_oracle, train_fusion_oracle, train_scales_oracle
+from oracles import (embed_oracle, scale_codes_oracle, sgemm_rows_independent,
+                     train_fusion_oracle, train_scales_oracle)
 
 TINY = dcae.DcaePreset("tiny", patch_side=16, conv_kernels=4, conv_size=5, pool=2,
                        dense_hidden=16, code_dim=8, fusion_dim=4)
@@ -68,26 +70,102 @@ def _params(model):
     return [p for net in (model.scale1, model.scale2, model.fusion) for p in net.params()]
 
 
+U = 2.0 ** -24  # float32's unit roundoff
+EXPM1_ULPS = 3  # numpy's accuracy tests hold float32 expm1 to 3 ulp (umath-validation-set-expm1)
+
+
+def _float32_bound(layers, x, bound=0.0):
+    """A bound B on how far any float32 evaluation of the inference passes of
+    `layers` on x strays from their exact output, when x itself is within
+    `bound` of its exact value.
+
+    Two evaluations that give each row the same dot products of the same
+    values, and differ only in the order sgemm adds each one's terms, then
+    differ by at most 2B. Per layer, for input bound B and the evaluation
+    here, whose input is x (any other's is within 2B of it):
+    - Conv2D and Dense: each output is a sum of K + 1 terms, the K products
+      (K = k*k*Cin or D) and the bias. In any order, float32 puts it within
+      gamma(K + 1) * sum of |terms| of the exact sum, gamma(n) = n*u/(1 - n*u)
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1).
+      The input's error moves the exact sum by at most B * max_o sum_i |w_io|.
+      So B' = B * max_o sum_i |w_io| + gamma(K + 1) * max((|x| + 2B) |w| + |b|).
+    - Elu: 1-Lipschitz, and exact for v > 0. For v <= 0 it is expm1(v), within
+      EXPM1_ULPS ulp of a value in (-1, 0], where an ulp is at most u. So
+      B' = B + EXPM1_ULPS * u. ELU is non-decreasing, so the map path's ELU
+      after the max takes the max of the ELUs and has the same bound.
+    - MaxPool2D and the map path's window max select values; Reshape moves
+      them: B' = B.
+    The bound is computed in float64, whose own rounding is far inside it.
+    """
+    for layer in layers:
+        if isinstance(layer, (nc.Conv2D, nc.Dense)):
+            w, b = (np.abs(a, dtype=np.float64) for a in layer.params())
+            mag = np.abs(x, dtype=np.float64) + 2 * bound
+            mag = (ops.conv2d_valid(mag, w, b) if isinstance(layer, nc.Conv2D)
+                   else ops.dense(mag, w, b))
+            k = w.size // w.shape[-1]
+            gamma = (k + 1) * U / (1 - (k + 1) * U)
+            bound = bound * w.reshape(k, -1).sum(axis=0).max() + gamma * mag.max()
+        elif isinstance(layer, nc.Elu):
+            bound += EXPM1_ULPS * U
+        elif not isinstance(layer, (nc.MaxPool2D, nc.Reshape)):
+            raise TypeError(f"no bound for {type(layer).__name__}")
+        x = layer.infer(x)
+    return bound
+
+
+def _rows_independent_here(preset, ds, tiled_rows):
+    """Whether sgemm meets the map path's conditions (tests/oracles.py) at
+    the shapes test_matches_the_written_out_loops multiplies: each conv's
+    rows of one crop and of one row of each map, and the Dense layers'
+    batches of 50, EMBED_ROWS, a whole dataset and 512 rows, and their
+    remainders, on `ds` and on its `tiled_rows`-row tiling."""
+    conv_rows = {preset.conv_out} | {m.shape[2] - preset.conv_size + 1
+                                     for m in ds.maps.scale1 + ds.maps.scale2}
+    dense_rows = {size for n in (len(ds), tiled_rows) for batch in (50, dcae.EMBED_ROWS, n, 512)
+                  for size in (min(batch, n), n % batch) if size}
+    dense = [(preset.flat_dim, preset.dense_hidden), (preset.dense_hidden, preset.code_dim),
+             (2 * preset.code_dim, preset.fusion_dim)]
+    return (sgemm_rows_independent([(preset.conv_size ** 2, preset.conv_kernels)],
+                                   sorted(conv_rows))
+            and sgemm_rows_independent(dense, sorted(dense_rows)))
+
+
 @pytest.mark.parametrize("preset, hyper", [(TINY, HYPER), (dcae.PRESETS["desk"], DESK_HYPER)],
                          ids=["tiny", "desk"])
 def test_matches_the_written_out_loops(healthy, preset, hyper):
     trained = _trained(healthy, preset=preset, hyper=hyper)
     rng = Rng(82)  # the seed and derivations of _trained
     ref = dcae.build_model(preset, rng.derive(1))
+    # 128-row batches against the oracle's 512 rows, over several of each and
+    # a partial last one of each
+    tiled = _rows(healthy, np.resize(np.arange(len(healthy)), 600))
+    exact = _rows_independent_here(preset, healthy, len(tiled))
     scale_log = train_scales_oracle(ref, healthy, hyper, rng.derive(2))
-    fusion_log = train_fusion_oracle(ref, healthy, hyper, rng.derive(3))
+    # training runs the same sgemm operands on both sides, so it is exact on
+    # every kernel once the fusion DAE learns from the map path's codes
+    codes = None if exact else dcae._scale_codes(ref, healthy)
+    fusion_log = train_fusion_oracle(ref, healthy, hyper, rng.derive(3), codes=codes)
     assert all(np.array_equal(a, b) for a, b in zip(_params(trained), _params(ref), strict=True))
     assert trained.scale_log == scale_log
     assert trained.fusion_log == fusion_log
     s1, s2 = healthy.scale1, healthy.scale2
     z = dcae.embed_dataset(trained, healthy)
-    assert np.array_equal(z, embed_oracle(ref, s1, s2, batch=50))
-    assert np.array_equal(z, embed_oracle(ref, s1, s2, len(s1)))
-    # 128-row batches against the oracle's 512 rows, over several of each and
-    # a partial last one of each
-    tiled = _rows(healthy, np.resize(np.arange(len(healthy)), 600))
-    assert np.array_equal(dcae.embed_dataset(trained, tiled),
-                          embed_oracle(ref, tiled.scale1, tiled.scale2))
+    if exact:
+        assert np.array_equal(z, embed_oracle(ref, s1, s2, batch=50))
+        assert np.array_equal(z, embed_oracle(ref, s1, s2, len(s1)))
+        assert np.array_equal(dcae.embed_dataset(trained, tiled),
+                              embed_oracle(ref, tiled.scale1, tiled.scale2))
+        return
+    # the map path's codes and z against the crops', within float32 rounding
+    crop_codes = scale_codes_oracle(ref, s1, s2)
+    code_bound = max(_float32_bound(ref.scale1.encoder.plan, s1[..., None]),
+                     _float32_bound(ref.scale2.encoder.plan, s2[..., None]))
+    assert np.abs(codes - crop_codes).max() <= 2 * code_bound
+    z_bound = _float32_bound(ref.fusion.encoder.plan, crop_codes, code_bound)
+    for ds, batch in ((healthy, 50), (healthy, len(healthy)), (tiled, 512)):
+        assert np.abs(dcae.embed_dataset(trained, ds)
+                      - embed_oracle(ref, ds.scale1, ds.scale2, batch)).max() <= 2 * z_bound
 
 
 @pytest.mark.parametrize("preset, hyper", [(TINY, HYPER), (dcae.PRESETS["desk"], DESK_HYPER)],

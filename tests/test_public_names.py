@@ -18,13 +18,20 @@ package by a run path, so an op has one public name, in `numcore.ops`.
 
 The package runs on numpy alone: importing every module loads no scipy
 module. Only the tests and the benchmark's environment record import scipy.
+
+The package's docstrings and comments state what the code computes and why,
+not what it measured on some machine: a figure with a time or memory unit,
+or a machine's name, goes to CHANGES.md with the change that measured it.
 """
 
 import ast
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 from anomkit import numcore as nc
@@ -129,11 +136,42 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 
 
 def test_package_loads_no_scipy():
-    # importing scipy.ndimage cost every process 19 MB of RSS and about 0.3 s
-    # (the preprocess module docstring)
+    # what importing scipy.ndimage cost each process: CHANGES.md, the entry
+    # "A numpy-only package" (276c7f0)
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", IMPORT_EVERY_MODULE],
                          env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     loaded = json.loads(run.stdout)
     assert not loaded, f"importing anomkit loads scipy: {', '.join(loaded)}"
+
+
+# a number with a time or memory unit, a decimal number of seconds, or a machine's name
+MEASUREMENT = re.compile(r"\d(?:[\d,]*\d)?(?:\.\d+)?\s?(?:ms|us|µs|μs|ns|[KMG]i?B)\b"
+                         r"|\d\.\d+\s?s\b"
+                         r"|\b(?:Xeon|EPYC|Ryzen|Threadripper|Graviton|Core i[3579])\b"
+                         r"|\b\d+-core\b")
+
+
+def _package_text(path):
+    """(line, text) of each docstring and comment of a source file."""
+    source = path.read_text()
+    for node in ast.walk(ast.parse(source, filename=str(path))):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if doc := ast.get_docstring(node, clean=False):
+                yield node.body[0].lineno, doc
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            yield token.start[0], token.string
+
+
+def test_package_text_holds_no_measurements():
+    for figure in ("took 12-17 ms", "19 MB of RSS", "0.51-0.56 s", "48 MiB", "78 us", "a 2-core Xeon"):
+        assert MEASUREMENT.search(figure), figure
+    for invariant in ("1e-12", "0.5 and 1.0", "128x128 slices", "rho is the median of g",
+                      "9 * 8 * SLIC_PIXELS bytes", "numpy 2.4", "in 3 steps"):
+        assert not MEASUREMENT.search(invariant), invariant
+    found = [f"{path.relative_to(PACKAGE.parent)}:{line}: {match.group()!r}"
+             for path in sorted(PACKAGE.rglob("*.py")) for line, text in _package_text(path)
+             for match in MEASUREMENT.finditer(" ".join(text.split()))]
+    assert not found, "measured figures in the package's text:\n" + "\n".join(found)
