@@ -4,6 +4,11 @@ components, so the concatenated projections are as wide as the DCAE's z.
 PCA keeps the top k eigenvectors of the sample covariance, in descending
 eigenvalue order, each signed so that its first coordinate above 1e-12 of
 its largest is positive.
+
+`pca_fit` and `pca_project` each hold one float64 copy of their input and
+subtract the mean from it in place: the same elementwise subtraction and the
+same matmul operands as a separate centred array, so the same bits, and the
+caller's array is never written.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ class PcaModel:
 
 def pca_fit(data, k) -> PcaModel:
     """Fit PCA on rows of `data`, keeping the top `k` components (k <= d)."""
-    data = np.asarray(data, dtype=np.float64)
+    data = np.array(data, dtype=np.float64)  # a copy of our own, centred in place
     if data.ndim != 2:
         raise FittingError(f"data must be a 2-d matrix, got shape {data.shape}")
     n, d = data.shape
@@ -37,8 +42,8 @@ def pca_fit(data, k) -> PcaModel:
         raise FittingError(f"k={k} exceeds sample count {n}")
 
     mean = data.mean(axis=0)
-    centered = data - mean
-    cov = centered.T @ centered / (n - 1)
+    data -= mean
+    cov = data.T @ data / (n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     top = eigvecs[:, np.argsort(eigvals)[::-1][:k]].T
     mag = np.abs(top)
@@ -49,8 +54,9 @@ def pca_fit(data, k) -> PcaModel:
 
 def pca_project(model: PcaModel, x):
     """Project vector(s) onto the kept components (after mean-centering)."""
-    x = np.asarray(x, dtype=np.float64)
-    return (x - model.mean) @ model.components.T
+    x = np.array(x, dtype=np.float64)  # a copy of our own, centred in place
+    x -= model.mean
+    return x @ model.components.T
 
 
 @dataclass

@@ -30,8 +30,9 @@ slice's scale-1 map, whose only phase is 0.
 it. Each mean sums the same four values in the order `np.mean` does, so the
 crops are bit-identical to cropping each pair and averaging it
 (`tests/oracles.pair_oracle`). `build_dataset` reads each volume's
-in-retina flags, slices, ids and centroids into arrays, in the (slice, id)
-order `PreprocessedVolume.superpixels` holds them in, applies `cap` to those
+in-retina flags, slices and ids into arrays, and gathers the centroids from
+the records' tables, in the (slice, id) order
+`PreprocessedVolume.superpixels` holds them in, applies `cap` to those
 rows, and builds maps only for the rows kept, one pair of maps per run of
 rows on one slice (`cut_at_centroids`).
 """
@@ -41,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import attrgetter
+from operator import attrgetter, is_not
 from typing import NamedTuple
 
 import numpy as np
@@ -223,7 +224,8 @@ def build_dataset(preps, split, preset, rng: Rng | None = None, cap=None,
 
 def _in_retina_rows(preps):
     """(volume index, slice, id, [n, 2] centroid) arrays of every in-retina
-    superpixel of `preps`, in their order."""
+    superpixel of `preps`, in their order. The centroids are gathered from
+    the records' tables, once per run of records that read the same table."""
     kept, counts = [], []
     for _, prep in preps:
         sps = prep.superpixels
@@ -231,7 +233,10 @@ def _in_retina_rows(preps):
         kept += compress(sps, inside)
         counts.append(np.count_nonzero(inside))
     n = len(kept)
-    slices, ids = (np.fromiter(map(attrgetter(name), kept), np.int64, n)
-                   for name in ("slice_index", "id"))
-    return (np.repeat(np.arange(len(preps)), counts), slices, ids,
-            np.fromiter(map(attrgetter("centroid"), kept), np.dtype((np.float64, 2)), n))
+    slices, ids, index = (np.fromiter(map(attrgetter(name), kept), np.int64, n)
+                          for name in ("slice_index", "id", "index"))
+    tables = list(map(attrgetter("table"), kept))
+    starts = np.flatnonzero(np.fromiter(map(is_not, tables, [None] + tables), bool, n)).tolist()
+    centroids = np.concatenate([np.empty((0, 2))] + [
+        tables[a].centroids[index[a:b]] for a, b in zip(starts, starts[1:] + [n])])
+    return np.repeat(np.arange(len(preps)), counts), slices, ids, centroids

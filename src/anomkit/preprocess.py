@@ -48,9 +48,12 @@ slice * n_ids + id in the smallest unsigned dtype that holds every key
 keys): the pixel order from one stable argsort, counts and centroid sums
 from `np.bincount` (the sums are integer-valued, so exact), and the
 in-retina flag from one vectorized band comparison at the rounded centroid
-column. The records share the volume's (rows, cols) arrays in that order,
-and each keeps its (start, stop) in them and cuts its `rows` and `cols` on
-access, so a record holds no arrays of its own.
+column. The pixels' rows and columns, in that order, the record offsets and
+the centroids form one `SuperpixelTable` per volume; the coordinates take the
+smallest unsigned dtype that holds the last row and column. Every record
+reads that table by its index: it holds its id, slice and in-retina flag,
+and no tuple, span bound or array of its own, so a volume's records cost one
+small object each beside the table.
 
 `preprocess_volume` runs SLIC on the first half of a volume's slices on a
 thread started for the call (`_fork.both`) and on the second half on the
@@ -70,6 +73,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -100,32 +104,49 @@ class SurfacePair:
         return (rows >= self.top[:, None, :]) & (rows <= self.bottom[:, None, :])
 
 
+class SuperpixelTable(NamedTuple):
+    """One volume's superpixels as arrays, in (slice, id) order: record i's
+    pixels are `rows` and `cols` [offsets[i] : offsets[i + 1]], in raster
+    order, and `centroids[i]` is its fractional (row, col) centroid."""
+
+    rows: np.ndarray  # [pixels], the smallest unsigned dtype that holds H - 1 and W - 1
+    cols: np.ndarray  # [pixels], the dtype of rows
+    offsets: np.ndarray  # [n + 1] int64, from 0 to the pixel count
+    centroids: np.ndarray  # [n, 2] float64
+
+
 class Superpixel:
-    """One superpixel of one slice: its id, its fractional (row, col) centroid,
-    whether it lies in the retina, and its pixels' `rows` and `cols` in raster
-    order. The pixels are the (start, stop) span of the (rows, cols) arrays
-    `pixels`, which `superpixel_records` shares across a volume's records, and
-    are cut from them on access."""
+    """Superpixel `index` of `table`: its id, its slice, whether it lies in
+    the retina, and, read from the table on each access, its pixels' int64
+    `rows` and `cols` in raster order and its (row, col) `centroid` as a
+    tuple of floats."""
 
-    __slots__ = ("id", "slice_index", "centroid", "in_retina", "_pixels", "_start", "_stop")
+    __slots__ = ("id", "slice_index", "in_retina", "table", "index")
 
-    def __init__(self, pixels, id, slice_index, start, stop, centroid, in_retina):
-        self.id, self.slice_index = id, slice_index
-        self.centroid, self.in_retina = centroid, in_retina
-        self._pixels, self._start, self._stop = pixels, start, stop
+    def __init__(self, table, index, id, slice_index, in_retina):
+        self.table, self.index = table, index
+        self.id, self.slice_index, self.in_retina = id, slice_index, in_retina
+
+    def _pixels(self, coords):
+        offsets, i = self.table.offsets, self.index
+        return coords[offsets[i] : offsets[i + 1]].astype(np.int64)
 
     @property
     def rows(self):
-        return self._pixels[0][self._start : self._stop]
+        return self._pixels(self.table.rows)
 
     @property
     def cols(self):
-        return self._pixels[1][self._start : self._stop]
+        return self._pixels(self.table.cols)
+
+    @property
+    def centroid(self):
+        return tuple(self.table.centroids[self.index].tolist())
 
     def __repr__(self):
         return (f"Superpixel(id={self.id}, slice_index={self.slice_index}, "
                 f"centroid={self.centroid}, in_retina={self.in_retina}, "
-                f"pixels={self._stop - self._start})")
+                f"pixels={len(self.rows)})")
 
 
 def _min_cost_paths(cost):
@@ -489,7 +510,8 @@ def slic_superpixels(stack):
 
 
 def superpixel_records(labels, surfaces: SurfacePair) -> list:
-    """Complete `Superpixel` records of an [S, H, W] label volume, in (slice, id) order.
+    """Complete `Superpixel` records of an [S, H, W] label volume, in (slice, id) order,
+    all reading one `SuperpixelTable` whose record i is the list's i-th.
 
     Each record's pixels are in raster order. A superpixel is in the retina
     when its centroid row lies in [top, bottom] at the centroid column,
@@ -512,24 +534,30 @@ def superpixel_records(labels, surfaces: SurfacePair) -> list:
     counts = np.bincount(key, minlength=n_keys)
     keys = np.flatnonzero(counts)
     counts = counts[keys]
-    stops = np.cumsum(counts)
     slices, ids = np.divmod(keys, n_ids)
     # each pixel's row and column; their sums are integer-valued, so exact
-    centroid_r, centroid_c = (
+    centroids = np.stack([
         np.bincount(key, weights=np.tile(at.ravel(), n_slices), minlength=n_keys)[keys] / counts
-        for at in np.indices((h, w), dtype=np.float64))
+        for at in np.indices((h, w), dtype=np.float64)], axis=1)
+    centroid_r, centroid_c = centroids.T
     col = np.clip(np.rint(centroid_c), 0, w - 1).astype(np.int64)
     in_retina = ((surfaces.top[slices, col] <= centroid_r)
                  & (centroid_r <= surfaces.bottom[slices, col]))
-    pixels = np.divmod(order % (h * w), w)  # (rows, cols) in record order
-    return list(map(Superpixel, repeat(pixels), ids.tolist(), slices.tolist(),
-                    (stops - counts).tolist(), stops.tolist(),
-                    zip(centroid_r.tolist(), centroid_c.tolist()), in_retina.tolist()))
+    coord = np.min_scalar_type(max(h, w) - 1)
+    rows, cols = (a.astype(coord) for a in np.divmod(order % (h * w), w))
+    table = SuperpixelTable(rows=rows, cols=cols, offsets=np.concatenate([[0], np.cumsum(counts)]),
+                            centroids=centroids)
+    return list(map(Superpixel, repeat(table), range(len(keys)), ids.tolist(), slices.tolist(),
+                    in_retina.tolist()))
 
 
 @dataclass
 class PreprocessedVolume:
-    """Flattened, normalized volume with surfaces and per-slice superpixels."""
+    """Flattened, normalized volume with surfaces and per-slice superpixels.
+
+    The superpixels of all slices read one `SuperpixelTable`, so a volume
+    holds its float32 data, one coordinate pair per voxel in the table's
+    unsigned dtype, and one small record per superpixel."""
 
     data: np.ndarray  # [slices, H, W] float32 in [0,1]
     surfaces: SurfacePair  # flattened coordinates

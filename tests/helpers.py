@@ -1,12 +1,12 @@
 """Shared test utilities: finite-difference oracle, error measures, float64
-copies of float32 networks, and preprocessed volumes with chosen superpixel
-centres."""
+copies of float32 networks, superpixel records built by hand, and
+preprocessed volumes with chosen superpixel centres."""
 
 import copy
 
 import numpy as np
 
-from anomkit.preprocess import PreprocessedVolume, Superpixel
+from anomkit.preprocess import PreprocessedVolume, Superpixel, SuperpixelTable
 from anomkit.rng import Rng
 
 
@@ -51,13 +51,24 @@ def border_centres(height, width):
     return [(r, c) for r in rows for c in cols]
 
 
+def one_record(rows, cols, id, slice_index, centroid, in_retina=True):
+    """A `Superpixel` that reads a one-record table of its own: the pixels
+    (rows, cols) in the smallest unsigned dtype that holds them, and
+    `centroid` as given."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    coord = np.min_scalar_type(max(rows.max(initial=0), cols.max(initial=0)))
+    table = SuperpixelTable(rows=rows.astype(coord), cols=cols.astype(coord),
+                            offsets=np.array([0, len(rows)]),
+                            centroids=np.array([centroid], dtype=np.float64))
+    return Superpixel(table, 0, id, slice_index, in_retina)
+
+
 def centre_volume(centres, width, height=20, seed=0):
     """A PreprocessedVolume of random [height, width] slices, one per list in
     `centres`, with an in-retina one-pixel superpixel at each (row, col) of
     its slice's list."""
     data = Rng(seed).uniform(size=(len(centres), height, width)).astype(np.float32)
-    superpixels = [Superpixel(pixels=(np.array([r]), np.array([c])), id=i, slice_index=s,
-                              start=0, stop=1, centroid=(float(r), float(c)), in_retina=True)
+    superpixels = [one_record([r], [c], id=i, slice_index=s, centroid=(float(r), float(c)))
                    for s, slice_centres in enumerate(centres)
                    for i, (r, c) in enumerate(slice_centres)]
     return PreprocessedVolume(data=data, surfaces=None, superpixels=superpixels)

@@ -39,8 +39,9 @@ from anomkit import cluster, dcae, phantom, preprocess
 from anomkit.errors import DimensionError, GenerationError, ParameterError, SegmentationError
 from anomkit.numcore import GradTape, mse, mse_grad
 from anomkit.numcore.ops import PoolSwitches
-from anomkit.preprocess import Superpixel
 from anomkit.rng import Rng
+
+from helpers import one_record
 
 
 def nu_dual_oracle(X, nu):
@@ -167,7 +168,7 @@ def pair_oracle(slice_img, center, side):
 def superpixel_records_oracle(labels, slice_index, surfaces):
     """`Superpixel` records of one slice's [H, W] label map, as they were built
     one slice at a time: id order, raster-order pixels, in-retina at the
-    half-to-even rounded centroid column."""
+    half-to-even rounded centroid column. Each record reads a table of its own."""
     w = labels.shape[1]
     flat = labels.ravel()
     order = np.argsort(flat, kind="stable")
@@ -180,8 +181,8 @@ def superpixel_records_oracle(labels, slice_index, surfaces):
     in_retina = ((surfaces.top[slice_index, col] <= centroid_r)
                  & (centroid_r <= surfaces.bottom[slice_index, col]))
     return [
-        Superpixel(pixels=(rows[a:b], cols[a:b]), id=lab, slice_index=slice_index, start=0,
-                   stop=b - a, centroid=(r, c), in_retina=inside)
+        one_record(rows[a:b], cols[a:b], id=lab, slice_index=slice_index, centroid=(r, c),
+                   in_retina=inside)
         for lab, a, b, r, c, inside in zip(
             ids.tolist(), starts.tolist(), (starts + counts).tolist(),
             centroid_r.tolist(), centroid_c.tolist(), in_retina.tolist())

@@ -7,7 +7,8 @@ import pytest
 
 from anomkit import metrics
 from anomkit.errors import UsageError
-from anomkit.preprocess import Superpixel
+
+from helpers import one_record
 
 
 class TestSegScores:
@@ -70,7 +71,7 @@ def test_superpixel_majority_type():
                        [1, 1, 3]])
 
     def sp(rows, cols):
-        return Superpixel((np.array(rows), np.array(cols)), 0, 0, 0, len(rows), (0.0, 0.0), True)
+        return one_record(rows, cols, id=0, slice_index=0, centroid=(0.0, 0.0))
 
     assert metrics.superpixel_majority_type(sp([0, 0, 1], [1, 2, 2]), labels) == 2
     # two pixels each of types 1 and 2: the tie goes to the lower type

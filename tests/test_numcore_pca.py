@@ -1,5 +1,7 @@
 """PCA fitting and projection contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,36 @@ def test_matches_loop_oracle_bit_for_bit(seed, flat_first):
         assert np.array_equal(model.mean, mean)
         assert np.array_equal(model.components, components)
         assert np.array_equal(pca_project(model, data), (data - mean) @ components.T)
+
+
+def _peak_bytes(f, *args):
+    """Peak bytes `f(*args)` allocates beyond what is held before the call, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_fit_and_project_hold_one_float64_copy():
+    # a float32 [n, d] input: one float64 copy, centred in place, plus what
+    # is [d] or [d, d] or [n, k] wide, stays under one and a half copies;
+    # a separate centred array would make two
+    n, d, k = 2000, 128, 8
+    data = Rng(27).normal(size=(n, d)).astype(np.float32)
+    model = pca_fit(data, k)
+    one_copy = n * d * np.dtype(np.float64).itemsize
+    assert _peak_bytes(pca_fit, data, k) < 1.5 * one_copy
+    assert _peak_bytes(pca_project, model, data) < 1.5 * one_copy
+
+
+def test_callers_array_is_not_written():
+    float64 = Rng(28).normal(size=(40, 6)) + 2.0
+    for data in (float64, float64.astype(np.float32)):
+        kept = data.copy()
+        model = pca_fit(data, 3)
+        pca_project(model, data)
+        pca_project(model, data[0])
+        assert np.array_equal(data, kept)

@@ -11,6 +11,7 @@ from anomkit import ocsvm
 from anomkit.errors import ConvergenceError, DimensionError, FittingError, InputError, UsageError
 from anomkit.rng import Rng
 
+from helpers import one_record
 from oracles import nu_dual_oracle
 
 
@@ -131,11 +132,8 @@ class TestNuProperty:
         assert model.free_support_vectors == 0  # rho from the bound candidates
 
     def test_two_identical_points_sit_on_boundary(self):
-        from anomkit.preprocess import Superpixel
-
         X = np.array([[1.5, -2.0], [1.5, -2.0]])
-        sp = Superpixel(pixels=(np.array([0]), np.array([0])), id=0, slice_index=0, start=0,
-                        stop=1, centroid=(0.0, 0.0), in_retina=True)
+        sp = one_record([0], [0], id=0, slice_index=0, centroid=(0.0, 0.0))
         for nu in (0.3, 0.7, 1.0):
             model = ocsvm.fit_ocsvm(X, nu=nu)
             # at nu = 1 both alphas sit at the cap 1/(nu*n) = 1/2
@@ -214,17 +212,13 @@ class TestScoring:
 
 class TestSegmentVolume:
     def test_mask_covers_only_anomalous_superpixels(self):
-        from anomkit.preprocess import Superpixel
-
         rng = Rng(38)
         healthy = np.abs(rng.normal(size=(300, 4))) + 1.0
         model = ocsvm.fit_ocsvm(healthy, nu=0.1, tol=1e-10)
 
         sps = [
-            Superpixel(pixels=(np.array([0, 0]), np.array([0, 1])), id=0, slice_index=0,
-                       start=0, stop=2, centroid=(0.0, 0.5), in_retina=True),
-            Superpixel(pixels=(np.array([2]), np.array([3])), id=1, slice_index=1,
-                       start=0, stop=1, centroid=(2.0, 3.0), in_retina=True),
+            one_record([0, 0], [0, 1], id=0, slice_index=0, centroid=(0.0, 0.5)),
+            one_record([2], [3], id=1, slice_index=1, centroid=(2.0, 3.0)),
         ]
         feats = np.stack([healthy.mean(axis=0), -50.0 * np.ones(4)])
         amap = ocsvm.segment_volume(model, feats, sps, volume_shape=(2, 4, 4))
@@ -242,9 +236,7 @@ class TestSegmentVolume:
 
     def test_mask_is_the_union_of_the_flagged_records(self):
         """Hand-built records over every label of a random label volume, each
-        holding its own arrays: the mask is the pixels of the flagged ones."""
-        from anomkit.preprocess import Superpixel
-
+        reading a table of its own: the mask is the pixels of the flagged ones."""
         rng = Rng(40)
         healthy = np.abs(rng.normal(size=(300, 4))) + 1.0
         model = ocsvm.fit_ocsvm(healthy, nu=0.1, tol=1e-10)
@@ -253,9 +245,8 @@ class TestSegmentVolume:
         for s, slice_labels in enumerate(labels):
             for lab in np.unique(slice_labels):
                 rows, cols = np.nonzero(slice_labels == lab)
-                sps.append(Superpixel(pixels=(rows, cols), id=int(lab), slice_index=s,
-                                      start=0, stop=len(rows),
-                                      centroid=(rows.mean(), cols.mean()), in_retina=True))
+                sps.append(one_record(rows, cols, id=int(lab), slice_index=s,
+                                      centroid=(rows.mean(), cols.mean())))
         flag = rng.random(len(sps)) < 0.4
         feats = np.where(flag[:, None], -50.0, healthy.mean(axis=0))
         amap = ocsvm.segment_volume(model, feats, sps, volume_shape=labels.shape)

@@ -1,7 +1,9 @@
 """Surface segmentation, flattening, normalization, SLIC superpixels."""
 
+import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -601,8 +603,68 @@ class TestPreprocessVolume:
                     want.id, want.slice_index, want.centroid, want.in_retina)
                 assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
                 assert got.rows.dtype == want.rows.dtype and got.cols.dtype == want.cols.dtype
-            # every record's pixels are cut from one array per coordinate
-            assert all(sp.rows.base is records[0].rows.base is not None for sp in records)
+            # every record reads its own row of one table, whose coordinates
+            # take the smallest unsigned dtype that holds the slice's sides
+            table = records[0].table
+            assert all(sp.table is table for sp in records)
+            assert [sp.index for sp in records] == list(range(len(table.offsets) - 1))
+            coord = np.min_scalar_type(max(labels.shape[1:]) - 1)
+            assert table.rows.dtype == table.cols.dtype == coord == np.uint8
+
+    @pytest.mark.parametrize("shape", [(20, 300), (300, 20)])
+    def test_a_side_over_256_takes_uint16_coordinates(self, shape):
+        h, w = shape
+        rows, cols = np.indices(shape)
+        labels = np.stack([(rows // 5) * 64 + cols // 5, (rows // 7) * 64 + (cols + 3) // 4])
+        surf = preprocess.SurfacePair(top=np.full((2, w), h // 4), bottom=np.full((2, w), h // 2))
+        records = preprocess.superpixel_records(labels, surf)
+        expected = [sp for s in range(2) for sp in superpixel_records_oracle(labels[s], s, surf)]
+        assert len(records) == len(expected)
+        for got, want in zip(records, expected):
+            assert (got.id, got.slice_index, got.centroid, got.in_retina) == (
+                want.id, want.slice_index, want.centroid, want.in_retina)
+            assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+        table = records[0].table
+        assert table.rows.dtype == table.cols.dtype == np.uint16
+        assert {sp.in_retina for sp in records} == {False, True}
+
+    def test_record_reads_int64_pixels_and_a_tuple_of_floats(self):
+        labels = np.zeros((1, 6, 7), dtype=np.int64)
+        labels[0, 2:4, 1:6] = 3
+        surf = preprocess.SurfacePair(top=np.zeros((1, 7), int), bottom=np.full((1, 7), 5))
+        sp = preprocess.superpixel_records(labels, surf)[1]
+        assert sp.rows.dtype == np.int64 and sp.cols.dtype == np.int64
+        assert sp.rows.tolist() == [2] * 5 + [3] * 5 and sp.cols.tolist() == [1, 2, 3, 4, 5] * 2
+        assert sp.centroid == (2.5, 3.0) and type(sp.centroid) is tuple
+        assert all(type(x) is float for x in sp.centroid)
+        assert repr(sp) == ("Superpixel(id=3, slice_index=0, centroid=(2.5, 3.0), "
+                            "in_retina=True, pixels=10)")
+
+    def test_result_retains_its_data_one_coordinate_pair_per_voxel_and_small_records(self):
+        """What a preprocessed volume keeps: its float32 data and surfaces, one
+        (row, col) pair per voxel in the smallest unsigned dtype, and per
+        superpixel one five-slot record, its own id and index ints, a list
+        slot with room to over-allocate, and its table row of one int64
+        offset and two float64 centroid coordinates. Python objects are
+        counted in 16-byte allocator blocks."""
+        vol, _ = phantom.generate_volume(phantom.healthy_config(33))
+        preprocess.preprocess_volume(vol.data)  # what a first call leaves is not the result's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            prep = preprocess.preprocess_volume(vol.data)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+        def blocks(obj):
+            return -(-sys.getsizeof(obj) // 16) * 16
+
+        coord = np.min_scalar_type(max(prep.data.shape[1:]) - 1).itemsize
+        per_record = blocks(prep.superpixels[0]) + 2 * blocks(2**20) + 2 * 8 + 8 + 2 * 8
+        bound = (prep.data.nbytes + prep.surfaces.top.nbytes + prep.surfaces.bottom.nbytes
+                 + 2 * coord * prep.data.size + per_record * len(prep.superpixels))
+        assert retained <= bound
 
     def test_slice_label_map_rejected(self):
         from anomkit.errors import DimensionError
