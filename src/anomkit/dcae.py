@@ -48,8 +48,10 @@ of the max. The gather picks a subset of the ELU's elementwise output, so
 taking the ELU before the gather changes no bit either, and the ELU runs
 once per map value rather than once per overlapping window value. The
 layers after the pool (Reshape, Dense, ELU, Dense, ELU) run on
-EMBED_ROWS-row batches of the gathered rows, taken in map order, which for
-a `build_dataset` dataset is its row order.
+EMBED_ROWS-row batches of the gathered rows in row order, which is map
+order, because the corners list their maps in order. One batcher,
+`_batched`, feeds those layers and the fusion encoder alike: its batches
+run across map boundaries, and only the last one may be short.
 
 Each row gets the bits of its crop's encoding on an sgemm that meets the
 conditions `tests/oracles.py` states and probes:
@@ -68,6 +70,7 @@ other kernels. The batch sizes around it encode no faster.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -239,11 +242,28 @@ def train_dcae(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
     return model
 
 
-def _batched(fn, rows):
-    """fn over EMBED_ROWS-row slices of rows, stacked; zero rows are one
-    zero-row call, so the result keeps fn's width."""
-    return np.concatenate([fn(rows[start : start + EMBED_ROWS])
-                           for start in range(0, len(rows), EMBED_ROWS) or [0]], axis=0)
+def _batched(fn, chunks):
+    """fn over the rows of `chunks`, in order, in EMBED_ROWS-row batches that
+    run across chunk boundaries, stacked. Only the last batch may be short,
+    and zero rows make one zero-row call, so the result keeps fn's width:
+    `chunks` holds at least one array, and any of them may have zero rows.
+    Rows left over from a chunk are copied, so each chunk can go before the
+    next one is made."""
+    out, held = [], None
+    for chunk in chunks:
+        held = chunk[:0] if held is None else held
+        need = -len(held) % EMBED_ROWS  # the rows that fill the held batch
+        held, chunk = np.concatenate([held, chunk[:need]]), chunk[need:]
+        if len(held) == EMBED_ROWS:
+            out.append(fn(held))
+            held = held[:0]
+        whole = len(chunk) - len(chunk) % EMBED_ROWS
+        out += [fn(chunk[start : start + EMBED_ROWS]) for start in range(0, whole, EMBED_ROWS)]
+        held = np.concatenate([held, chunk[whole:]])
+        del chunk
+    if len(held) or not out:
+        out.append(fn(held))
+    return np.concatenate(out)
 
 
 def _pooled_windows(conv, p, elu, one, phase, r, c, side):
@@ -259,40 +279,17 @@ def _pooled_windows(conv, p, elu, one, phase, r, c, side):
     return windows.transpose(0, 1, 2, 4, 5, 3)[..., ::p, ::p, :][phase, r - top, c]
 
 
-def _batch_codes(fn, held, pooled):
-    """fn of each whole EMBED_ROWS-row batch of the `held` rows followed by
-    `pooled`'s, and a copy of the rows left over, so `pooled` can go."""
-    batches = []
-    if len(held):
-        need = EMBED_ROWS - len(held)
-        held, pooled = np.concatenate([held, pooled[:need]]), pooled[need:]
-        if len(held) == EMBED_ROWS:
-            batches, held = [held], held[:0]
-    whole = len(pooled) - len(pooled) % EMBED_ROWS
-    batches += [pooled[start : start + EMBED_ROWS] for start in range(0, whole, EMBED_ROWS)]
-    return [fn(batch) for batch in batches], np.concatenate([held, pooled[whole:]])
-
-
 def _encode_maps(net, maps, corners, side):
     """[len(corners), code_dim] codes of the side x side crops at `corners` of
     `maps`, by `net`'s inference plan: its Conv2D, the MaxPool2D's max and
     then the first ELU once per map, and the layers after them on
-    EMBED_ROWS-row batches of the gathered rows, taken in map order."""
+    EMBED_ROWS-row batches of the gathered rows, in row order."""
     conv, elu, pool, *rest = net.encoder.plan
-    tail = nc.Network(rest)
     n = (side - conv.k + 1) // pool.pool
-    rows, codes = [np.zeros(0, np.int64)], []
-    held = np.zeros((0, n, n, conv.cout), conv.kernels.dtype)  # rows not yet in a batch
-    for one, local, map_rows in map_groups(maps, corners, side):
-        rows.append(map_rows)
-        done, held = _batch_codes(tail.infer, held,
-                                  _pooled_windows(conv, pool.pool, elu, one, *local, side))
-        codes += done
-    if len(held) or not codes:  # a zero-row batch keeps the width
-        codes.append(tail.infer(held))
-    out = np.empty_like(codes[0], shape=(len(corners), codes[0].shape[1]))
-    out[np.concatenate(rows)] = np.concatenate(codes)
-    return out
+    pooled = (_pooled_windows(conv, pool.pool, elu, one, *local, side)
+              for one, local, _ in map_groups(maps, corners, side))
+    return _batched(nc.Network(rest).infer,
+                    chain([np.zeros((0, n, n, conv.cout), conv.kernels.dtype)], pooled))
 
 
 def _scale_codes(model: DcaeModel, dataset: PatchDataset):
@@ -332,4 +329,4 @@ def embed_dataset(model: DcaeModel, dataset: PatchDataset):
     _check_patch_side(model, dataset)
     if not (model.scales_trained and model.fusion_trained):
         raise UsageError("model is not fully trained")
-    return _batched(model.fusion.encode, _scale_codes(model, dataset))
+    return _batched(model.fusion.encode, [_scale_codes(model, dataset)])

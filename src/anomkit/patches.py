@@ -24,25 +24,24 @@ anomaly-train) never cuts them. A slice has two maps:
   phase c mod 4.
 Each row of a dataset records one corner (map, phase, row, col): its
 scale-2 window. Its scale-1 window is at (row, 4 * col + phase) of the same
-slice's scale-1 map, whose only phase is 0.
+slice's scale-1 map, whose only phase is 0. The corners list their maps in
+order, so each map's rows are one contiguous range (`map_groups`), and a
+reader of the maps goes through them once, in row order.
 
 `slice_maps` builds one slice's two maps and the corner of every centre on
 it. Each mean sums the same four values in the order `np.mean` does, so the
 crops are bit-identical to cropping each pair and averaging it
-(`tests/oracles.pair_oracle`). `build_dataset` reads each volume's
-in-retina flags, slices and ids into arrays, and gathers the centroids from
-the records' tables, in the (slice, id) order
-`PreprocessedVolume.superpixels` holds them in, applies `cap` to those
-rows, and builds maps only for the rows kept, one pair of maps per run of
-rows on one slice (`cut_at_centroids`).
+(`tests/oracles.pair_oracle`). `build_dataset` takes the slices, ids and
+centroids of each volume's in-retina superpixels from its
+`PreprocessedVolume.table`, in the table's (slice, id) order, applies `cap`
+to those rows, and builds maps only for the rows kept, one pair of maps per
+run of rows on one slice (`cut_at_centroids`), numbered in row order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
-from operator import attrgetter, is_not
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +55,8 @@ from .rng import Rng
 class PatchMaps(NamedTuple):
     """The maps a dataset's crops are windows of, and each row's corner: one
     [phases, h, w] float32 map per slice run and scale, the corner's map
-    counting them in order."""
+    counting them in order. No corner reads a map before the map of the
+    corner above it."""
 
     scale1: list  # [1, h, w] maps
     scale2: list  # [4, h, w2] maps, aligned with scale1's
@@ -82,10 +82,12 @@ class PatchMaps(NamedTuple):
 def map_groups(maps, corners, side):
     """Each of the [phases, h, w] `maps` that some corner reads, as (map,
     (phase, row, col), rows): the map, its rows' corners without the map
-    field, as three arrays, and those rows' indices.
+    field, as three arrays, and the slice of those rows. The corners list
+    their maps in order, so each map's rows are one contiguous range.
 
     Before the first map, raises InputError if some corner's side x side
-    window does not lie inside its map.
+    window does not lie inside its map, or if a corner's map comes before
+    the map of the corner above it.
     """
     corners = np.asarray(corners, dtype=np.int64).reshape(-1, 4)
     # every map's (phases, h - side + 1, w - side + 1): a corner's last three fields' bounds
@@ -97,12 +99,14 @@ def map_groups(maps, corners, side):
     if bad.any():
         raise InputError(f"corner {tuple(corners[bad][0].tolist())} puts a {side}px window "
                          f"outside its map")
-    order = np.argsort(m, kind="stable")
-    bounds = np.searchsorted(m[order], np.arange(len(maps) + 1))
-    for i, (lo, hi) in enumerate(zip(bounds[:-1].tolist(), bounds[1:].tolist())):
-        if lo < hi:
-            rows = order[lo:hi]
-            yield maps[i], corners[rows, 1:].T, rows
+    step = np.diff(m, prepend=-1)  # the first row starts a run: no map is numbered -1
+    if (step < 0).any():
+        row = int(np.argmax(step < 0))
+        raise InputError(f"corner {row} reads map {m[row]} after map {m[row - 1]}: "
+                         f"corners must list their maps in order")
+    starts = np.flatnonzero(step).tolist()
+    for lo, hi in zip(starts, starts[1:] + [len(m)]):
+        yield maps[m[lo]], corners[lo:hi, 1:].T, slice(lo, hi)
 
 
 def slice_maps(slice_img, centers, preset) -> PatchMaps:
@@ -205,9 +209,13 @@ def build_dataset(preps, split, preset, rng: Rng | None = None, cap=None,
             if gt is not None and gt.mask.any():
                 raise InputError(f"volume {vid} in healthy-train has anomaly voxels")
 
-    volume, slices, ids, centroids = _in_retina_rows(preps)
-    if not len(volume):
+    tables = [prep.table for _, prep in preps]
+    counts = [np.count_nonzero(t.in_retina) for t in tables]
+    if not sum(counts):
         raise InputError("no in-retina superpixels: empty dataset")
+    volume = np.repeat(np.arange(len(tables)), counts)
+    slices, ids, centroids = (np.concatenate([getattr(t, k)[t.in_retina] for t in tables])
+                              for k in ("slices", "ids", "centroids"))
 
     if cap is not None and len(volume) > cap:
         if rng is None:
@@ -221,22 +229,3 @@ def build_dataset(preps, split, preset, rng: Rng | None = None, cap=None,
     sources = [(vids[v], s, i) for v, s, i in zip(volume.tolist(), slices.tolist(), ids.tolist())]
     return PatchDataset(maps=maps, sources=sources, split=split, preset=p)
 
-
-def _in_retina_rows(preps):
-    """(volume index, slice, id, [n, 2] centroid) arrays of every in-retina
-    superpixel of `preps`, in their order. The centroids are gathered from
-    the records' tables, once per run of records that read the same table."""
-    kept, counts = [], []
-    for _, prep in preps:
-        sps = prep.superpixels
-        inside = np.fromiter(map(attrgetter("in_retina"), sps), bool, len(sps))
-        kept += compress(sps, inside)
-        counts.append(np.count_nonzero(inside))
-    n = len(kept)
-    slices, ids, index = (np.fromiter(map(attrgetter(name), kept), np.int64, n)
-                          for name in ("slice_index", "id", "index"))
-    tables = list(map(attrgetter("table"), kept))
-    starts = np.flatnonzero(np.fromiter(map(is_not, tables, [None] + tables), bool, n)).tolist()
-    centroids = np.concatenate([np.empty((0, 2))] + [
-        tables[a].centroids[index[a:b]] for a, b in zip(starts, starts[1:] + [n])])
-    return np.repeat(np.arange(len(preps)), counts), slices, ids, centroids

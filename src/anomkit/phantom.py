@@ -312,18 +312,11 @@ def generate_benchmark(seed=42, n_healthy=40, n_anomalous=40, n_test=8,
     of their 10 test volumes pairwise.
     """
     overrides = dict(shape_overrides or {})
-    healthy, anomalous, test = [], [], []
-    idx = 0
-    for i in range(n_healthy):
-        cfg = healthy_config(seed ^ idx, **overrides)
-        healthy.append(generate_volume(cfg, volume_id=f"healthy-{i:03d}"))
-        idx += 1
-    for i in range(n_anomalous):
-        cfg = anomalous_config(seed ^ idx, **overrides)
-        anomalous.append(generate_volume(cfg, volume_id=f"anomaly-{i:03d}"))
-        idx += 1
-    for i in range(n_test):
-        cfg = test_config(seed ^ idx, **overrides)
-        test.append(generate_volume(cfg, volume_id=f"test-{i:03d}"))
-        idx += 1
-    return BenchmarkData(healthy=healthy, anomalous=anomalous, test=test)
+    splits = ((healthy_config, n_healthy, "healthy"), (anomalous_config, n_anomalous, "anomaly"),
+              (test_config, n_test, "test"))
+    volumes, idx = [], 0
+    for config, count, name in splits:
+        volumes.append([generate_volume(config(seed ^ (idx + i), **overrides), f"{name}-{i:03d}")
+                        for i in range(count)])
+        idx += count
+    return BenchmarkData(*volumes)

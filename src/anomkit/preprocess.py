@@ -41,19 +41,20 @@ over the keys slice * gr * gc + label, whose bins each receive their own
 slice's pixels in raster order, as the sequential loop added them; so every
 slice's labels are those of SLIC on that slice alone. The label map of each
 slice is made connected by an orphan merge over its 4-connected components
-(`_enforce_connectivity`). `superpixel_records` turns the stacked [S, H, W]
-label volume into complete `Superpixel` records in one pass, keyed by
+(`_enforce_connectivity`). `superpixel_table` turns the stacked [S, H, W]
+label volume into one `SuperpixelTable` per volume in one pass, keyed by
 slice * n_ids + id in the smallest unsigned dtype that holds every key
 (numpy radix-sorts keys of 16 bits or fewer; a desk volume has 8 x 1,024
 keys): the pixel order from one stable argsort, counts and centroid sums
 from `np.bincount` (the sums are integer-valued, so exact), and the
-in-retina flag from one vectorized band comparison at the rounded centroid
-column. The pixels' rows and columns, in that order, the record offsets and
-the centroids form one `SuperpixelTable` per volume; the coordinates take the
-smallest unsigned dtype that holds the last row and column. Every record
-reads that table by its index: it holds its id, slice and in-retina flag,
-and no tuple, span bound or array of its own, so a volume's records cost one
-small object each beside the table.
+in-retina flags from one vectorized band comparison at the rounded centroid
+columns. The table holds the pixels' rows and columns in that order, in the
+smallest unsigned dtype that holds the last row and column, the offsets of
+each superpixel's pixels, and its centroid, slice, id and in-retina flag.
+The package reads the table's arrays. `PreprocessedVolume.superpixels`
+builds the `Superpixel` records on first access, in one place: each reads
+the table by its index and holds its id, slice and in-retina flag, and no
+tuple, span bound or array of its own.
 
 `preprocess_volume` runs SLIC on the first half of a volume's slices on a
 thread started for the call (`_fork.both`) and on the second half on the
@@ -72,11 +73,11 @@ the slices' sides are multiples of STEP.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._fork import both
 from .errors import DimensionError, InputError, SegmentationError
@@ -105,14 +106,19 @@ class SurfacePair:
 
 
 class SuperpixelTable(NamedTuple):
-    """One volume's superpixels as arrays, in (slice, id) order: record i's
-    pixels are `rows` and `cols` [offsets[i] : offsets[i + 1]], in raster
-    order, and `centroids[i]` is its fractional (row, col) centroid."""
+    """One volume's superpixels as arrays, in (slice, id) order: superpixel
+    i's pixels are `rows` and `cols` [offsets[i] : offsets[i + 1]], in raster
+    order, `centroids[i]` is its fractional (row, col) centroid, and
+    `slices[i]`, `ids[i]` and `in_retina[i]` are its slice, its id and
+    whether it lies in the retina."""
 
     rows: np.ndarray  # [pixels], the smallest unsigned dtype that holds H - 1 and W - 1
     cols: np.ndarray  # [pixels], the dtype of rows
     offsets: np.ndarray  # [n + 1] int64, from 0 to the pixel count
     centroids: np.ndarray  # [n, 2] float64
+    slices: np.ndarray  # [n] int64
+    ids: np.ndarray  # [n] int64
+    in_retina: np.ndarray  # [n] bool
 
 
 class Superpixel:
@@ -509,11 +515,10 @@ def slic_superpixels(stack):
     return labels
 
 
-def superpixel_records(labels, surfaces: SurfacePair) -> list:
-    """Complete `Superpixel` records of an [S, H, W] label volume, in (slice, id) order,
-    all reading one `SuperpixelTable` whose record i is the list's i-th.
+def superpixel_table(labels, surfaces: SurfacePair) -> SuperpixelTable:
+    """The `SuperpixelTable` of an [S, H, W] label volume, in (slice, id) order.
 
-    Each record's pixels are in raster order. A superpixel is in the retina
+    Each superpixel's pixels are in raster order. A superpixel is in the retina
     when its centroid row lies in [top, bottom] at the centroid column,
     rounded half to even as Python's `round` does. Labels are non-negative
     ids, as SLIC numbers them: the keys slice * (max id + 1) + id each get a
@@ -545,23 +550,28 @@ def superpixel_records(labels, surfaces: SurfacePair) -> list:
                  & (centroid_r <= surfaces.bottom[slices, col]))
     coord = np.min_scalar_type(max(h, w) - 1)
     rows, cols = (a.astype(coord) for a in np.divmod(order % (h * w), w))
-    table = SuperpixelTable(rows=rows, cols=cols, offsets=np.concatenate([[0], np.cumsum(counts)]),
-                            centroids=centroids)
-    return list(map(Superpixel, repeat(table), range(len(keys)), ids.tolist(), slices.tolist(),
-                    in_retina.tolist()))
+    return SuperpixelTable(rows=rows, cols=cols, offsets=np.concatenate([[0], np.cumsum(counts)]),
+                           centroids=centroids, slices=slices, ids=ids, in_retina=in_retina)
 
 
 @dataclass
 class PreprocessedVolume:
-    """Flattened, normalized volume with surfaces and per-slice superpixels.
-
-    The superpixels of all slices read one `SuperpixelTable`, so a volume
-    holds its float32 data, one coordinate pair per voxel in the table's
-    unsigned dtype, and one small record per superpixel."""
+    """Flattened, normalized volume with surfaces and the superpixels of all
+    slices as one `SuperpixelTable`, so a volume holds its float32 data, one
+    coordinate pair per voxel in the table's unsigned dtype, and a few
+    numbers per superpixel. `superpixels` builds one `Superpixel` record per
+    row of the table on first access."""
 
     data: np.ndarray  # [slices, H, W] float32 in [0,1]
     surfaces: SurfacePair  # flattened coordinates
-    superpixels: list  # Superpixel, all slices, in (slice, id) order: build_dataset relies on it
+    table: SuperpixelTable  # all slices, in (slice, id) order: build_dataset relies on it
+
+    @cached_property
+    def superpixels(self):
+        """The table's `Superpixel` records, in its order."""
+        t = self.table
+        return list(map(Superpixel, repeat(t), range(len(t.ids)), t.ids.tolist(),
+                        t.slices.tolist(), t.in_retina.tolist()))
 
 
 def preprocess_volume(volume_data) -> PreprocessedVolume:
@@ -574,4 +584,4 @@ def preprocess_volume(volume_data) -> PreprocessedVolume:
     labels = np.concatenate(both(lambda: slic_superpixels(norm[:half]),
                                  lambda: slic_superpixels(norm[half:]), "preprocess-slic"))
     return PreprocessedVolume(data=norm.astype(np.float32), surfaces=fsurf,
-                              superpixels=superpixel_records(labels, fsurf))
+                              table=superpixel_table(labels, fsurf))

@@ -1,12 +1,13 @@
 """Shared test utilities: finite-difference oracle, error measures, float64
-copies of float32 networks, superpixel records built by hand, and
-preprocessed volumes with chosen superpixel centres."""
+copies of float32 networks, superpixel records built by hand or from a
+label volume's table, and preprocessed volumes with chosen superpixel
+centres."""
 
 import copy
 
 import numpy as np
 
-from anomkit.preprocess import PreprocessedVolume, Superpixel, SuperpixelTable
+from anomkit.preprocess import PreprocessedVolume, Superpixel, SuperpixelTable, superpixel_table
 from anomkit.rng import Rng
 
 
@@ -59,16 +60,29 @@ def one_record(rows, cols, id, slice_index, centroid, in_retina=True):
     coord = np.min_scalar_type(max(rows.max(initial=0), cols.max(initial=0)))
     table = SuperpixelTable(rows=rows.astype(coord), cols=cols.astype(coord),
                             offsets=np.array([0, len(rows)]),
-                            centroids=np.array([centroid], dtype=np.float64))
+                            centroids=np.array([centroid], dtype=np.float64),
+                            slices=np.array([slice_index]), ids=np.array([id]),
+                            in_retina=np.array([in_retina]))
     return Superpixel(table, 0, id, slice_index, in_retina)
+
+
+def table_records(labels, surfaces):
+    """The `Superpixel` records of an [S, H, W] label volume's table, as a
+    preprocessed volume builds them."""
+    return PreprocessedVolume(None, surfaces, superpixel_table(labels, surfaces)).superpixels
 
 
 def centre_volume(centres, width, height=20, seed=0):
     """A PreprocessedVolume of random [height, width] slices, one per list in
-    `centres`, with an in-retina one-pixel superpixel at each (row, col) of
-    its slice's list."""
+    `centres`, whose table holds an in-retina one-pixel superpixel at each
+    (row, col) of its slice's list, with ids counting from 0 per slice."""
     data = Rng(seed).uniform(size=(len(centres), height, width)).astype(np.float32)
-    superpixels = [one_record([r], [c], id=i, slice_index=s, centroid=(float(r), float(c)))
-                   for s, slice_centres in enumerate(centres)
-                   for i, (r, c) in enumerate(slice_centres)]
-    return PreprocessedVolume(data=data, surfaces=None, superpixels=superpixels)
+    at = np.array([rc for slice_centres in centres for rc in slice_centres],
+                  dtype=np.int64).reshape(-1, 2)
+    slices = np.repeat(np.arange(len(centres)), [len(c) for c in centres])
+    coord = np.min_scalar_type(max(height, width) - 1)
+    table = SuperpixelTable(rows=at[:, 0].astype(coord), cols=at[:, 1].astype(coord),
+                            offsets=np.arange(len(at) + 1), centroids=at.astype(np.float64),
+                            slices=slices, ids=np.concatenate([np.arange(len(c)) for c in centres]),
+                            in_retina=np.ones(len(at), bool))
+    return PreprocessedVolume(data=data, surfaces=None, table=table)

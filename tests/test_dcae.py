@@ -9,6 +9,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anomkit import dcae, patches, phantom, preprocess
 from anomkit import numcore as nc
@@ -16,7 +18,7 @@ from anomkit.errors import DimensionError, InputError, ParameterError, TrainingE
 from anomkit.numcore import ops
 from anomkit.rng import Rng
 
-from helpers import border_centres, centre_volume
+from helpers import border_centres, centre_volume, float64_twin
 from oracles import (embed_oracle, scale_codes_oracle, sgemm_rows_independent,
                      train_fusion_oracle, train_scales_oracle)
 
@@ -72,46 +74,72 @@ def _params(model):
 
 U = 2.0 ** -24  # float32's unit roundoff
 EXPM1_ULPS = 3  # numpy's accuracy tests hold float32 expm1 to 3 ulp (umath-validation-set-expm1)
+FAIL = 1e-6  # the chance that some output of one `_float32_bound` call strays past it
 
 
 def _float32_bound(layers, x, bound=0.0):
-    """A bound B on how far any float32 evaluation of the inference passes of
+    """A bound B on how far a float32 evaluation of the inference passes of
     `layers` on x strays from their exact output, when x itself is within
-    `bound` of its exact value.
+    `bound` of its exact value. It holds for every output at once with
+    probability at least 1 - FAIL in the model of Higham and Mary (SIAM J.
+    Sci. Comput. 41(5), 2019): each rounding of a product or a partial sum
+    adds a relative error delta, and the deltas are independent, of mean
+    zero and at most u.
 
     Two evaluations that give each row the same dot products of the same
     values, and differ only in the order sgemm adds each one's terms, then
-    differ by at most 2B. Per layer, for input bound B and the evaluation
-    here, whose input is x (any other's is within 2B of it):
-    - Conv2D and Dense: each output is a sum of K + 1 terms, the K products
-      (K = k*k*Cin or D) and the bias. In any order, float32 puts it within
-      gamma(K + 1) * sum of |terms| of the exact sum, gamma(n) = n*u/(1 - n*u)
-      (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 3.1).
-      The input's error moves the exact sum by at most B * max_o sum_i |w_io|.
-      So B' = B * max_o sum_i |w_io| + gamma(K + 1) * max((|x| + 2B) |w| + |b|).
-    - Elu: 1-Lipschitz, and exact for v > 0. For v <= 0 it is expm1(v), within
-      EXPM1_ULPS ulp of a value in (-1, 0], where an ulp is at most u. So
-      B' = B + EXPM1_ULPS * u. ELU is non-decreasing, so the map path's ELU
-      after the max takes the max of the ELUs and has the same bound.
-    - MaxPool2D and the map path's window max select values; Reshape moves
-      them: B' = B.
-    The bound is computed in float64, whose own rounding is far inside it.
+    differ by at most 2B. The analysis is first order, with the gradients
+    of a float64 twin at x, a max's gradient following its switch:
+    - Conv2D and Dense: each output is a sum of n = K + 1 terms, the K
+      products (K = k*k*Cin or D) and the bias, of |terms| summing to m. In
+      any order, each of its roundings multiplies its delta by one product
+      or one partial sum, and the squares of those add up to at most n*m^2.
+      So an output whose gradient is g adds at most g^2 * n * m^2 to the
+      sum of squares s of the final output's delta coefficients: the bound
+      grows with sqrt(K), where the worst case gamma(n)*m grows with K.
+    - Elu is exact for v > 0; for v <= 0 it is expm1(v), within EXPM1_ULPS
+      ulp of a value in (-1, 0], where an ulp is at most u. Each value adds
+      |g| * EXPM1_ULPS * u outright. ELU is non-decreasing, so the map
+      path's ELU after the max takes the max of the ELUs, with the same
+      error.
+    - MaxPool2D, the map path's window max and Reshape move values.
+    - The input adds sum |g| * bound outright.
+    Hoeffding's inequality puts the deltas' part within lam * u * sqrt(s)
+    with probability at least 1 - 2*exp(-lam^2/2), and lam is chosen so
+    that this holds for every output with probability 1 - FAIL.
     """
-    for layer in layers:
+    twin = float64_twin(nc.Network(layers))
+    x = np.asarray(x, dtype=np.float64)
+    tape, norms = nc.GradTape(None), {}
+    for layer in twin.layers:
         if isinstance(layer, (nc.Conv2D, nc.Dense)):
-            w, b = (np.abs(a, dtype=np.float64) for a in layer.params())
-            mag = np.abs(x, dtype=np.float64) + 2 * bound
-            mag = (ops.conv2d_valid(mag, w, b) if isinstance(layer, nc.Conv2D)
-                   else ops.dense(mag, w, b))
-            k = w.size // w.shape[-1]
-            gamma = (k + 1) * U / (1 - (k + 1) * U)
-            bound = bound * w.reshape(k, -1).sum(axis=0).max() + gamma * mag.max()
-        elif isinstance(layer, nc.Elu):
-            bound += EXPM1_ULPS * U
-        elif not isinstance(layer, (nc.MaxPool2D, nc.Reshape)):
+            w, b = (np.abs(a) for a in layer.params())
+            mag = ops.conv2d_valid(np.abs(x), w, b) if isinstance(layer, nc.Conv2D) \
+                else ops.dense(np.abs(x), w, b)
+            norms[layer] = np.sqrt(w.size // w.shape[-1] + 1) * mag
+        elif not isinstance(layer, (nc.Elu, nc.MaxPool2D, nc.Reshape)):
             raise TypeError(f"no bound for {type(layer).__name__}")
-        x = layer.infer(x)
-    return bound
+        x = layer.forward(x, tape, False, None)
+    squares, outright = np.zeros_like(x), np.zeros_like(x)
+
+    def row_sums(a):
+        return a.reshape(len(a), -1).sum(axis=1)
+
+    for out in range(x.shape[1]):
+        grad = np.zeros_like(x)
+        grad[:, out] = 1.0
+        for layer in reversed(twin.layers):
+            if layer in norms:
+                squares[:, out] += row_sums((grad * norms[layer]) ** 2)
+            elif isinstance(layer, nc.Elu):
+                outright[:, out] += EXPM1_ULPS * U * row_sums(np.abs(grad))
+            if layer is twin.layers[0] and not bound:
+                break  # exact input: its gradient is not needed
+            grad = layer.backward(grad, tape)
+        else:
+            outright[:, out] += bound * row_sums(np.abs(grad))
+    lam = np.sqrt(2 * np.log(2 * x.size / FAIL))
+    return float((lam * U * np.sqrt(squares) + outright).max())
 
 
 def _rows_independent_here(preset, ds, tiled_rows):
@@ -139,7 +167,7 @@ def test_matches_the_written_out_loops(healthy, preset, hyper):
     ref = dcae.build_model(preset, rng.derive(1))
     # 128-row batches against the oracle's 512 rows, over several of each and
     # a partial last one of each
-    tiled = _rows(healthy, np.resize(np.arange(len(healthy)), 600))
+    tiled = _tiled(healthy, 600)
     exact = _rows_independent_here(preset, healthy, len(tiled))
     scale_log = train_scales_oracle(ref, healthy, hyper, rng.derive(2))
     # training runs the same sgemm operands on both sides, so it is exact on
@@ -230,6 +258,11 @@ class TestMapPath:
         fresh = patches.PatchDataset(ds.maps, ds.sources, ds.split, ds.preset)
         assert np.array_equal(dcae.embed_dataset(model, fresh), want)
 
+    def test_corners_out_of_map_order_raise(self):
+        model, ds = self.embed(TINY, [[(0, 0)], [(5, 5)], [(10, 10)]], 61)
+        with pytest.raises(InputError, match="list their maps in order"):
+            dcae.embed_dataset(model, _rows(ds, np.array([1, 0, 2])))
+
     # the 61px slices' maps: scale 1 is [1, 35, 76], scale 2 [4, 35, 31]
     @pytest.mark.parametrize("field, value", [(0, 3), (0, -1), (1, 4), (2, 20), (2, -1),
                                               (3, 16), (3, -1)])
@@ -244,6 +277,16 @@ def _rows(ds, index):
     """The rows `index` of ds as a dataset of their own, on the same maps."""
     return patches.PatchDataset(ds.maps._replace(corners=ds.maps.corners[index]),
                                 [ds.sources[i] for i in index], ds.split, ds.preset)
+
+
+def _tiled(ds, n):
+    """ds's rows repeated up to n rows, each repeat reading a repeat of its
+    maps list, so the corners still list their maps in order."""
+    reps = -(-n // len(ds))
+    per = len(ds.maps.scale1)
+    corners = np.concatenate([ds.maps.corners + (k * per, 0, 0, 0) for k in range(reps)])
+    maps = patches.PatchMaps(ds.maps.scale1 * reps, ds.maps.scale2 * reps, corners[:n])
+    return patches.PatchDataset(maps, (ds.sources * reps)[:n], ds.split, ds.preset)
 
 
 def _scale_threads():
@@ -312,6 +355,29 @@ class TestScaleHalves:
 
 
 class TestBatched:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 3 * dcae.EMBED_ROWS), min_size=1, max_size=6)
+           | st.lists(st.sampled_from([0, 1, dcae.EMBED_ROWS - 1, dcae.EMBED_ROWS]),
+                      min_size=1, max_size=6))
+    @example([0])
+    @example([0, 0, 0])
+    def test_rows_run_through_whole_batches_in_order(self, sizes):
+        n = sum(sizes)
+        rows = np.arange(2 * n, dtype=np.float32).reshape(n, 2)
+        chunks = np.split(rows, np.cumsum(sizes)[:-1])
+        batches = []
+
+        def fn(batch):
+            batches.append(batch.copy())
+            return batch[:, ::-1] + 1
+
+        out = dcae._batched(fn, iter(chunks))
+        assert out.shape == (n, 2) and np.array_equal(out, rows[:, ::-1] + 1)
+        assert np.array_equal(np.concatenate(batches), rows)
+        whole, last = divmod(n, dcae.EMBED_ROWS)
+        short = [last] if last or not n else []  # zero rows make one zero-row call
+        assert [len(b) for b in batches] == [dcae.EMBED_ROWS] * whole + short
+
     def test_empty_dataset_gives_zero_rows(self, healthy, trained):
         z = dcae.embed_dataset(trained, _rows(healthy, np.arange(0)))
         assert z.shape == (0, TINY.fusion_dim)

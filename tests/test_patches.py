@@ -109,6 +109,26 @@ class TestCutPairsOracle:
         with pytest.raises(InputError, match="puts a 16px window outside its map"):
             next(patches.map_groups(*maps.scale(scale), 16))
 
+    def test_corners_out_of_map_order_raise(self):
+        # the second slice's maps listed first: both maps are read, each window
+        # lies inside its map, but the rows come back to map 0 after map 1
+        maps = patches.cut_at_centroids([np.zeros((2, 20, 30))], np.zeros(3, int),
+                                        np.array([0, 0, 1]), np.array([(0, 0), (5, 5), (19, 29)]),
+                                        "desk")
+        maps = maps._replace(corners=maps.corners[[2, 0, 1]])
+        for scale in (1, 2):
+            with pytest.raises(InputError, match="corner 1 reads map 0 after map 1"):
+                next(patches.map_groups(*maps.scale(scale), 16))
+            with pytest.raises(InputError, match="list their maps in order"):
+                maps.crops(scale, 16)
+
+    def test_map_groups_yields_each_maps_row_range(self):
+        maps = patches.cut_at_centroids([np.zeros((3, 20, 30))], np.zeros(5, int),
+                                        np.array([0, 0, 2, 2, 2]), np.full((5, 2), 4), "desk")
+        groups = list(patches.map_groups(*maps.scale(2), 16))
+        assert [rows for _, _, rows in groups] == [slice(0, 2), slice(2, 5)]
+        assert len(groups) == 2 and all(one is m for (one, _, _), m in zip(groups, maps.scale2))
+
     def test_no_centres_gives_empty_batches(self):
         s1, s2, _ = cut_pairs(np.zeros((10, 10)), np.zeros((0, 2)), "desk")
         assert s1.shape == s2.shape == (0, 16, 16)
@@ -202,6 +222,19 @@ class TestBuildDataset:
         assert np.array_equal(ds.scale1, np.stack([s1 for s1, _ in pairs]))
         assert np.array_equal(ds.scale2, np.stack([s2 for _, s2 in pairs]))
         assert len(ds.maps.scale1) == len(ds.maps.scale2) == 2
+
+    def test_a_volume_with_no_in_retina_superpixel_adds_no_rows(self):
+        centres = [[(3, 5), (10, 40)], [(19, 0)]]
+        preps = [centre_volume(centres, 50, seed=seed) for seed in range(3)]
+        middle = preps[1].table
+        preps[1].table = middle._replace(in_retina=np.zeros_like(middle.in_retina))
+        ds = patches.build_dataset(list(zip("abc", preps)), "eval", "desk")
+        rows = [(0, 0), (0, 1), (1, 0)]  # (slice, id) of each volume's superpixels
+        assert ds.sources == [(v, s, i) for v in "ac" for s, i in rows]
+        pairs = [pair_oracle(preps[v].data[s], centres[s][i], 16) for v in (0, 2) for s, i in rows]
+        assert np.array_equal(ds.scale1, np.stack([s1 for s1, _ in pairs]))
+        assert np.array_equal(ds.scale2, np.stack([s2 for _, s2 in pairs]))
+        assert ds.maps.corners[:, 0].tolist() == [0, 0, 1, 2, 2, 3]
 
     def test_maps_must_cover_every_row(self, prepped):
         vol, _, prep = prepped

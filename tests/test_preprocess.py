@@ -16,6 +16,7 @@ from anomkit import phantom, preprocess
 from anomkit.errors import AnomkitError, DimensionError, InputError, SegmentationError
 from anomkit.rng import Rng
 
+from helpers import table_records
 from oracles import (_min_cost_path_oracle, connected_regions_oracle, segment_surfaces_oracle,
                      slic_oracle, superpixel_records_oracle)
 
@@ -325,7 +326,7 @@ class TestSlic:
         prep_img = vol.data[0]
         labels = preprocess.slic_superpixels(prep_img[None])[0]
         surf = preprocess.segment_surfaces(vol.data[:1])
-        sps = preprocess.superpixel_records(labels[None], surf)
+        sps = table_records(labels[None], surf)
         assert [sp.id for sp in sps] == np.unique(labels).tolist()
         seen = np.zeros(prep_img.shape, dtype=int)
         for sp in sps:
@@ -532,7 +533,7 @@ class TestOrphanMerge:
 
 
 class TestMarkRetina:
-    """The in-retina rule `superpixel_records` applies at each centroid."""
+    """The in-retina rule `superpixel_table` applies at each centroid."""
 
     def _surfaces(self):
         top = np.full((1, 32), 10)
@@ -543,7 +544,7 @@ class TestMarkRetina:
         """in_retina of a superpixel (id 1) made of `pixels` in a 32x32 map."""
         labels = np.zeros((32, 32), dtype=np.int64)
         labels[tuple(np.transpose(pixels))] = 1
-        sps = preprocess.superpixel_records(labels[None], surf or self._surfaces())
+        sps = table_records(labels[None], surf or self._surfaces())
         return next(sp for sp in sps if sp.id == 1).in_retina
 
     def test_above_top_false(self):
@@ -594,7 +595,7 @@ class TestPreprocessVolume:
         # slice whose largest id is 2**8 - 1 or 2**16 - 1 has 8- or 16-bit keys
         for labels in (slic, 40 * slic + 7, np.minimum(one, 255),
                        np.where(one == one.max(), 65535, one)):
-            records = preprocess.superpixel_records(labels, surf)
+            records = table_records(labels, surf)
             expected = [sp for s in range(labels.shape[0])
                         for sp in superpixel_records_oracle(labels[s], s, surf)]
             assert len(records) == len(expected)
@@ -610,6 +611,12 @@ class TestPreprocessVolume:
             assert [sp.index for sp in records] == list(range(len(table.offsets) - 1))
             coord = np.min_scalar_type(max(labels.shape[1:]) - 1)
             assert table.rows.dtype == table.cols.dtype == coord == np.uint8
+            # and holds each superpixel's slice, id and in-retina flag
+            assert table.slices.dtype == table.ids.dtype == np.int64
+            assert table.in_retina.dtype == bool
+            assert table.slices.tolist() == [sp.slice_index for sp in expected]
+            assert table.ids.tolist() == [sp.id for sp in expected]
+            assert table.in_retina.tolist() == [sp.in_retina for sp in expected]
 
     @pytest.mark.parametrize("shape", [(20, 300), (300, 20)])
     def test_a_side_over_256_takes_uint16_coordinates(self, shape):
@@ -617,7 +624,7 @@ class TestPreprocessVolume:
         rows, cols = np.indices(shape)
         labels = np.stack([(rows // 5) * 64 + cols // 5, (rows // 7) * 64 + (cols + 3) // 4])
         surf = preprocess.SurfacePair(top=np.full((2, w), h // 4), bottom=np.full((2, w), h // 2))
-        records = preprocess.superpixel_records(labels, surf)
+        records = table_records(labels, surf)
         expected = [sp for s in range(2) for sp in superpixel_records_oracle(labels[s], s, surf)]
         assert len(records) == len(expected)
         for got, want in zip(records, expected):
@@ -632,7 +639,7 @@ class TestPreprocessVolume:
         labels = np.zeros((1, 6, 7), dtype=np.int64)
         labels[0, 2:4, 1:6] = 3
         surf = preprocess.SurfacePair(top=np.zeros((1, 7), int), bottom=np.full((1, 7), 5))
-        sp = preprocess.superpixel_records(labels, surf)[1]
+        sp = table_records(labels, surf)[1]
         assert sp.rows.dtype == np.int64 and sp.cols.dtype == np.int64
         assert sp.rows.tolist() == [2] * 5 + [3] * 5 and sp.cols.tolist() == [1, 2, 3, 4, 5] * 2
         assert sp.centroid == (2.5, 3.0) and type(sp.centroid) is tuple
@@ -641,18 +648,20 @@ class TestPreprocessVolume:
                             "in_retina=True, pixels=10)")
 
     def test_result_retains_its_data_one_coordinate_pair_per_voxel_and_small_records(self):
-        """What a preprocessed volume keeps: its float32 data and surfaces, one
-        (row, col) pair per voxel in the smallest unsigned dtype, and per
-        superpixel one five-slot record, its own id and index ints, a list
-        slot with room to over-allocate, and its table row of one int64
-        offset and two float64 centroid coordinates. Python objects are
-        counted in 16-byte allocator blocks."""
+        """What a preprocessed volume keeps once its records are built: its
+        float32 data and surfaces, one (row, col) pair per voxel in the
+        smallest unsigned dtype, and per superpixel one five-slot record, its
+        own id and index ints, a list slot with room to over-allocate, and
+        its table row of one int64 offset, two float64 centroid coordinates,
+        an int64 slice, an int64 id and a bool in-retina flag. Python objects
+        are counted in 16-byte allocator blocks."""
         vol, _ = phantom.generate_volume(phantom.healthy_config(33))
         preprocess.preprocess_volume(vol.data)  # what a first call leaves is not the result's
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             prep = preprocess.preprocess_volume(vol.data)
+            prep.superpixels  # built on first access
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -661,7 +670,7 @@ class TestPreprocessVolume:
             return -(-sys.getsizeof(obj) // 16) * 16
 
         coord = np.min_scalar_type(max(prep.data.shape[1:]) - 1).itemsize
-        per_record = blocks(prep.superpixels[0]) + 2 * blocks(2**20) + 2 * 8 + 8 + 2 * 8
+        per_record = blocks(prep.superpixels[0]) + 2 * blocks(2**20) + 2 * 8 + 8 + 2 * 8 + 8 + 8 + 1
         bound = (prep.data.nbytes + prep.surfaces.top.nbytes + prep.surfaces.bottom.nbytes
                  + 2 * coord * prep.data.size + per_record * len(prep.superpixels))
         assert retained <= bound
@@ -671,7 +680,7 @@ class TestPreprocessVolume:
 
         surf = preprocess.SurfacePair(top=np.zeros((1, 4), int), bottom=np.full((1, 4), 3))
         with pytest.raises(DimensionError):
-            preprocess.superpixel_records(np.zeros((4, 4), dtype=np.int64), surf)
+            preprocess.superpixel_table(np.zeros((4, 4), dtype=np.int64), surf)
 
     def test_centroid_is_pixel_mean(self):
         vol, _ = phantom.generate_volume(phantom.healthy_config(31))
@@ -687,8 +696,7 @@ class TestPreprocessVolume:
         flat, surf = preprocess.flatten(vol.data, preprocess.segment_surfaces(vol.data))
         norm = [preprocess.normalize_slice(img, mask)
                 for img, mask in zip(flat, surf.band_mask(flat.shape[1]))]
-        expected = preprocess.superpixel_records(np.stack([slic_oracle(img) for img in norm]),
-                                                 surf)
+        expected = table_records(np.stack([slic_oracle(img) for img in norm]), surf)
         assert len(prep.superpixels) == len(expected)
         for got, want in zip(prep.superpixels, expected):
             assert (got.id, got.slice_index, got.centroid, got.in_retina) == (
