@@ -140,6 +140,8 @@ class ClusterModel:
         norms = np.linalg.norm(self.centroids, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise InputError(f"centroids must be unit norm, got row norms {norms}")
+        if self.k != len(self.centroids):
+            raise InputError(f"k={self.k} disagrees with {len(self.centroids)} centroids")
 
 
 def select_k(features, k_range, rng: Rng, restarts=5, max_iter=100) -> ClusterModel:

@@ -58,7 +58,7 @@ conditions `tests/oracles.py` states and probes:
 - A crop's conv output is the same dot product of the same pixels as the
   map's at the crop's corner plus that offset.
 - A crop's pool takes the max of the same values in the same order, since
-  `window_max` folds its views as `pool_max` does, and max is exact.
+  `window_max` folds its views as `maxpool` does, and max is exact.
 - Conv rows past p * pooled, which a crop's pool drops, are never read.
 - The Dense layers run on fixed EMBED_ROWS-row batches, however the rows
   fall on maps, because a row's bits can depend on its batch's row count.
@@ -304,7 +304,9 @@ def _scale_codes(model: DcaeModel, dataset: PatchDataset):
 
 def train_fusion(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
                  rng: Rng) -> DcaeModel:
-    """Train the fusion DAE on frozen concatenated encodings."""
+    """Train the fusion DAE on frozen concatenated encodings of healthy pairs."""
+    if dataset.split != "healthy-train":
+        raise UsageError(f"train_fusion expects the healthy-train split, got {dataset.split!r}")
     _check_patch_side(model, dataset)
     if not model.scales_trained:
         raise UsageError("scale encoders must be trained before the fusion DAE")

@@ -157,7 +157,7 @@ class MaxPool2D(Layer):
         return out
 
     def infer(self, x):
-        return ops.pool_max(x, self.pool)
+        return ops.maxpool(x, self.pool)[0]
 
     def backward(self, grad, tape):
         return ops.unpool(grad, tape.get(self))
@@ -226,7 +226,7 @@ class Dropout(Layer):
 
     def backward(self, grad, tape):
         mask = tape.get(self)
-        return grad if mask is None else ops.dropout_backward(grad, mask)
+        return grad if mask is None else grad * mask
 
 
 class Reshape(Layer):

@@ -18,11 +18,11 @@ over the window, `np.where`), in the same dtype, and the same pool switches.
 These kernels therefore take no data-dependent branch and change no
 rounding: pooling reduces the p*p strided window views with `np.maximum`
 (`window_max` folds the stride-1 views in the same order) and finds the
-first maximum by equality sweeps (`first_equal`; `pool_max` skips them for
-inference, and SLIC reuses them to pick its nearest centre); unpooling
-scatters and gathers through the same views; ELU adds max(x, 0) to
-expm1(min(x, 0)), of which one term is always zero. `tests/oracles.py` keeps
-the argmax and `np.where` formulas, and the tests compare against them.
+first maximum by equality sweeps (`first_equal`, which SLIC reuses to pick
+its nearest centre); unpooling scatters and gathers through the same views;
+ELU adds max(x, 0) to expm1(min(x, 0)), of which one term is always zero.
+`tests/oracles.py` keeps the argmax and `np.where` formulas, and the tests
+compare against them.
 """
 
 from __future__ import annotations
@@ -172,26 +172,14 @@ def _max_of(views):
     return out
 
 
-def _pool_views(x, p):
-    """(x, its p*p window views, their elementwise max)."""
-    xb = _pool_input(x, p)
-    views = _windows(xb, p, xb.shape[1] // p, xb.shape[2] // p)
-    return xb, views, _max_of(views)
-
-
 def window_max(x, p):
     """Max of every p*p window at stride 1: [N, H, W, C] -> [N, H-p+1, W-p+1, C],
     out[:, i, j] = max of x[:, i : i+p, j : j+p]. The views are folded in
-    `pool_max`'s order, so `pool_max(x[:, i:, j:], p)` is exactly
+    `maxpool`'s order, so `maxpool(x[:, i:, j:], p)[0]` is exactly
     out[:, i::p, j::p] over its whole windows."""
     xb = _pool_input(x, p)
     h, w = xb.shape[1] - p + 1, xb.shape[2] - p + 1
     return _max_of([xb[:, a : a + h, b : b + w] for a in range(p) for b in range(p)])
-
-
-def pool_max(x, p):
-    """The pooled values of `maxpool` alone, without switches: inference."""
-    return _pool_views(x, p)[2]
 
 
 def maxpool(x, p):
@@ -199,7 +187,9 @@ def maxpool(x, p):
 
     Returns (pooled, switches). Ties break to the lowest flat in-window index.
     """
-    xb, views, out = _pool_views(x, p)
+    xb = _pool_input(x, p)
+    views = _windows(xb, p, xb.shape[1] // p, xb.shape[2] // p)
+    out = _max_of(views)
     return out, PoolSwitches(index=first_equal(views, out), pool=p, in_shape=xb.shape[1:])
 
 
@@ -256,15 +246,9 @@ def dropout(x, rate, rng: Rng):
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0,1), got {rate}")
     x = np.asarray(x)
-    if rate == 0.0:
-        return x, np.ones_like(x)
     keep = (rng.random(x.shape, dtype=np.float32) >= np.float32(rate)).astype(x.dtype)
     mask = keep / np.asarray(1.0 - rate, dtype=x.dtype)
     return x * mask, mask
-
-
-def dropout_backward(grad_out, mask):
-    return grad_out * mask
 
 
 def dense(x, weight, bias):

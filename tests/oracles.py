@@ -5,7 +5,7 @@ those equalities hold depends on OpenBLAS's sgemm kernel, which the CI job
 prints:
 - On every kernel, the equalities whose two sides run sgemm on the same
   operands: the crops (`pair_oracle`); the pool, unpool, ELU, dropout and
-  im2col kernels; `window_max` against `pool_max`; the encoders' inference
+  im2col kernels; `window_max` against `maxpool`; the encoders' inference
   plan against their inference forward; the scale autoencoders' training
   against `train_scales_oracle`; the fusion DAE's training against
   `train_fusion_oracle` fed the map path's codes; and every stage that calls

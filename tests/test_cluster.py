@@ -16,6 +16,31 @@ def three_cones(rng, n_per=60, d=5, noise=0.3):
     return np.concatenate(parts)
 
 
+FOUR_ROWS = np.array([[1.0, 0.0], [1.0, 0.1], [0.0, 1.0], [0.1, 1.0]])
+
+K_OUT_OF_RANGE = {
+    "kmeans_k_zero": (lambda: cluster.spherical_kmeans(np.eye(3), 0, Rng(0)),
+                      r"k must be in \[1, n=3\], got 0"),
+    "kmeans_k_above_n": (lambda: cluster.spherical_kmeans(np.eye(3), 4, Rng(0)),
+                         r"k must be in \[1, n=3\], got 4"),
+    "davies_bouldin_one_cluster": (
+        lambda: cluster.davies_bouldin(FOUR_ROWS, [0, 0, 0, 0], np.eye(2)[:1]),
+        r"Davies-Bouldin needs k >= 2, got 1"),
+    "davies_bouldin_empty_cluster": (
+        lambda: cluster.davies_bouldin(FOUR_ROWS, [0, 0, 0, 0], np.eye(2)),
+        r"every cluster must be nonempty"),
+    "select_k_from_one": (lambda: cluster.select_k(FOUR_ROWS, k_range=(1, 2), rng=Rng(0)),
+                          r"k range must start at >= 2, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(K_OUT_OF_RANGE))
+def test_cluster_counts_out_of_range_rejected(case):
+    call, message = K_OUT_OF_RANGE[case]
+    with pytest.raises(InputError, match=message):
+        call()
+
+
 class TestSphericalKmeans:
     def test_identical_points_collapse(self):
         X = np.tile([0.6, 0.8], (10, 1))
@@ -229,6 +254,11 @@ class TestAssign:
         centroids[1] *= 1.5
         with pytest.raises(InputError, match="unit norm"):
             cluster.ClusterModel(centroids=centroids, k=3, db_trace=[])
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_k_must_count_the_centroids(self, k):
+        with pytest.raises(InputError, match=f"k={k} disagrees with 3 centroids"):
+            cluster.ClusterModel(centroids=np.eye(3), k=k, db_trace=[])
 
 
 class TestLoopOracles:

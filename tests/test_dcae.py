@@ -3,6 +3,7 @@ against the written-out loops."""
 
 import dataclasses
 import os
+import re
 import signal
 import threading
 import time
@@ -447,6 +448,15 @@ class TestCallOrder:
             ds = patches.PatchDataset(healthy.maps, healthy.sources, split, healthy.preset)
             with pytest.raises(UsageError):
                 dcae.train_dcae(model, ds, HYPER, Rng(88))
+
+    @pytest.mark.parametrize("split", ["anomaly-train", "eval"])
+    def test_fusion_on_non_healthy_split(self, healthy, trained, split):
+        model = dataclasses.replace(trained, fusion_log=[], fusion_trained=False)
+        ds = patches.PatchDataset(healthy.maps, healthy.sources, split, healthy.preset)
+        with pytest.raises(UsageError, match=re.escape(
+                f"train_fusion expects the healthy-train split, got {split!r}")):
+            dcae.train_fusion(model, ds, HYPER, Rng(88))
+        assert model.fusion_log == [] and not model.fusion_trained
 
 
 class TestPatchSide:

@@ -125,10 +125,14 @@ def test_full_encoder_decoder_grad():
 
 def test_dropout_backward_uses_mask():
     rng = Rng(14)
-    x = rng.normal(size=(50,))
-    out, mask = ops.dropout(x, 0.4, Rng(3))
-    grad = ops.dropout_backward(np.ones_like(out), mask)
-    assert np.array_equal(grad, mask)
+    x = rng.normal(size=(5, 10))
+    layer, tape = nc.Dropout(0.4), nc.GradTape(owner=None)
+    out = layer.forward(x, tape, True, Rng(3))
+    mask = tape.get(layer)
+    assert np.array_equal(mask, ops.dropout(x, 0.4, Rng(3))[1])
+    assert np.array_equal(out, x * mask)
+    grad = rng.normal(size=x.shape)
+    assert np.array_equal(layer.backward(grad, tape), grad * mask)
 
 
 def test_elu_gradient_finite_difference():

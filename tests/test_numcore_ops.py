@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from anomkit import numcore as nc
-from anomkit.errors import DimensionError, ParameterError, TrainingError
+from anomkit.errors import DimensionError, ParameterError, TrainingError, UsageError
 from anomkit.numcore import ops
 from anomkit.rng import Rng
 
@@ -367,7 +367,6 @@ SPATIAL_OPS = {
     "conv2d_valid": lambda x: ops.conv2d_valid(x, np.zeros((1, 1, 2, 2)), np.zeros(2)),
     "conv2d_kernel_grad": lambda x: ops.conv2d_kernel_grad(x, x, np.zeros((1, 1, 2, 2))),
     "deconv2d": lambda x: ops.deconv2d(x, np.zeros((1, 1, 2, 2))),
-    "pool_max": lambda x: ops.pool_max(x, 2),
     "window_max": lambda x: ops.window_max(x, 2),
     "maxpool": lambda x: ops.maxpool(x, 2),
     "unpool": lambda x: ops.unpool(x, _switches()),
@@ -379,3 +378,34 @@ SPATIAL_OPS = {
 def test_spatial_ops_take_batches_only(name):
     with pytest.raises(DimensionError, match=r"\[N,H,W,C\] batch"):
         SPATIAL_OPS[name](np.zeros((4, 4, 2)))
+
+
+MALFORMED = {
+    "tape_without_record": (lambda: nc.GradTape(owner=None).get(nc.Elu()), UsageError,
+                            r"tape holds no record for <anomkit\.numcore\.layers\.Elu object"),
+    "dense_without_units": (lambda: nc.Dense(3, 0), ParameterError,
+                            r"dense unit count must be >= 1, got 0"),
+    "dropout_rate_one": (lambda: nc.Dropout(1.0), ParameterError,
+                         r"dropout rate must be in \[0,1\), got 1\.0"),
+    "dropout_rate_negative": (lambda: nc.Dropout(-0.1), ParameterError,
+                              r"dropout rate must be in \[0,1\), got -0\.1"),
+    "conv_bias_not_cout": (
+        lambda: ops.conv2d_forward(np.zeros((1, 4, 4, 2)), np.zeros((3, 3, 2, 5)), np.zeros(4)),
+        DimensionError, r"bias must be \[Cout\]=5, got \(4,\)"),
+    "deconv_kernels_rank_3": (lambda: ops.deconv2d(np.zeros((1, 4, 4, 2)), np.zeros((3, 3, 2))),
+                              DimensionError, r"kernels must be \[k,k,Cin,Cout\], got \(3, 3, 2\)"),
+    "deconv_kernels_not_square": (
+        lambda: ops.deconv2d(np.zeros((1, 4, 4, 2)), np.zeros((3, 2, 1, 2))),
+        DimensionError, r"kernels must be \[k,k,Cin,Cout\], got \(3, 2, 1, 2\)"),
+    "dense_width": (lambda: ops.dense(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5)),
+                    DimensionError, r"input dim 3 != weight rows 4"),
+    "mse_grad_shapes": (lambda: ops.mse_grad(np.zeros(3), np.zeros(4)), DimensionError,
+                        r"shape mismatch \(3,\) vs \(4,\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_operands_raise_typed_errors(case):
+    call, error, message = MALFORMED[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -58,10 +58,14 @@ def test_mean_projects_to_zero():
 
 
 def test_preconditions():
-    with pytest.raises(FittingError):
+    with pytest.raises(FittingError, match=r"need at least 2 samples, got 1"):
         pca_fit(np.zeros((1, 4)), 2)
-    with pytest.raises(FittingError):
+    with pytest.raises(FittingError, match=r"k must be in \[1, 4\], got 5"):
         pca_fit(np.zeros((10, 4)), 5)
+    with pytest.raises(FittingError, match=r"data must be a 2-d matrix, got shape \(4,\)"):
+        pca_fit(np.zeros(4), 1)
+    with pytest.raises(FittingError, match=r"k=5 exceeds sample count 3"):
+        pca_fit(np.zeros((3, 8)), 5)
 
 
 def test_duplication_invariance():

@@ -152,6 +152,19 @@ class TestNuProperty:
         with pytest.raises(DimensionError):
             ocsvm.solve_nu_dual(X, 0.5)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ocsvm.solve_nu_dual(np.ones((1, 3)), 0.5), r"need at least 2 training vectors, got 1"),
+        (lambda: ocsvm.solve_nu_dual(np.eye(3), 0.0), r"nu must be in \(0, 1\], got 0\.0"),
+        (lambda: ocsvm.solve_nu_dual(np.eye(3), 1.5), r"nu must be in \(0, 1\], got 1\.5"),
+        (lambda: ocsvm.fit_ocsvm(np.array([[1.0, 2.0], [np.nan, 1.0], [2.0, 2.0]]), nu=0.5),
+         r"training features contain non-finite values"),
+        (lambda: ocsvm.fit_ocsvm(np.array([[1.0, 2.0], [np.inf, 1.0], [2.0, 2.0]]), nu=0.5),
+         r"training features contain non-finite values"),
+    ], ids=["solver_one_row", "nu_zero", "nu_above_one", "fit_nan", "fit_inf"])
+    def test_degenerate_inputs_rejected(self, call, message):
+        with pytest.raises(InputError, match=message):
+            call()
+
     def test_kkt_violation_is_never_negative(self):
         # at a strictly optimal point the largest gradient among alphas that
         # can shrink lies below the smallest among those that can grow
@@ -255,6 +268,12 @@ class TestSegmentVolume:
         for sp in compress(sps, flag):  # one assignment per record
             want[sp.slice_index][sp.rows, sp.cols] = True
         assert np.array_equal(amap.pixel_mask, want)
+
+    def test_rows_must_match_the_superpixels(self):
+        model = ocsvm.fit_ocsvm(np.abs(Rng(39).normal(size=(50, 4))) + 1.0, nu=0.1)
+        sps = [one_record([0], [0], id=0, slice_index=0, centroid=(0.0, 0.0))]
+        with pytest.raises(UsageError, match="2 feature rows for 1 superpixels"):
+            ocsvm.segment_volume(model, np.ones((2, 4)), sps, volume_shape=(1, 2, 2))
 
     def test_zero_rows_are_scored_like_any_others(self):
         model = ocsvm.fit_ocsvm(np.abs(Rng(39).normal(size=(50, 4))) + 1.0, nu=0.1)

@@ -260,6 +260,16 @@ class TestBuildDataset:
         with pytest.raises(ParameterError):
             patches.build_dataset([(vol.volume_id, prep)], "bogus", "desk")
 
+    @pytest.mark.parametrize("in_retina, cap, error, message", [
+        (False, None, InputError, "no in-retina superpixels: empty dataset"),
+        (True, 1, ParameterError, "cap subsampling requires an rng"),
+    ], ids=["no_in_retina_superpixel", "cap_without_rng"])
+    def test_unbuildable_dataset_rejected(self, in_retina, cap, error, message):
+        prep = centre_volume([[(3, 5), (10, 40)]], 50)
+        prep.table = prep.table._replace(in_retina=np.full(2, in_retina))
+        with pytest.raises(error, match=message):
+            patches.build_dataset([("v", prep)], "eval", "desk", cap=cap)
+
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one_rejected(self, prepped, cap):
         # cap=0 used to return a zero-row dataset, cap=-1 an untyped ValueError

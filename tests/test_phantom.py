@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from anomkit import phantom
-from anomkit.errors import GenerationError
+from anomkit.errors import GenerationError, InputError
 
 from oracles import phantom_oracle
 
@@ -54,6 +54,29 @@ class TestGenerateVolume:
         cfg = phantom.PhantomConfig(seed=3, anomalies=(spec,), n_slices=2, width=32)
         with pytest.raises(GenerationError, match="surface_deformation"):
             phantom.generate_volume(cfg)
+
+    def test_unplaceable_cyst_rejected(self):
+        # a 1-slice, 11-column volume has one centre column for a size-4 cyst,
+        # and its band is too thin to stack four of them there
+        spec = phantom.AnomalySpec("cyst_blob", count=(4, 4), size=(4, 4))
+        cfg = phantom.PhantomConfig(seed=0, anomalies=(spec,), n_slices=1, width=11, height=24)
+        with pytest.raises(GenerationError, match=r"could not place cyst_blob \(size range \(4, 4\)\)"):
+            phantom.generate_volume(cfg)
+
+    @pytest.mark.parametrize("spec, message", [
+        (phantom.AnomalySpec("drusen", count=(1, 1), size=(8, 8)), "unknown anomaly kind 'drusen'"),
+        (phantom.AnomalySpec("cyst_blob", count=(0, 1), size=(8, 8)),
+         r"bad count range \(0, 1\) for cyst_blob"),
+        (phantom.AnomalySpec("cyst_blob", count=(2, 1), size=(8, 8)),
+         r"bad count range \(2, 1\) for cyst_blob"),
+        (phantom.AnomalySpec("subsurface_fluid", count=(1, 1), size=(3, 8)),
+         r"bad size range \(3, 8\) for subsurface_fluid"),
+        (phantom.AnomalySpec("subsurface_fluid", count=(1, 1), size=(9, 8)),
+         r"bad size range \(9, 8\) for subsurface_fluid"),
+    ], ids=["kind", "count_below_one", "count_reversed", "size_below_four", "size_reversed"])
+    def test_invalid_spec_rejected(self, spec, message):
+        with pytest.raises(InputError, match=message):
+            phantom.generate_volume(phantom.PhantomConfig(anomalies=(spec,)))
 
     def test_layer_intensity_validation(self):
         ints = phantom.LAYER_INTENSITIES

@@ -1,5 +1,6 @@
 """Surface segmentation, flattening, normalization, SLIC superpixels."""
 
+import re
 import sys
 import threading
 import time
@@ -57,6 +58,12 @@ class TestSegmentSurfaces:
         assert np.all(surf.top < surf.bottom)
         assert np.abs(np.diff(surf.top, axis=1)).max() <= preprocess.SMOOTHNESS
         assert np.abs(np.diff(surf.bottom, axis=1)).max() <= preprocess.SMOOTHNESS
+
+    @pytest.mark.parametrize("shape", [(32, 32), (1, 1, 32, 32)])
+    def test_volume_not_3d_rejected(self, shape):
+        with pytest.raises(DimensionError, match=r"volume must be \[slices, H, W\], got "
+                                                 + re.escape(str(shape))):
+            preprocess.segment_surfaces(np.zeros(shape))
 
     def test_too_few_rows(self):
         from anomkit.errors import DimensionError
@@ -306,6 +313,10 @@ class TestNormalizeSlice:
     def test_empty_mask_rejected(self):
         with pytest.raises(InputError):
             preprocess.normalize_slice(np.ones((4, 4)), np.zeros((4, 4), bool))
+
+    def test_mask_shape_must_match(self):
+        with pytest.raises(DimensionError, match=r"slice \(4, 4\) vs mask \(4, 5\)"):
+            preprocess.normalize_slice(np.ones((4, 4)), np.ones((4, 5), bool))
 
 
 class TestSlic:
