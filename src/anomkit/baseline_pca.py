@@ -75,12 +75,10 @@ def fit_pca_baseline(dataset: PatchDataset, mode) -> PcaBaseline:
         raise FittingError(f"PCA baselines fit on healthy-train, got {dataset.split!r}")
     if mode != "fixed":
         raise ParameterError(f"mode must be 'fixed', got {mode!r}")
-    n = len(dataset)
+    n, side = len(dataset), dataset.preset.patch_side
     k = dataset.preset.fusion_dim // 2
-    if n < k:  # pca_fit checks this too, but an empty dataset would fail the reshape first
-        raise FittingError(f"{n} samples cannot support {k} components")
-    return PcaBaseline(scale1=pca_fit(dataset.scale1.reshape(n, -1), k),
-                       scale2=pca_fit(dataset.scale2.reshape(n, -1), k))
+    return PcaBaseline(scale1=pca_fit(dataset.scale1.reshape(n, side * side), k),
+                       scale2=pca_fit(dataset.scale2.reshape(n, side * side), k))
 
 
 def embed_batches(baseline: PcaBaseline, scale1_batch, scale2_batch):

@@ -1,11 +1,11 @@
 """Two-scale convolutional autoencoders plus the fusion denoising autoencoder.
 
 Every autoencoder here is one `Autoencoder`: a numcore `Network` over an
-encoder layer list followed by a decoder layer list, whose `encode` runs the
-encoder layers alone. Each scale gets a `ScaleAutoencoder` (conv, pool and
-dense encoder; mirrored dense, unpool and deconv decoder); the two are
-trained side by side, each by its own SGD over the same shuffled mini-batches
-of patch pairs. After that stage, the per-scale encodings are concatenated
+encoder layer list followed by a decoder layer list, whose `encoder` is a
+`Network` over the encoder layers alone. Each scale gets a
+`ScaleAutoencoder` (conv, pool and dense encoder; mirrored dense, unpool and
+deconv decoder); the two are trained side by side, each by its own SGD over
+the same shuffled mini-batches of patch pairs. After that stage, the per-scale encodings are concatenated
 and the fusion `Autoencoder([Dense, Elu], [Dense])` is trained as a
 denoising autoencoder (encoders frozen, masking-noise corruption); its
 encoder output is the final feature vector z. Both stages run the same
@@ -103,16 +103,13 @@ class Autoencoder(nc.Network):
     The layers stay in one Network because `init` and `forward` derive each
     layer's RNG from its index: a separate decoder Network would renumber
     its layers and so change every decoder weight and dropout mask.
-    `encode` runs a Network over the same encoder layer objects.
+    `encoder` is a Network over the same encoder layer objects, and its
+    `infer` encodes.
     """
 
     def __init__(self, encoder, decoder):
         super().__init__(encoder + decoder)
         self.encoder = nc.Network(encoder)
-
-    def encode(self, batch):
-        """Inference-mode output of the encoder layers, by their plan."""
-        return self.encoder.infer(batch)
 
 
 class ScaleAutoencoder(Autoencoder):
@@ -229,7 +226,7 @@ def train_dcae(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
     def train(net, x, scale):
         def step(idx, step_rng):
             batch = x[idx]
-            out, tape = net.forward(batch, True, step_rng.derive(scale))
+            out, tape = net.forward(batch, step_rng.derive(scale))
             return nc.mse(batch, out), net.backward(tape, nc.mse_grad(batch, out))
 
         return _sgd_epochs(net.params(), len(dataset), hyper.epochs, hyper, rng, 1000, 0, step)
@@ -316,7 +313,7 @@ def train_fusion(model: DcaeModel, dataset: PatchDataset, hyper: TrainConfig,
         target = clean[idx]
         keep = step_rng.random(target.shape) >= CORRUPTION
         corrupted = target * keep.astype(target.dtype)
-        out, tape = model.fusion.forward(corrupted, training=True)
+        out, tape = model.fusion.forward(corrupted)
         return nc.mse(target, out), model.fusion.backward(tape, nc.mse_grad(target, out))
 
     model.fusion_log.extend(_epoch_log(_sgd_epochs(model.fusion.params(), clean.shape[0],
@@ -331,4 +328,4 @@ def embed_dataset(model: DcaeModel, dataset: PatchDataset):
     _check_patch_side(model, dataset)
     if not (model.scales_trained and model.fusion_trained):
         raise UsageError("model is not fully trained")
-    return _batched(model.fusion.encode, [_scale_codes(model, dataset)])
+    return _batched(model.fusion.encoder.infer, [_scale_codes(model, dataset)])

@@ -1,7 +1,8 @@
 """Composable layers, the gradient tape, and the SGD optimizer.
 
-A `Network` is an ordered stack of layers. `forward` records every
-intermediate needed for the backward pass on a `GradTape`; `backward`
+A `Network` is an ordered stack of layers. `forward` is the training pass:
+it records every intermediate needed for the backward pass on a `GradTape`,
+and its Dropout layers draw their masks from the caller's stream; `backward`
 consumes that tape exactly once and returns parameter gradients. A layer's
 forward is, unless it overrides it, `Layer.forward`: record the input on the
 tape and return `infer(x)`. Conv2D (its input's im2col columns, which its
@@ -14,9 +15,11 @@ through the tape.
 `Network.infer` runs the inference plan: the layer list without its Dropout
 layers (the identity outside training), each layer's `infer` in order with
 no tape and no RNG, so a pool keeps no switches. Its output is
-`np.array_equal` to `forward(x, training=False)`. The plan holds layers, not
-their arrays, so it follows `init` and weight updates. The encoders' map
-path runs its ELU after the max, in `dcae._encode_maps`, not here.
+`np.array_equal` to each layer's `forward` with `training` false, in order,
+and so to the training pass of a Network over the plan, which holds no
+Dropout layer to draw. The plan holds layers, not their arrays, so it
+follows `init` and weight updates. The encoders' map path runs its ELU after
+the max, in `dcae._encode_maps`, not here.
 """
 
 from __future__ import annotations
@@ -77,9 +80,6 @@ class Layer:
     def infer(self, x):
         """Inference output with no tape and no RNG; equal to forward's."""
         raise UsageError(f"{type(self).__name__} has no inference pass")
-
-    def backward(self, grad, tape):
-        raise NotImplementedError
 
     def _param_backward(self, grad, tape):
         """Record parameter gradients only: `Network.backward` calls this for
@@ -220,6 +220,8 @@ class Dropout(Layer):
         if not training:  # the identity: record no all-ones mask
             tape.put(self, None)
             return x
+        if rng is None:
+            raise UsageError("dropout in training needs a random stream")
         out, mask = ops.dropout(x, self.rate, rng)
         tape.put(self, mask)
         return out
@@ -267,17 +269,18 @@ class Network:
             out.extend(layer.params())
         return out
 
-    def forward(self, x, training=False, rng: Rng | None = None):
-        """(output, tape). Dropout layers, the only ones that draw, get the
-        stream rng.derive(index of the layer); every other layer gets None."""
+    def forward(self, x, rng: Rng | None = None):
+        """(output, tape) of the training pass. Dropout layers, the only ones
+        that draw, get the stream rng.derive(index of the layer); every other
+        layer gets None."""
         tape = GradTape(owner=id(self))
         for i, layer in enumerate(self.layers):
             lrng = rng.derive(i) if rng is not None and isinstance(layer, Dropout) else None
-            x = layer.forward(x, tape, training, lrng)
+            x = layer.forward(x, tape, True, lrng)
         return x, tape
 
     def infer(self, x):
-        """The inference plan's output: `forward(x, training=False)[0]`."""
+        """The inference plan's output: each layer's inference pass in order."""
         for layer in self.plan:
             x = layer.infer(x)
         return x

@@ -32,7 +32,6 @@ from .errors import ConvergenceError, DimensionError, FittingError, InputError, 
 class DualSolution:
     alpha: np.ndarray  # [n]
     w: np.ndarray  # [d] = X^T alpha
-    objective: float  # 1/2 ||w||^2
     kkt_violation: float
     n_iter: int
 
@@ -85,8 +84,7 @@ def solve_nu_dual(X, nu, tol=1e-8, max_iter=200_000) -> DualSolution:
         )
 
     w = X.T @ alpha
-    objective = 0.5 * float(w @ w)
-    return DualSolution(alpha=alpha, w=w, objective=objective, kkt_violation=violation, n_iter=it)
+    return DualSolution(alpha=alpha, w=w, kkt_violation=violation, n_iter=it)
 
 
 def _rho(g, alpha, nu):

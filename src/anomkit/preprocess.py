@@ -52,9 +52,9 @@ columns. The table holds the pixels' rows and columns in that order, in the
 smallest unsigned dtype that holds the last row and column, the offsets of
 each superpixel's pixels, and its centroid, slice, id and in-retina flag.
 The package reads the table's arrays. `PreprocessedVolume.superpixels`
-builds the `Superpixel` records on first access, in one place: each reads
-the table by its index and holds its id, slice and in-retina flag, and no
-tuple, span bound or array of its own.
+builds the `Superpixel` records on first access, in one place: each holds
+its id, slice and in-retina flag, reads its pixels' `rows` and `cols` from
+the table by its index, and holds no tuple, span bound or array of its own.
 
 `preprocess_volume` runs SLIC on the first half of a volume's slices on a
 thread started for the call (`_fork.both`) and on the second half on the
@@ -124,8 +124,7 @@ class SuperpixelTable(NamedTuple):
 class Superpixel:
     """Superpixel `index` of `table`: its id, its slice, whether it lies in
     the retina, and, read from the table on each access, its pixels' int64
-    `rows` and `cols` in raster order and its (row, col) `centroid` as a
-    tuple of floats."""
+    `rows` and `cols` in raster order."""
 
     __slots__ = ("id", "slice_index", "in_retina", "table", "index")
 
@@ -144,15 +143,6 @@ class Superpixel:
     @property
     def cols(self):
         return self._pixels(self.table.cols)
-
-    @property
-    def centroid(self):
-        return tuple(self.table.centroids[self.index].tolist())
-
-    def __repr__(self):
-        return (f"Superpixel(id={self.id}, slice_index={self.slice_index}, "
-                f"centroid={self.centroid}, in_retina={self.in_retina}, "
-                f"pixels={len(self.rows)})")
 
 
 def _min_cost_paths(cost):

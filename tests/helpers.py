@@ -52,6 +52,12 @@ def border_centres(height, width):
     return [(r, c) for r in rows for c in cols]
 
 
+def centroid(sp):
+    """A `Superpixel`'s (row, col) centroid as a tuple of floats, read from
+    its table's row."""
+    return tuple(sp.table.centroids[sp.index].tolist())
+
+
 def one_record(rows, cols, id, slice_index, centroid, in_retina=True):
     """A `Superpixel` that reads a one-record table of its own: the pixels
     (rows, cols) in the smallest unsigned dtype that holds them, and

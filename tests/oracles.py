@@ -410,8 +410,8 @@ def train_scales_oracle(model, dataset, hyper, rng):
             idx = order[start : start + bs]
             step_rng = rng.derive(epoch * 100_000 + bi)
             b1, b2 = x1[idx], x2[idx]
-            out1, tape1 = model.scale1.forward(b1, True, step_rng.derive(1))
-            out2, tape2 = model.scale2.forward(b2, True, step_rng.derive(2))
+            out1, tape1 = model.scale1.forward(b1, step_rng.derive(1))
+            out2, tape2 = model.scale2.forward(b2, step_rng.derive(2))
             loss1, loss2 = mse(b1, out1), mse(b2, out2)
             g1 = backward_oracle(model.scale1, tape1, mse_grad(b1, out1))
             g2 = backward_oracle(model.scale2, tape2, mse_grad(b2, out2))
@@ -445,7 +445,7 @@ def train_fusion_oracle(model, dataset, hyper, rng, codes=None):
             step_rng = rng.derive(3_000_000 + epoch * 100_000 + bi)
             keep = step_rng.random(target.shape) >= dcae.CORRUPTION
             corrupted = target * keep.astype(target.dtype)
-            out, tape = model.fusion.forward(corrupted, training=True)
+            out, tape = model.fusion.forward(corrupted)
             grads = backward_oracle(model.fusion, tape, mse_grad(target, out))
             velocity = momentum_step_oracle(params, grads, hyper.lr, dcae.MOMENTUM, velocity)
             losses.append(mse(target, out))

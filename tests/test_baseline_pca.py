@@ -42,8 +42,11 @@ class TestFit:
             baseline_pca.fit_pca_baseline(_dataset(60, split="eval"), "fixed")
 
     def test_fewer_samples_than_components_rejected(self):
-        for n in (PRESETS["desk"].fusion_dim // 2 - 1, 0):
-            with pytest.raises(FittingError):
+        # pca_fit's own checks: a short dataset, and an empty one
+        k = PRESETS["desk"].fusion_dim // 2
+        for n, message in ((k - 1, rf"k={k} exceeds sample count {k - 1}"),
+                           (0, r"need at least 2 samples, got 0")):
+            with pytest.raises(FittingError, match=message):
                 baseline_pca.fit_pca_baseline(_dataset(n), "fixed")
 
     def test_unknown_mode_rejected(self):

@@ -20,7 +20,7 @@ from anomkit.numcore import ops
 from anomkit.rng import Rng
 
 from helpers import border_centres, centre_volume, float64_twin
-from oracles import (embed_oracle, scale_codes_oracle, sgemm_rows_independent,
+from oracles import (embed_oracle, encode_oracle, scale_codes_oracle, sgemm_rows_independent,
                      train_fusion_oracle, train_scales_oracle)
 
 TINY = dcae.DcaePreset("tiny", patch_side=16, conv_kernels=4, conv_size=5, pool=2,
@@ -208,15 +208,15 @@ def test_encode_plan_equals_the_inference_forward(healthy, preset, hyper):
         for dtype in (np.float32, np.float64):
             for scale in (1e-3, 1.0, 100.0):
                 batch = (scale * x[..., None]).astype(dtype)
-                want = nc.Network(net.encoder.layers).forward(batch, training=False)[0]
-                got = net.encode(batch)
+                want = encode_oracle(net.encoder.layers, batch)
+                got = net.encoder.infer(batch)
                 assert got.dtype == want.dtype == dtype
                 assert np.array_equal(got, want)
     codes = dcae._scale_codes(model, healthy)
     for dtype in (np.float32, np.float64):
         batch = codes.astype(dtype)
-        want = nc.Network(model.fusion.encoder.layers).forward(batch, training=False)[0]
-        assert np.array_equal(model.fusion.encode(batch), want)
+        want = encode_oracle(model.fusion.encoder.layers, batch)
+        assert np.array_equal(model.fusion.encoder.infer(batch), want)
 
 
 class TestMapPath:

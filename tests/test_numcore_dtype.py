@@ -25,7 +25,7 @@ RTOL = 1e-5
 def training_pass(net, x, seed):
     """(output, the gradient entering each layer in backward order, parameter
     gradients) of one training-mode forward and backward pass on mse(x, out)."""
-    out, tape = net.forward(x, True, Rng(seed))
+    out, tape = net.forward(x, Rng(seed))
     grad = nc.mse_grad(x, out)
     incoming = []
     for layer in reversed(net.layers):
@@ -44,7 +44,7 @@ def test_scale_autoencoder_keeps_its_dtype(dtype):
     x = Rng(2).uniform(size=(6, 16, 16, 1)).astype(dtype)
     out, incoming, param_grads = training_pass(net, x, seed=3)
     assert out.dtype == dtype
-    assert net.encode(x).dtype == dtype
+    assert net.encoder.infer(x).dtype == dtype
     assert [g.dtype for g in incoming] == [dtype] * len(net.layers)
     assert len(param_grads) == len(net.params())
     assert [g.dtype for g in param_grads] == [dtype] * len(param_grads)

@@ -13,8 +13,8 @@ from anomkit.errors import UsageError
 from anomkit.numcore import ops
 from anomkit.rng import Rng
 
-from oracles import (_im2col_oracle, elu_backward_oracle, elu_oracle, maxpool_oracle,
-                     unpool_backward_oracle, unpool_oracle)
+from oracles import (_im2col_oracle, elu_backward_oracle, elu_oracle, encode_oracle,
+                     maxpool_oracle, unpool_backward_oracle, unpool_oracle)
 
 DTYPES = st.sampled_from([np.float32, np.float64])
 # integer values make ties within a pool window common; both zeros appear
@@ -156,7 +156,7 @@ def test_plan_is_the_layers_without_dropout_in_order():
     net.init(Rng(3))
     x = Rng(4).normal(size=(5, 6, 6, 1))
     for batch in (x, x.astype(np.float32), 50 * x):
-        assert_same(net.infer(batch), net.forward(batch, training=False)[0])
+        assert_same(net.infer(batch), encode_oracle(net.layers, batch))
 
 
 def test_unpool_has_no_inference_pass():

@@ -13,13 +13,13 @@ EPS = 1e-3
 
 
 def loss_through(net, x, target):
-    out, _ = net.forward(x[None], training=False)
+    out, _ = net.forward(x[None])
     return nc.mse(target, out[0])
 
 
 def check_network_grads(net, x, target):
     """Compare backprop grads (params and input) against finite differences."""
-    out, tape = net.forward(x[None], training=False)
+    out, tape = net.forward(x[None])
     grad_out = nc.mse_grad(target, out[0])
     grads = net.backward(tape, grad_out[None])
     params = net.params()
@@ -40,7 +40,7 @@ def check_network_grads(net, x, target):
     def f_in(v):
         return loss_through(net, v, target)
 
-    out, tape = net.forward(x[None], training=False)
+    out, tape = net.forward(x[None])
     grad_in = None
     grad = nc.mse_grad(target, out[0])[None]
     for layer in reversed(net.layers):

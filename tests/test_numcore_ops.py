@@ -268,7 +268,7 @@ class TestDropout:
                 return super().forward(x, tape, training, rng)
 
         x = np.ones((8, 50), np.float32)
-        out, _ = nc.Network([Spy(), nc.Dropout(0.3), Spy()]).forward(x, True, Rng(7))
+        out, _ = nc.Network([Spy(), nc.Dropout(0.3), Spy()]).forward(x, Rng(7))
         assert seen == [None, None]
         assert np.array_equal(out, ops.dropout(x, 0.3, Rng(7).derive(1))[0])
 
@@ -389,6 +389,9 @@ MALFORMED = {
                          r"dropout rate must be in \[0,1\), got 1\.0"),
     "dropout_rate_negative": (lambda: nc.Dropout(-0.1), ParameterError,
                               r"dropout rate must be in \[0,1\), got -0\.1"),
+    "dropout_training_without_stream": (
+        lambda: nc.Network([nc.Dense(3, 2), nc.Dropout(0.3)]).forward(np.zeros((1, 3))),
+        UsageError, r"dropout in training needs a random stream"),
     "conv_bias_not_cout": (
         lambda: ops.conv2d_forward(np.zeros((1, 4, 4, 2)), np.zeros((3, 3, 2, 5)), np.zeros(4)),
         DimensionError, r"bias must be \[Cout\]=5, got \(4,\)"),

@@ -26,7 +26,7 @@ class TestSolverVsOracle:
             X = rng.normal(size=(n, d))
             sol = ocsvm.solve_nu_dual(X, nu, tol=1e-12, max_iter=500_000)
             _, _, obj_o = nu_dual_oracle(X, nu)
-            assert abs(sol.objective - obj_o) <= 1e-8
+            assert abs(0.5 * sol.w @ sol.w - obj_o) <= 1e-8
 
     def test_alpha_and_rho_match_oracle_when_unique(self):
         # with n <= d+1 the dual is strictly convex on the feasible set, so
@@ -40,7 +40,7 @@ class TestSolverVsOracle:
             sol = ocsvm.solve_nu_dual(X, nu, tol=1e-13, max_iter=500_000)
             rho, _ = ocsvm._rho(X @ sol.w, sol.alpha, nu)
             alpha_o, rho_o, obj_o = nu_dual_oracle(X, nu)
-            assert abs(sol.objective - obj_o) <= 1e-8
+            assert abs(0.5 * sol.w @ sol.w - obj_o) <= 1e-8
             assert np.abs(sol.alpha - alpha_o).max() <= 1e-6
             assert abs(rho - rho_o) <= 1e-6
 

@@ -8,7 +8,7 @@ from anomkit.presets import PRESETS
 from anomkit.errors import InputError, ParameterError, UsageError
 from anomkit.rng import Rng
 
-from helpers import border_centres, centre_volume
+from helpers import border_centres, centre_volume, centroid
 from oracles import pair_oracle
 
 
@@ -200,7 +200,7 @@ class TestBuildDataset:
         sps = sorted((sp for sp in prep.superpixels if sp.in_retina),
                      key=lambda sp: (sp.slice_index, sp.id))
         pairs = [pair_oracle(prep.data[sp.slice_index],
-                             (round(sp.centroid[0]), round(sp.centroid[1])), 16)
+                             tuple(round(x) for x in centroid(sp)), 16)
                  for sp in sps]
         sources = [(vol.volume_id, sp.slice_index, sp.id) for sp in sps]
         # every split's crops are cut from its maps on first access
@@ -217,7 +217,7 @@ class TestBuildDataset:
     def test_crops_equal_the_oracle_in_every_column_phase(self, width):
         prep = centre_volume([border_centres(20, width)] * 2, width)
         ds = patches.build_dataset([("v", prep)], "eval", "desk")
-        pairs = [pair_oracle(prep.data[sp.slice_index], sp.centroid, 16)
+        pairs = [pair_oracle(prep.data[sp.slice_index], centroid(sp), 16)
                  for sp in prep.superpixels]
         assert np.array_equal(ds.scale1, np.stack([s1 for s1, _ in pairs]))
         assert np.array_equal(ds.scale2, np.stack([s2 for _, s2 in pairs]))
@@ -295,7 +295,7 @@ class TestCutAtCentroids:
         rows = [(i % 2, prep.superpixels[j]) for i, j in enumerate(picks)]
         volume = np.array([v for v, _ in rows])
         slices = np.array([sp.slice_index for _, sp in rows])
-        centers = np.array([(round(sp.centroid[0]), round(sp.centroid[1])) for _, sp in rows])
+        centers = np.array([[round(x) for x in centroid(sp)] for _, sp in rows])
         maps = patches.cut_at_centroids(volumes, volume, slices, centers, "desk")
         assert len(maps.scale1) == len(maps.scale2) == len(set(maps.corners[:, 0].tolist()))
         s1, s2 = maps.crops(1, 16), maps.crops(2, 16)
