@@ -31,32 +31,27 @@ Encoding runs each encoder's inference plan (`numcore.Network.infer`): its
 layers' inference passes in order, with no tape, no RNG and no Dropout.
 Training runs the full layer list.
 
-The plan's Conv2D, first ELU and MaxPool2D run on the dataset's maps
-(`patches.PatchMaps`, one per slice and scale), not on its crops, which
-overlap heavily, so each map pixel is convolved once. Encoding never reads
-the crops, so an encoded dataset never cuts them. Each conv call takes one
-slice's map, cut to the rows its pairs reach. Its output goes through the
-p*p max at stride 1 (`numcore.window_max`) and then the ELU, and each pair's
-pooled window is gathered from that at stride p, from the pair's corner,
+`_encode_maps` splits each scale encoder's plan at its MaxPool2D and runs
+the parts in plan order. The layers before the pool (Conv2D, ELU) run on
+the dataset's maps (`patches.PatchMaps`, one per slice and scale), not on
+its crops, which overlap heavily, so each map pixel is convolved once.
+Encoding never reads the crops, so an encoded dataset never cuts them. Each
+call takes one slice's map, cut to the rows its pairs reach. The pool's p*p
+max runs on that output at stride 1 (`numcore.window_max`), and each pair's
+pooled window is gathered from it at stride p, from the pair's corner,
 through a bounds-checked window view: a corner outside its map raises
-InputError.
-
-`_encode_maps` is the one place that runs the ELU after the max, where the
-plan has it before the pool. The swap is exact because ELU is
-non-decreasing on every pair of floats, so the max of the ELUs is the ELU
-of the max. The gather picks a subset of the ELU's elementwise output, so
-taking the ELU before the gather changes no bit either, and the ELU runs
-once per map value rather than once per overlapping window value. The
-layers after the pool (Reshape, Dense, ELU, Dense, ELU) run on
-EMBED_ROWS-row batches of the gathered rows in row order, which is map
+InputError. The layers after the pool (Reshape, Dense, ELU, Dense, ELU) run
+on EMBED_ROWS-row batches of the gathered rows in row order, which is map
 order, because the corners list their maps in order. One batcher,
 `_batched`, feeds those layers and the fusion encoder alike: its batches
-run across map boundaries, and only the last one may be short.
+run across map boundaries, and only the last one may be short. The map
+path's first chunk is zero crops run through the plan up to the pool: its
+side sets the gathered windows' span, and its dtype the codes'.
 
 Each row gets the bits of its crop's encoding on an sgemm that meets the
 conditions `tests/oracles.py` states and probes:
 - A crop's conv output is the same dot product of the same pixels as the
-  map's at the crop's corner plus that offset.
+  map's at the crop's corner plus that offset, and the ELU is elementwise.
 - A crop's pool takes the max of the same values in the same order, since
   `window_max` folds its views as `maxpool` does, and max is exact.
 - Conv rows past p * pooled, which a crop's pool drops, are never read.
@@ -263,30 +258,32 @@ def _batched(fn, chunks):
     return np.concatenate(out)
 
 
-def _pooled_windows(conv, p, elu, one, phase, r, c, side):
-    """The pooled and ELU'd [k, pooled, pooled, C] window of each of k crops
-    of the [phases, h, w] map `one` at corners (phase, r, c): one conv over
-    the map rows the crops reach, the p*p max at stride 1 and the ELU, and
-    each crop's windows of that at stride p from its corner."""
+def _pooled_windows(head, p, span, one, phase, r, c, side):
+    """The pooled [k, pooled, pooled, C] window of each of k crops of the
+    [phases, h, w] map `one` at corners (phase, r, c): `head` over the map
+    rows the crops reach, the p*p max at stride 1, and each crop's windows
+    of that, `span` wide, at stride p from its corner."""
     top = r.min()
     x = one[:, top : r.max() + side]
-    y = elu.infer(nc.window_max(conv.infer(x[..., None]), p))  # [phases, h, w, C]
-    span = p * ((side - conv.k + 1) // p - 1) + 1
+    y = nc.window_max(head.infer(x[..., None]), p)  # [phases, h, w, C]
     windows = sliding_window_view(y, (span, span), axis=(1, 2))  # [..., C, span, span]
     return windows.transpose(0, 1, 2, 4, 5, 3)[..., ::p, ::p, :][phase, r - top, c]
 
 
 def _encode_maps(net, maps, corners, side):
     """[len(corners), code_dim] codes of the side x side crops at `corners` of
-    `maps`, by `net`'s inference plan: its Conv2D, the MaxPool2D's max and
-    then the first ELU once per map, and the layers after them on
-    EMBED_ROWS-row batches of the gathered rows, in row order."""
-    conv, elu, pool, *rest = net.encoder.plan
-    n = (side - conv.k + 1) // pool.pool
-    pooled = (_pooled_windows(conv, pool.pool, elu, one, *local, side)
+    `maps`, by `net`'s inference plan in order: the layers before its
+    MaxPool2D and the pool's max once per map, and the layers after the pool
+    on EMBED_ROWS-row batches of the gathered rows, in row order."""
+    plan = net.encoder.plan
+    at = next(i for i, layer in enumerate(plan) if isinstance(layer, nc.MaxPool2D))
+    head, p = nc.Network(plan[:at]), plan[at].pool
+    # zero crops through the pool: the pooled rows' shape and dtype
+    first = nc.Network(plan[: at + 1]).infer(np.zeros((0, side, side, 1), np.float32))
+    span = p * (first.shape[1] - 1) + 1
+    pooled = (_pooled_windows(head, p, span, one, *local, side)
               for one, local, _ in map_groups(maps, corners, side))
-    return _batched(nc.Network(rest).infer,
-                    chain([np.zeros((0, n, n, conv.cout), conv.kernels.dtype)], pooled))
+    return _batched(nc.Network(plan[at + 1 :]).infer, chain([first], pooled))
 
 
 def _scale_codes(model: DcaeModel, dataset: PatchDataset):

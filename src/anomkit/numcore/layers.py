@@ -18,8 +18,7 @@ no tape and no RNG, so a pool keeps no switches. Its output is
 `np.array_equal` to each layer's `forward` with `training` false, in order,
 and so to the training pass of a Network over the plan, which holds no
 Dropout layer to draw. The plan holds layers, not their arrays, so it
-follows `init` and weight updates. The encoders' map path runs its ELU after
-the max, in `dcae._encode_maps`, not here.
+follows `init` and weight updates.
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ class Conv2D(Layer):
         return out
 
     def infer(self, x):
-        return ops.conv2d_valid(x, self.kernels, self.bias)
+        return ops.conv2d_forward(x, self.kernels, self.bias)[0]
 
     def backward(self, grad, tape):
         self._param_backward(grad, tape)
@@ -139,7 +138,7 @@ class Deconv2D(Layer):
         return ops.deconv2d(x, self.kernels) + self.bias
 
     def backward(self, grad, tape):
-        # the zero bias add keeps conv2d_valid's output bits: -0.0 becomes +0.0
+        # the zero bias add keeps conv2d_forward's output bits: -0.0 becomes +0.0
         grad_x, cols = ops.conv2d_forward(grad, self.kernels,
                                           np.zeros(self.cin, self.kernels.dtype))
         gk = ops.conv2d_kernel_grad(tape.get(self), cols, self.kernels)

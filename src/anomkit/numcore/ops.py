@@ -51,19 +51,14 @@ def _im2col(x, k):
     return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n, h - k + 1, w - k + 1, k * k * c)
 
 
-def conv2d_valid(x, kernels, bias):
-    """Valid (unpadded) 2D cross-correlation.
+def conv2d_forward(x, kernels, bias):
+    """Valid (unpadded) 2D cross-correlation, and the im2col columns of x it
+    multiplied, so a backward pass reuses them (`conv2d_kernel_grad`).
 
     x: [N,H,W,Cin], kernels: [k,k,Cin,Cout], bias: [Cout].
-    Output [N, H-k+1, W-k+1, Cout]:
+    Returns (out, columns), out [N, H-k+1, W-k+1, Cout]:
         out[n,i,j,o] = bias[o] + sum_{a,b,c} x[n, i+a, j+b, c] * kernels[a,b,c,o]
     """
-    return conv2d_forward(x, kernels, bias)[0]
-
-
-def conv2d_forward(x, kernels, bias):
-    """(conv2d_valid(x, kernels, bias), the im2col columns of x it multiplied),
-    so a backward pass reuses the columns (`conv2d_kernel_grad`)."""
     xb = _batch(x)
     kernels = np.asarray(kernels)
     bias = np.asarray(bias)
@@ -83,9 +78,9 @@ def conv2d_forward(x, kernels, bias):
 
 
 def conv2d_kernel_grad(grad_out, cols, kernels):
-    """Kernel gradient of conv2d_valid from the im2col columns of its input x,
+    """Kernel gradient of conv2d_forward from the im2col columns of its input x,
     `conv2d_forward(x, ...)[1]`; Conv2D's input gradient is deconv2d(grad_out,
-    kernels). Deconv2D, conv2d_valid's adjoint, takes both gradients from one
+    kernels). Deconv2D, the conv's adjoint, takes both gradients from one
     conv2d_forward(grad_out, kernels, 0): its output, and the kernel gradient
     conv2d_kernel_grad(x, its columns, kernels)."""
     gb = _batch(grad_out)
@@ -94,10 +89,10 @@ def conv2d_kernel_grad(grad_out, cols, kernels):
 
 
 def deconv2d(x, kernels):
-    """Transpose (adjoint) of conv2d_valid, channel roles swapped.
+    """Transpose (adjoint) of conv2d_forward's conv, channel roles swapped.
 
     x: [N,H,W,Cout], kernels: [k,k,Cin,Cout] -> [N, H+k-1, W+k-1, Cin],
-    so that <conv2d_valid(a, K, 0), b> == <a, deconv2d(b, K)> for all a, b.
+    so that <conv2d_forward(a, K, 0)[0], b> == <a, deconv2d(b, K)> for all a, b.
     """
     xb = _batch(x)
     kernels = np.asarray(kernels)

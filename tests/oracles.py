@@ -541,7 +541,7 @@ def _im2col_oracle(x, k):
 
 
 def conv2d_param_grads_oracle(grad_out, x, kernels):
-    """(grad_kernels, grad_bias) of conv2d_valid."""
+    """(grad_kernels, grad_bias) of conv2d_forward."""
     xb, gb = np.asarray(x), np.asarray(grad_out)
     k, _, cin, cout = kernels.shape
     cols = _im2col_oracle(xb, k).reshape(-1, k * k * cin)
@@ -553,7 +553,7 @@ def deconv2d_backward_oracle(grad_out, x, kernels):
     """Gradients of deconv2d: returns (grad_x, grad_kernels)."""
     xb, gb = np.asarray(x), np.asarray(grad_out)
     k, _, cin, cout = kernels.shape
-    grad_x = _im2col_oracle(gb, k) @ kernels.reshape(-1, cout)  # conv2d_valid(gb, K, 0)
+    grad_x = _im2col_oracle(gb, k) @ kernels.reshape(-1, cout)  # conv2d_forward(gb, K, 0)[0]
     grad_x += np.zeros(cout, dtype=kernels.dtype)
     # grad_K[a,b,c,o] = sum_{n,i,j} x[n,i,j,o] * grad_out[n,i+a,j+b,c]
     cols = _im2col_oracle(gb, k).reshape(-1, k * k * cin)  # positions align with x

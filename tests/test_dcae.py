@@ -100,9 +100,7 @@ def _float32_bound(layers, x, bound=0.0):
       grows with sqrt(K), where the worst case gamma(n)*m grows with K.
     - Elu is exact for v > 0; for v <= 0 it is expm1(v), within EXPM1_ULPS
       ulp of a value in (-1, 0], where an ulp is at most u. Each value adds
-      |g| * EXPM1_ULPS * u outright. ELU is non-decreasing, so the map
-      path's ELU after the max takes the max of the ELUs, with the same
-      error.
+      |g| * EXPM1_ULPS * u outright.
     - MaxPool2D, the map path's window max and Reshape move values.
     - The input adds sum |g| * bound outright.
     Hoeffding's inequality puts the deltas' part within lam * u * sqrt(s)
@@ -115,7 +113,7 @@ def _float32_bound(layers, x, bound=0.0):
     for layer in twin.layers:
         if isinstance(layer, (nc.Conv2D, nc.Dense)):
             w, b = (np.abs(a) for a in layer.params())
-            mag = ops.conv2d_valid(np.abs(x), w, b) if isinstance(layer, nc.Conv2D) \
+            mag = ops.conv2d_forward(np.abs(x), w, b)[0] if isinstance(layer, nc.Conv2D) \
                 else ops.dense(np.abs(x), w, b)
             norms[layer] = np.sqrt(w.size // w.shape[-1] + 1) * mag
         elif not isinstance(layer, (nc.Elu, nc.MaxPool2D, nc.Reshape)):
@@ -383,6 +381,17 @@ class TestBatched:
         z = dcae.embed_dataset(trained, _rows(healthy, np.arange(0)))
         assert z.shape == (0, TINY.fusion_dim)
         assert z.dtype == np.float32
+
+    def test_a_float64_model_gives_float64_rows(self, healthy, trained):
+        """The zero-row chunk that leads the map path's batches sets the
+        codes' dtype: float32 crops through a float64 model's plan."""
+        model = dataclasses.replace(trained, scale1=float64_twin(trained.scale1),
+                                    scale2=float64_twin(trained.scale2),
+                                    fusion=float64_twin(trained.fusion))
+        for ds in (healthy, _rows(healthy, np.arange(0))):
+            z = dcae.embed_dataset(model, ds)
+            assert z.shape == (len(ds), TINY.fusion_dim)
+            assert z.dtype == np.float64
 
 
 def test_embed_dataset_shape(healthy, trained):

@@ -122,9 +122,9 @@ def test_inference_dropout_layer_is_the_identity(x, grad_dtype, data):
 @settings(deadline=None)
 @given(DTYPES, st.data())
 def test_elu_is_non_decreasing_on_adjacent_floats(dtype, data):
-    """`dcae._encode_maps` runs the encoders' ELU after the max pool; that is
-    exact only if ELU never decreases from one float to the next. Checked on
-    runs of adjacent floats near 0, near the -1 saturation and from the tie
+    """ELU never decreases from one float to the next, so it commutes with
+    a max: the ELU of a window's max is the max of its ELUs. Checked on runs
+    of adjacent floats near 0, near the -1 saturation and from the tie
     values."""
     width = 32 if dtype == np.float32 else 64
     start = data.draw(st.one_of(st.floats(-2.0**-20, 2.0**-20, width=width),

@@ -34,13 +34,13 @@ class TestConv2d:
         rng = Rng(1)
         x = rng.uniform(size=(1, 5, 7, 1)).astype(np.float32)
         k = np.ones((1, 1, 1, 1), np.float32)
-        out = ops.conv2d_valid(x, k, np.zeros(1, np.float32))
+        out = ops.conv2d_forward(x, k, np.zeros(1, np.float32))[0]
         assert np.allclose(out, x)
 
     def test_sum_of_ones(self):
         x = np.ones((1, 3, 3, 1), np.float32)
         k = np.ones((3, 3, 1, 1), np.float32)
-        out = ops.conv2d_valid(x, k, np.zeros(1, np.float32))
+        out = ops.conv2d_forward(x, k, np.zeros(1, np.float32))[0]
         assert out.shape == (1, 1, 1, 1)
         assert out[0, 0, 0, 0] == 9.0
 
@@ -49,7 +49,7 @@ class TestConv2d:
         x = rng.normal(size=(5, 5, 2))
         k = rng.normal(size=(3, 3, 2, 4))
         b = rng.normal(size=4)
-        out = ops.conv2d_valid(x[None], k, b)
+        out = ops.conv2d_forward(x[None], k, b)[0]
         assert out.shape == (1, 3, 3, 4)
         assert rel_err(out[0], conv_loop_oracle(x, k, b)) <= 1e-6
 
@@ -57,9 +57,9 @@ class TestConv2d:
         x = np.zeros((1, 2, 2, 1), np.float32)
         k = np.zeros((3, 3, 1, 1), np.float32)
         with pytest.raises(DimensionError):
-            ops.conv2d_valid(x, k, np.zeros(1, np.float32))
+            ops.conv2d_forward(x, k, np.zeros(1, np.float32))
         with pytest.raises(DimensionError):
-            ops.conv2d_valid(np.zeros((1, 4, 4, 2), np.float32), k, np.zeros(1, np.float32))
+            ops.conv2d_forward(np.zeros((1, 4, 4, 2), np.float32), k, np.zeros(1, np.float32))
 
 
 class TestMaxpool:
@@ -151,7 +151,7 @@ class TestDeconv2d:
             x = rng.normal(size=(1, 6, 7, 3))
             kern = rng.normal(size=(3, 3, 3, 5))
             y = rng.normal(size=(1, 4, 5, 5))
-            lhs = np.sum(ops.conv2d_valid(x, kern, np.zeros(5)) * y)
+            lhs = np.sum(ops.conv2d_forward(x, kern, np.zeros(5))[0] * y)
             rhs = np.sum(x * ops.deconv2d(y, kern))
             assert abs(lhs - rhs) / max(abs(lhs), abs(rhs)) <= 1e-5
 
@@ -364,7 +364,7 @@ def _switches():
 
 
 SPATIAL_OPS = {
-    "conv2d_valid": lambda x: ops.conv2d_valid(x, np.zeros((1, 1, 2, 2)), np.zeros(2)),
+    "conv2d_forward": lambda x: ops.conv2d_forward(x, np.zeros((1, 1, 2, 2)), np.zeros(2)),
     "conv2d_kernel_grad": lambda x: ops.conv2d_kernel_grad(x, x, np.zeros((1, 1, 2, 2))),
     "deconv2d": lambda x: ops.deconv2d(x, np.zeros((1, 1, 2, 2))),
     "window_max": lambda x: ops.window_max(x, 2),
