@@ -6,9 +6,10 @@ The dual
     subject to  0 <= alpha_i <= 1/(nu*n),  sum_i alpha_i = 1
 
 is solved by coordinate-pair descent on the maximal violating pair, keeping
-the equality constraint satisfied at every step. The linear kernel lets us
-carry the weight vector w = sum_i alpha_i x_i explicitly, so one iteration
-costs O(n*d).
+the equality constraint satisfied at every step. With the linear kernel,
+every step recomputes the weight vector w = sum_i alpha_i x_i and the scores
+X w from alpha, two O(n*d) products, so the stopping test reads the scores
+of the alpha it returns.
 
 Features are standardized by per-dimension scale (1/std) before fitting.
 The scale-only choice is deliberate: dividing by the spread removes kernel
@@ -21,7 +22,7 @@ is degenerate (a cloud around the origin) and raises FittingError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -47,26 +48,21 @@ def solve_nu_dual(X, nu, tol=1e-8, max_iter=200_000) -> DualSolution:
 
     cap = 1.0 / (nu * n)
     alpha = np.full(n, 1.0 / n)
-    w = X.T @ alpha
-    sq = np.einsum("ij,ij->i", X, X)  # diagonal of the kernel matrix
 
-    violation = 0.0
-    it = 0
+    violation = np.inf  # reported when max_iter < 1
     for it in range(1, max_iter + 1):
+        w = X.T @ alpha
         g = X @ w
-        up = alpha < cap * (1.0 - 1e-12)  # room to grow
-        down = alpha > cap * 1e-12  # room to shrink
-        if not up.any() or not down.any():
-            violation = 0.0
-            break
-        gi = np.where(up, g, np.inf)
-        gj = np.where(down, g, -np.inf)
+        gi = np.where(alpha < cap * (1.0 - 1e-12), g, np.inf)  # room to grow
+        gj = np.where(alpha > cap * 1e-12, g, -np.inf)  # room to shrink
         i = int(np.argmin(gi))
         j = int(np.argmax(gj))
-        violation = max(float(g[j] - g[i]), 0.0)  # below 0: strictly optimal
+        # below 0: strictly optimal; 0 also when no alpha can grow (nu = 1)
+        violation = max(float(gj[j] - gi[i]), 0.0)
         if violation <= tol:
             break
-        denom = sq[i] + sq[j] - 2.0 * float(X[i] @ X[j])
+        diff = X[i] - X[j]
+        denom = float(diff @ diff)
         if denom > 1e-300:
             step = violation / denom
         else:
@@ -74,16 +70,12 @@ def solve_nu_dual(X, nu, tol=1e-8, max_iter=200_000) -> DualSolution:
         step = min(step, cap - alpha[i], alpha[j])
         alpha[i] += step
         alpha[j] -= step
-        w += step * (X[i] - X[j])
-        if it % 512 == 0:
-            w = X.T @ alpha  # shed incremental drift
     else:
         raise ConvergenceError(
             f"nu-dual did not reach tol={tol} in {max_iter} iterations "
             f"(final KKT violation {violation:.3e})"
         )
 
-    w = X.T @ alpha
     return DualSolution(alpha=alpha, w=w, kkt_violation=violation, n_iter=it)
 
 

@@ -18,7 +18,8 @@ Rendering works on whole-volume arrays: [slices, columns] surfaces and one
 the window-fit rule: deformation and fluid windows start at column 2 or
 later and keep two columns clear of each other, so no two share a column of
 a slice. A window of `size + 2 > width` columns, or a cyst of semi-axis a
-with `width <= 2a + 4`, raises `GenerationError`.
+with `width <= 2a + 4`, raises `GenerationError`, as does a height too low
+to hold the band at its minimum thickness below the top surface.
 
 The surfaces undulate along a not-a-knot cubic spline through a few random
 control points (`_smooth_curve`), the spline `scipy.interpolate.CubicSpline`
@@ -154,6 +155,9 @@ def _boundaries(cfg: PhantomConfig, rng: Rng):
     bottom = np.clip(np.round(bottom), 0, h - 3).astype(np.int64)
     min_band = max(12, int(0.25 * (BOTTOM_FRAC - TOP_FRAC) * h))
     bottom = np.maximum(bottom, top + min_band)
+    if bottom.max() >= h:
+        raise GenerationError(f"retina band reaches row {bottom.max()}, below a volume "
+                              f"of height {h}")
     return top, bottom
 
 

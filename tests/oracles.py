@@ -590,6 +590,11 @@ def phantom_oracle(config):
     bottom = np.clip(np.round(bottom), 0, h - 3).astype(np.int64)
     min_band = max(12, int(0.25 * (P.BOTTOM_FRAC - P.TOP_FRAC) * h))
     bottom = np.maximum(bottom, top + min_band)
+    for sl in range(s):
+        for c in range(w):
+            if bottom[sl, c] >= h:
+                raise GenerationError(f"retina band reaches row {bottom.max()}, below a volume "
+                                      f"of height {h}")
     labels = np.zeros((s, h, w), dtype=np.uint8)
 
     specs = []

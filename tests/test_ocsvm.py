@@ -104,6 +104,9 @@ class TestNuProperty:
     # nu*n = 23.999999999999993 and no free support vector: all 24 alphas sit
     # at the cap, so rho belongs at the lower end of the bound interval
     @example(seed=0, n=40, d=1, nu=0.5999999999999999, shift=4.0, anisotropic=False)
+    # the max-violating pair cycles here at KKT violation 1.26e-7 unless w and
+    # the scores are those of the current alphas
+    @example(seed=7573, n=292, d=2, nu=0.41015625, shift=4.0, anisotropic=True)
     def test_nu_property_on_shifted_and_anisotropic_clouds(self, seed, n, d, nu, shift,
                                                           anisotropic):
         # nu bounds the share of outliers from above and of support vectors
@@ -174,12 +177,29 @@ class TestNuProperty:
         sol = ocsvm.solve_nu_dual(X, 0.3, tol=1e-10)
         assert 0.0 <= sol.kkt_violation <= 1e-10
 
+    @pytest.mark.parametrize("seed", [2, 3, 11])
+    def test_solution_certifies_its_own_alpha(self, seed):
+        # w and the reported violation are those of the alpha returned: the
+        # max-violating-pair gap of X (X^T alpha) under the solver's masks
+        X = Rng(seed).normal(size=(100, 8)) + 2.0
+        nu = 0.3
+        sol = ocsvm.solve_nu_dual(X, nu, tol=1e-10)
+        w = X.T @ sol.alpha
+        assert np.array_equal(sol.w, w)
+        cap = 1.0 / (nu * len(X))
+        g = X @ w
+        grow = np.where(sol.alpha < cap * (1.0 - 1e-12), g, np.inf).min()
+        shrink = np.where(sol.alpha > cap * 1e-12, g, -np.inf).max()
+        assert sol.kkt_violation == max(float(shrink - grow), 0.0) <= 1e-10
+
     def test_iteration_budget_exhausted(self):
         X = Rng(40).normal(size=(100, 8)) + 2.0
         with pytest.raises(ConvergenceError):
             ocsvm.fit_ocsvm(X, nu=0.1, max_iter=5)
         with pytest.raises(ConvergenceError):
             ocsvm.solve_nu_dual(X, 0.1, max_iter=5)
+        with pytest.raises(ConvergenceError, match="in 0 iterations .final KKT violation inf"):
+            ocsvm.solve_nu_dual(X, 0.1, max_iter=0)
 
 
 class TestScoring:

@@ -63,6 +63,15 @@ class TestGenerateVolume:
         with pytest.raises(GenerationError, match=r"could not place cyst_blob \(size range \(4, 4\)\)"):
             phantom.generate_volume(cfg)
 
+    @pytest.mark.parametrize("height, seed, row", [(8, 0, 10), (16, 0, 18), (24, 3, 24)])
+    def test_band_below_the_volume_rejected(self, height, seed, row):
+        # the band's minimum thickness pushes the bottom surface below a low
+        # volume's last row
+        cfg = phantom.healthy_config(seed, n_slices=4, width=64, height=height)
+        with pytest.raises(GenerationError, match=f"reaches row {row}, below a volume of "
+                                                  f"height {height}"):
+            phantom.generate_volume(cfg)
+
     @pytest.mark.parametrize("spec, message", [
         (phantom.AnomalySpec("drusen", count=(1, 1), size=(8, 8)), "unknown anomaly kind 'drusen'"),
         (phantom.AnomalySpec("cyst_blob", count=(0, 1), size=(8, 8)),
@@ -145,6 +154,7 @@ CUSTOM = {
     "unplaceable": phantom.PhantomConfig(
         seed=3, anomalies=(_spec("surface_deformation", 2, 20),), n_slices=2, width=32),
     "band_too_narrow": phantom.test_config(5, height=64),
+    "band_below_volume": phantom.healthy_config(3, n_slices=4, width=64, height=24),
     "one_column": phantom.healthy_config(0, width=1),
     # the widest windows that fit: columns 2 to width - 1, and a centre range of one
     "widest_deformation": phantom.PhantomConfig(
