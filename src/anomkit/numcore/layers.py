@@ -12,6 +12,11 @@ keep their own. Unpool layers read the argmax switches recorded by their
 partner pool layer, so an encoder/decoder pair shares pooling geometry
 through the tape.
 
+A Conv2D takes data: it must be its network's first layer, and `Network`
+rejects one anywhere else. Its backward records its kernel and bias
+gradients and returns no input gradient, so `Network.backward` runs every
+layer's backward in reverse order and no gradient flows into the data.
+
 `Network.infer` runs the inference plan: the layer list without its Dropout
 layers (the identity outside training), each layer's `infer` in order with
 no tape and no RNG, so a pool keeps no switches. Its output is
@@ -80,11 +85,6 @@ class Layer:
         """Inference output with no tape and no RNG; equal to forward's."""
         raise UsageError(f"{type(self).__name__} has no inference pass")
 
-    def _param_backward(self, grad, tape):
-        """Record parameter gradients only: `Network.backward` calls this for
-        its first layer, whose input is data and needs no gradient."""
-        self.backward(grad, tape)
-
 
 class Conv2D(Layer):
     def __init__(self, kernel_size, in_channels, out_channels):
@@ -111,10 +111,8 @@ class Conv2D(Layer):
         return ops.conv2d_forward(x, self.kernels, self.bias)[0]
 
     def backward(self, grad, tape):
-        self._param_backward(grad, tape)
-        return ops.deconv2d(grad, self.kernels)
-
-    def _param_backward(self, grad, tape):
+        """Records the kernel and bias gradients; its input is data, so it
+        returns no input gradient."""
         gk = ops.conv2d_kernel_grad(grad, tape.get(self), self.kernels)
         tape.grads[id(self)] = [gk, grad.reshape(-1, self.cout).sum(axis=0)]
 
@@ -256,6 +254,8 @@ class Network:
 
     def __init__(self, layers):
         self.layers = list(layers)
+        if any(isinstance(layer, Conv2D) for layer in self.layers[1:]):
+            raise UsageError("a Conv2D takes data: it must be its network's first layer")
         self.plan = [layer for layer in self.layers if not isinstance(layer, Dropout)]
 
     def init(self, rng: Rng):
@@ -292,10 +292,8 @@ class Network:
             raise UsageError("stale tape: backward was already called on it")
         tape.consumed = True
         grad = grad_out
-        for layer in reversed(self.layers[1:]):
+        for layer in reversed(self.layers):
             grad = layer.backward(grad, tape)
-        for layer in self.layers[:1]:  # its input is data: no input gradient
-            layer._param_backward(grad, tape)
         return [g for layer in self.layers for g in tape.grads.get(id(layer), ())]
 
 

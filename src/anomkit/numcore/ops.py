@@ -79,10 +79,9 @@ def conv2d_forward(x, kernels, bias):
 
 def conv2d_kernel_grad(grad_out, cols, kernels):
     """Kernel gradient of conv2d_forward from the im2col columns of its input x,
-    `conv2d_forward(x, ...)[1]`; Conv2D's input gradient is deconv2d(grad_out,
-    kernels). Deconv2D, the conv's adjoint, takes both gradients from one
-    conv2d_forward(grad_out, kernels, 0): its output, and the kernel gradient
-    conv2d_kernel_grad(x, its columns, kernels)."""
+    `conv2d_forward(x, ...)[1]`. Deconv2D, the conv's adjoint, takes both
+    gradients from one conv2d_forward(grad_out, kernels, 0): its output, and
+    the kernel gradient conv2d_kernel_grad(x, its columns, kernels)."""
     gb = _batch(grad_out)
     k, _, cin, cout = kernels.shape
     return (cols.reshape(-1, k * k * cin).T @ gb.reshape(-1, cout)).reshape(kernels.shape)

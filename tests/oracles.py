@@ -372,8 +372,8 @@ def sgemm_rows_independent(widths, row_counts, places=32):
 
 
 def backward_oracle(net, tape, grad_out):
-    """Backward through every layer, the first one's input gradient included;
-    returns the parameter gradients in params() order."""
+    """Backward through every layer; returns the parameter gradients in
+    params() order."""
     grad = grad_out
     for layer in reversed(net.layers):
         grad = layer.backward(grad, tape)

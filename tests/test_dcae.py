@@ -394,6 +394,25 @@ class TestBatched:
             assert z.dtype == np.float64
 
 
+def test_each_network_takes_data_into_its_conv2d():
+    """numcore.Network rejects a Conv2D after its first layer, and every
+    autoencoder here builds: each scale's Conv2D is the first layer of the
+    scale autoencoder and of its encoder, and the fusion one holds none."""
+    model = dcae.build_model("desk", Rng(4))
+    for scale in (model.scale1, model.scale2):
+        for net in (scale, scale.encoder):
+            assert [i for i, layer in enumerate(net.layers) if isinstance(layer, nc.Conv2D)] == [0]
+    assert not any(isinstance(layer, nc.Conv2D) for layer in model.fusion.layers)
+
+
+def test_the_map_path_builds_its_sub_networks(healthy, trained):
+    """`_encode_maps` splits a scale encoder's plan at its pool into
+    Networks; only the part before the pool holds the Conv2D, first."""
+    maps, corners = healthy.maps.scale(1)
+    codes = dcae._encode_maps(trained.scale1, maps, corners, TINY.patch_side)
+    assert codes.shape == (len(healthy), TINY.code_dim)
+
+
 def test_embed_dataset_shape(healthy, trained):
     z = dcae.embed_dataset(trained, healthy)
     assert z.shape == (len(healthy), TINY.fusion_dim)

@@ -202,7 +202,8 @@ class TestConvGradients:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_conv2d_kernel_grad_matches_oracle(self, k, dtype):
         layer = nc.Conv2D(k, in_channels=3, out_channels=2)
-        x, grad, _, (gk, gb) = self._backward(layer, (4, 9, 8, 3), dtype, 700 + k)
+        x, grad, grad_x, (gk, gb) = self._backward(layer, (4, 9, 8, 3), dtype, 700 + k)
+        assert grad_x is None  # a Conv2D takes data: no input gradient
         want_k, want_b = conv2d_param_grads_oracle(grad, x, layer.kernels)
         cols = ops.conv2d_forward(x, layer.kernels, layer.bias)[1]
         kernel_grad = ops.conv2d_kernel_grad(grad, cols, layer.kernels)
@@ -392,6 +393,9 @@ MALFORMED = {
     "dropout_training_without_stream": (
         lambda: nc.Network([nc.Dense(3, 2), nc.Dropout(0.3)]).forward(np.zeros((1, 3))),
         UsageError, r"dropout in training needs a random stream"),
+    "conv_after_the_first_layer": (lambda: nc.Network([nc.Dense(4, 4), nc.Conv2D(3, 1, 2)]),
+                                   UsageError,
+                                   r"a Conv2D takes data: it must be its network's first layer"),
     "conv_bias_not_cout": (
         lambda: ops.conv2d_forward(np.zeros((1, 4, 4, 2)), np.zeros((3, 3, 2, 5)), np.zeros(4)),
         DimensionError, r"bias must be \[Cout\]=5, got \(4,\)"),
