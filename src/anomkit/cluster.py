@@ -133,15 +133,16 @@ def davies_bouldin(features, assignment, centroids) -> float:
 @dataclass
 class ClusterModel:
     centroids: np.ndarray  # [k, d] unit rows
-    k: int
     db_trace: list  # [(k, db index)] over the full sweep
 
     def __post_init__(self):
         norms = np.linalg.norm(self.centroids, axis=1)
         if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise InputError(f"centroids must be unit norm, got row norms {norms}")
-        if self.k != len(self.centroids):
-            raise InputError(f"k={self.k} disagrees with {len(self.centroids)} centroids")
+
+    @property
+    def k(self):
+        return len(self.centroids)
 
 
 def select_k(features, k_range, rng: Rng, restarts=5, max_iter=100) -> ClusterModel:
@@ -170,12 +171,12 @@ def select_k(features, k_range, rng: Rng, restarts=5, max_iter=100) -> ClusterMo
         db = davies_bouldin(features, res.assignment, res.centroids) if filled else np.inf
         trace.append((k, db))
         if best is None or db < best[0]:
-            best = (db, k, res)
-    db_best, k_best, res_best = best
+            best = (db, res)
+    db_best, res_best = best
     if db_best == np.inf:
         raise FittingError(f"no k in [{k_lo}, {k_hi}] gives nonempty clusters with distinct "
                            "centroids")
-    return ClusterModel(centroids=res_best.centroids, k=k_best, db_trace=trace)
+    return ClusterModel(centroids=res_best.centroids, db_trace=trace)
 
 
 def assign_batch(model: ClusterModel, features):

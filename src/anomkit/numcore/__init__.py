@@ -17,20 +17,3 @@ from .layers import (
     Unpool2D,
     sgd_step,
 )
-
-__all__ = [
-    "mse",
-    "mse_grad",
-    "Conv2D",
-    "Deconv2D",
-    "Dense",
-    "Dropout",
-    "Elu",
-    "GradTape",
-    "MaxPool2D",
-    "Network",
-    "Reshape",
-    "Unpool2D",
-    "sgd_step",
-    "window_max",
-]

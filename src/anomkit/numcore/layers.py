@@ -12,6 +12,11 @@ keep their own. Unpool layers read the argmax switches recorded by their
 partner pool layer, so an encoder/decoder pair shares pooling geometry
 through the tape.
 
+Conv2D, Deconv2D and Dense share the weighted base `_Weighted`: a float32
+`weight` and one float32 `bias` per output channel. Its `init` draws the
+weight Glorot-uniform, with the fans worked out from the weight's shape, and
+zeroes the bias, and its `params` is `[weight, bias]`.
+
 A Conv2D takes data: it must be its network's first layer, and `Network`
 rejects one anywhere else. Its backward records its kernel and bias
 gradients and returns no input gradient, so `Network.backward` runs every
@@ -61,9 +66,11 @@ class GradTape:
             raise UsageError(f"tape holds no record for {layer!r}") from None
 
 
-def glorot_uniform(rng: Rng, shape, fan_in, fan_out):
-    """Symmetric float32 uniform init in +-sqrt(6/(fan_in+fan_out))."""
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
+def glorot_uniform(rng: Rng, shape):
+    """Symmetric float32 uniform init in +-sqrt(6/(fan_in+fan_out)). The fans
+    are the last two axes of `shape`, each times the product of the other
+    axes (a convolution's kernel window)."""
+    limit = math.sqrt(6.0 / (math.prod(shape[:-2]) * (shape[-2] + shape[-1])))
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
@@ -86,61 +93,57 @@ class Layer:
         raise UsageError(f"{type(self).__name__} has no inference pass")
 
 
-class Conv2D(Layer):
-    def __init__(self, kernel_size, in_channels, out_channels):
-        self.k = int(kernel_size)
-        self.cin = int(in_channels)
-        self.cout = int(out_channels)
-        self.kernels = np.zeros((self.k, self.k, self.cin, self.cout), np.float32)
-        self.bias = np.zeros(self.cout, np.float32)
+class _Weighted(Layer):
+    """A float32 weight of the given shape and one float32 bias per output
+    channel; `init` draws the weight Glorot-uniform and zeroes the bias."""
+
+    def __init__(self, shape, out_channels):
+        self.weight = np.zeros(tuple(int(s) for s in shape), np.float32)
+        self.bias = np.zeros(int(out_channels), np.float32)
 
     def init(self, rng):
-        fan = self.k * self.k
-        self.kernels = glorot_uniform(rng, self.kernels.shape, fan * self.cin, fan * self.cout)
-        self.bias = np.zeros(self.cout, np.float32)
+        self.weight = glorot_uniform(rng, self.weight.shape)
+        self.bias = np.zeros(self.bias.shape, np.float32)
 
     def params(self):
-        return [self.kernels, self.bias]
+        return [self.weight, self.bias]
+
+
+class Conv2D(_Weighted):
+    def __init__(self, kernel_size, in_channels, out_channels):
+        super().__init__((kernel_size, kernel_size, in_channels, out_channels), out_channels)
 
     def forward(self, x, tape, training, rng):
-        out, cols = ops.conv2d_forward(x, self.kernels, self.bias)
+        out, cols = ops.conv2d_forward(x, self.weight, self.bias)
         tape.put(self, cols)
         return out
 
     def infer(self, x):
-        return ops.conv2d_forward(x, self.kernels, self.bias)[0]
+        return ops.conv2d_forward(x, self.weight, self.bias)[0]
 
     def backward(self, grad, tape):
         """Records the kernel and bias gradients; its input is data, so it
         returns no input gradient."""
-        gk = ops.conv2d_kernel_grad(grad, tape.get(self), self.kernels)
-        tape.grads[id(self)] = [gk, grad.reshape(-1, self.cout).sum(axis=0)]
+        gk = ops.conv2d_kernel_grad(grad, tape.get(self), self.weight)
+        tape.grads[id(self)] = [gk, grad.reshape(-1, grad.shape[-1]).sum(axis=0)]
 
 
-class Deconv2D(Layer):
+class Deconv2D(_Weighted):
     """Adjoint-of-conv layer with a per-channel output bias."""
 
     def __init__(self, kernel_size, out_channels, in_channels):
         # maps [N,H,W,in_channels] -> [N, H+k-1, W+k-1, out_channels]
-        self.k = int(kernel_size)
-        self.cin = int(in_channels)  # channels of the incoming tensor
-        self.cout = int(out_channels)
-        self.kernels = np.zeros((self.k, self.k, self.cout, self.cin), np.float32)
-        self.bias = np.zeros(self.cout, np.float32)
-
-    # Conv2D's: Glorot-uniform kernels from k, cin and cout, and a zero bias
-    init = Conv2D.init
-    params = Conv2D.params
+        super().__init__((kernel_size, kernel_size, out_channels, in_channels), out_channels)
 
     def infer(self, x):
-        return ops.deconv2d(x, self.kernels) + self.bias
+        return ops.deconv2d(x, self.weight) + self.bias
 
     def backward(self, grad, tape):
         # the zero bias add keeps conv2d_forward's output bits: -0.0 becomes +0.0
-        grad_x, cols = ops.conv2d_forward(grad, self.kernels,
-                                          np.zeros(self.cin, self.kernels.dtype))
-        gk = ops.conv2d_kernel_grad(tape.get(self), cols, self.kernels)
-        tape.grads[id(self)] = [gk, grad.reshape(-1, self.cout).sum(axis=0)]
+        grad_x, cols = ops.conv2d_forward(grad, self.weight,
+                                          np.zeros(self.weight.shape[-1], self.weight.dtype))
+        gk = ops.conv2d_kernel_grad(tape.get(self), cols, self.weight)
+        tape.grads[id(self)] = [gk, grad.reshape(-1, grad.shape[-1]).sum(axis=0)]
         return grad_x
 
 
@@ -173,21 +176,11 @@ class Unpool2D(Layer):
         return ops.unpool_backward(grad, tape.get(self.partner))
 
 
-class Dense(Layer):
+class Dense(_Weighted):
     def __init__(self, in_dim, out_dim):
-        self.din = int(in_dim)
-        self.dout = int(out_dim)
-        if self.dout < 1:
+        if int(out_dim) < 1:
             raise ParameterError(f"dense unit count must be >= 1, got {out_dim}")
-        self.weight = np.zeros((self.din, self.dout), np.float32)
-        self.bias = np.zeros(self.dout, np.float32)
-
-    def init(self, rng):
-        self.weight = glorot_uniform(rng, self.weight.shape, self.din, self.dout)
-        self.bias = np.zeros(self.dout, np.float32)
-
-    def params(self):
-        return [self.weight, self.bias]
+        super().__init__((in_dim, out_dim), out_dim)
 
     def infer(self, x):
         return ops.dense(x, self.weight, self.bias)

@@ -9,7 +9,8 @@ is solved by coordinate-pair descent on the maximal violating pair, keeping
 the equality constraint satisfied at every step. With the linear kernel,
 every step recomputes the weight vector w = sum_i alpha_i x_i and the scores
 X w from alpha, two O(n*d) products, so the stopping test reads the scores
-of the alpha it returns.
+of the alpha it returns. The solution carries those scores, and `fit_ocsvm`
+takes rho and the degenerate-fit check from them.
 
 Features are standardized by per-dimension scale (1/std) before fitting.
 The scale-only choice is deliberate: dividing by the spread removes kernel
@@ -33,6 +34,7 @@ from .errors import ConvergenceError, DimensionError, FittingError, InputError, 
 class DualSolution:
     alpha: np.ndarray  # [n]
     w: np.ndarray  # [d] = X^T alpha
+    scores: np.ndarray  # [n] = X w, the scores the last stopping test read
     kkt_violation: float
     n_iter: int
 
@@ -76,7 +78,7 @@ def solve_nu_dual(X, nu, tol=1e-8, max_iter=200_000) -> DualSolution:
             f"(final KKT violation {violation:.3e})"
         )
 
-    return DualSolution(alpha=alpha, w=w, kkt_violation=violation, n_iter=it)
+    return DualSolution(alpha=alpha, w=w, scores=g, kkt_violation=violation, n_iter=it)
 
 
 def _rho(g, alpha, nu):
@@ -148,9 +150,8 @@ def fit_ocsvm(features, nu=0.1, tol=1e-8, max_iter=200_000) -> OcSvmModel:
     Xs = (X - offset) / scale
 
     sol = solve_nu_dual(Xs, nu, tol=tol, max_iter=max_iter)
-    g = Xs @ sol.w
-    rho, free_support_vectors = _rho(g, sol.alpha, nu)
-    flagged = float(np.mean(g - rho < 0.0))
+    rho, free_support_vectors = _rho(sol.scores, sol.alpha, nu)
+    flagged = float(np.mean(sol.scores - rho < 0.0))
     if flagged > nu + d / n:
         raise FittingError(f"degenerate boundary: it flags {flagged:.4f} of the training "
                            f"set, above nu + d/n = {nu + d / n:.4f}")

@@ -245,7 +245,7 @@ class TestAssign:
     def test_training_features_replay(self):
         X = three_cones(Rng(22))
         res = cluster.spherical_kmeans(X, 3, Rng(23))
-        model = cluster.ClusterModel(centroids=res.centroids, k=3, db_trace=[])
+        model = cluster.ClusterModel(centroids=res.centroids, db_trace=[])
         replay = cluster.assign_batch(model, X)
         assert np.array_equal(replay, res.assignment)
 
@@ -253,12 +253,7 @@ class TestAssign:
         centroids = np.eye(3)
         centroids[1] *= 1.5
         with pytest.raises(InputError, match="unit norm"):
-            cluster.ClusterModel(centroids=centroids, k=3, db_trace=[])
-
-    @pytest.mark.parametrize("k", [2, 5])
-    def test_k_must_count_the_centroids(self, k):
-        with pytest.raises(InputError, match=f"k={k} disagrees with 3 centroids"):
-            cluster.ClusterModel(centroids=np.eye(3), k=k, db_trace=[])
+            cluster.ClusterModel(centroids=centroids, db_trace=[])
 
 
 class TestLoopOracles:

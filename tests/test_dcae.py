@@ -296,14 +296,14 @@ class TestScaleHalves:
     @pytest.mark.parametrize("scale", ["scale1", "scale2"])
     def test_a_broken_scale_raises_its_typed_error(self, healthy, trained, scale):
         conv = getattr(trained, scale).layers[0]
-        kernels = conv.kernels
+        kernels = conv.weight
         s1, s2 = healthy.scale1, healthy.scale2
-        conv.kernels = kernels[..., None]
+        conv.weight = kernels[..., None]
         try:
             with pytest.raises(DimensionError, match=r"kernels must be \[k,k,Cin,Cout\]"):
                 dcae.embed_dataset(trained, healthy)
         finally:
-            conv.kernels = kernels
+            conv.weight = kernels
         assert np.array_equal(dcae.embed_dataset(trained, healthy),
                               embed_oracle(trained, s1, s2, len(s1)))
 

@@ -181,7 +181,7 @@ class TestConvGradients:
     def _backward(layer, in_shape, dtype, seed):
         rng = Rng(seed)
         layer.init(rng.derive(0))
-        layer.kernels, layer.bias = layer.kernels.astype(dtype), layer.bias.astype(dtype)
+        layer.weight, layer.bias = layer.weight.astype(dtype), layer.bias.astype(dtype)
         x = rng.normal(size=in_shape).astype(dtype)
         tape = nc.GradTape(owner=None)
         grad = rng.normal(size=layer.forward(x, tape, True, None).shape).astype(dtype)
@@ -192,7 +192,7 @@ class TestConvGradients:
     def test_deconv2d_layer_matches_oracle(self, k, dtype):
         layer = nc.Deconv2D(k, out_channels=2, in_channels=3)
         x, grad, grad_x, (gk, gb) = self._backward(layer, (4, 6, 7, 3), dtype, 600 + k)
-        want_x, want_k = deconv2d_backward_oracle(grad, x, layer.kernels)
+        want_x, want_k = deconv2d_backward_oracle(grad, x, layer.weight)
         assert grad_x.dtype == gk.dtype == gb.dtype == dtype
         assert np.array_equal(grad_x, want_x)
         assert np.array_equal(gk, want_k)
@@ -204,13 +204,42 @@ class TestConvGradients:
         layer = nc.Conv2D(k, in_channels=3, out_channels=2)
         x, grad, grad_x, (gk, gb) = self._backward(layer, (4, 9, 8, 3), dtype, 700 + k)
         assert grad_x is None  # a Conv2D takes data: no input gradient
-        want_k, want_b = conv2d_param_grads_oracle(grad, x, layer.kernels)
-        cols = ops.conv2d_forward(x, layer.kernels, layer.bias)[1]
-        kernel_grad = ops.conv2d_kernel_grad(grad, cols, layer.kernels)
+        want_k, want_b = conv2d_param_grads_oracle(grad, x, layer.weight)
+        cols = ops.conv2d_forward(x, layer.weight, layer.bias)[1]
+        kernel_grad = ops.conv2d_kernel_grad(grad, cols, layer.weight)
         assert kernel_grad.dtype == gk.dtype == gb.dtype == dtype
         assert np.array_equal(kernel_grad, want_k)
         assert np.array_equal(gk, want_k)
         assert np.array_equal(gb, want_b)
+
+
+class TestGlorotInit:
+    """Each weighted layer's init against the Glorot-uniform draw with the limit
+    sqrt(6 / (fan_in + fan_out)) from its constructor's sizes: k*k*cin and
+    k*k*cout for a convolution (desk and paper sizes), din and dout for Dense."""
+
+    @pytest.mark.parametrize("seed", [3, 40])
+    @pytest.mark.parametrize("make, shape, fans, n_out", [
+        pytest.param(lambda: nc.Conv2D(5, in_channels=1, out_channels=32), (5, 5, 1, 32),
+                     5 * 5 * 1 + 5 * 5 * 32, 32, id="desk-conv"),
+        pytest.param(lambda: nc.Deconv2D(5, out_channels=1, in_channels=32), (5, 5, 1, 32),
+                     5 * 5 * 32 + 5 * 5 * 1, 1, id="desk-deconv"),
+        pytest.param(lambda: nc.Dense(1152, 128), (1152, 128), 1152 + 128, 128, id="desk-dense"),
+        pytest.param(lambda: nc.Conv2D(9, in_channels=1, out_channels=512), (9, 9, 1, 512),
+                     9 * 9 * 1 + 9 * 9 * 512, 512, id="paper-conv"),
+        pytest.param(lambda: nc.Deconv2D(9, out_channels=1, in_channels=512), (9, 9, 1, 512),
+                     9 * 9 * 512 + 9 * 9 * 1, 1, id="paper-deconv"),
+    ])
+    def test_init_draws_glorot_uniform(self, make, shape, fans, n_out, seed):
+        layer = make()
+        layer.init(Rng(seed))
+        limit = np.sqrt(6.0 / fans)
+        weight, bias = layer.params()
+        assert weight.dtype == np.float32
+        want = Rng(seed).uniform(-limit, limit, size=shape).astype(np.float32)
+        assert np.array_equal(weight, want)
+        assert bias.dtype == np.float32
+        assert np.array_equal(bias, np.zeros(n_out))
 
 
 class TestElu:

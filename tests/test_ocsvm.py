@@ -179,8 +179,9 @@ class TestNuProperty:
 
     @pytest.mark.parametrize("seed", [2, 3, 11])
     def test_solution_certifies_its_own_alpha(self, seed):
-        # w and the reported violation are those of the alpha returned: the
-        # max-violating-pair gap of X (X^T alpha) under the solver's masks
+        # w, the scores and the reported violation are those of the alpha
+        # returned: the max-violating-pair gap of X (X^T alpha) under the
+        # solver's masks
         X = Rng(seed).normal(size=(100, 8)) + 2.0
         nu = 0.3
         sol = ocsvm.solve_nu_dual(X, nu, tol=1e-10)
@@ -188,6 +189,7 @@ class TestNuProperty:
         assert np.array_equal(sol.w, w)
         cap = 1.0 / (nu * len(X))
         g = X @ w
+        assert np.array_equal(sol.scores, X @ sol.w)
         grow = np.where(sol.alpha < cap * (1.0 - 1e-12), g, np.inf).min()
         shrink = np.where(sol.alpha > cap * 1e-12, g, -np.inf).max()
         assert sol.kkt_violation == max(float(shrink - grow), 0.0) <= 1e-10

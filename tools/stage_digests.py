@@ -23,6 +23,11 @@ for it. Lines are `<seed> <stage> <sha256>`:
   screen:<volume id>       each test volume's pixel mask, scores and
                            cluster ids
 
+Each array is hashed after its dtype and shape, each list or tuple after its
+length, and each scalar after its type name and the length of its repr, so
+no two different outputs feed the hash the same bytes (a list and a tuple of
+the same items count as one output).
+
 The first line names OpenBLAS's sgemm core and numpy's enabled SIMD
 targets: from training on, the digests depend on both.
 """
@@ -74,7 +79,10 @@ def _feed(h, obj):
         for item in obj:
             _feed(h, item)
     else:  # str, int, float, None
-        h.update(repr(obj).encode())
+        # framed by type and length: bare reprs run together, and (1, 23)
+        # would feed the hash the bytes of (12, 3)
+        r = repr(obj).encode()
+        h.update(f"{type(obj).__name__}:{len(r)}:".encode() + r)
 
 
 def digest(*parts):
