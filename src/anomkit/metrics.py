@@ -55,5 +55,4 @@ def seg_scores(pred_mask, gt_mask, roi_mask) -> SegScores:
 
 def superpixel_majority_type(sp, gt_labels_slice):
     """Majority ground-truth type over a superpixel's pixels (ties -> lowest)."""
-    vals = gt_labels_slice[sp.rows, sp.cols]
-    return int(np.bincount(vals).argmax())
+    return int(np.bincount(gt_labels_slice[sp.mask]).argmax())

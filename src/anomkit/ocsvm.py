@@ -172,6 +172,8 @@ def decision_values(model: OcSvmModel, features):
     X = as_feature_matrix(features)
     if X.shape[1] != model.w.shape[0]:
         raise UsageError(f"feature dim {X.shape[1]} != model dim {model.w.shape[0]}")
+    if not np.all(np.isfinite(X)):
+        raise InputError("feature rows contain non-finite values")
     return model.standardize(X) @ model.w - model.rho
 
 
@@ -198,7 +200,7 @@ def segment_volume(model: OcSvmModel, features, superpixels, volume_shape) -> An
     labels = scores < 0.0
     mask = np.zeros(volume_shape, dtype=bool)
     for sp in compress(superpixels, labels):
-        mask[sp.slice_index, sp.rows, sp.cols] = True
+        mask[sp.slice_index] |= sp.mask
     return AnomalyMap(
         superpixel_ids=[(sp.slice_index, sp.id) for sp in superpixels],
         scores=scores,

@@ -43,18 +43,15 @@ slice's labels are those of SLIC on that slice alone. The label map of each
 slice is made connected by an orphan merge over its 4-connected components
 (`_enforce_connectivity`). `superpixel_table` turns the stacked [S, H, W]
 label volume into one `SuperpixelTable` per volume in one pass, keyed by
-slice * n_ids + id in the smallest unsigned dtype that holds every key
-(numpy radix-sorts keys of 16 bits or fewer; a desk volume has 8 x 1,024
-keys): the pixel order from one stable argsort, counts and centroid sums
-from `np.bincount` (the sums are integer-valued, so exact), and the
-in-retina flags from one vectorized band comparison at the rounded centroid
-columns. The table holds the pixels' rows and columns in that order, in the
-smallest unsigned dtype that holds the last row and column, the offsets of
-each superpixel's pixels, and its centroid, slice, id and in-retina flag.
-The package reads the table's arrays. `PreprocessedVolume.superpixels`
-builds the `Superpixel` records on first access, in one place: each holds
-its id, slice and in-retina flag, reads its pixels' `rows` and `cols` from
-the table by its index, and holds no tuple, span bound or array of its own.
+slice * n_ids + id: counts and centroid sums from `np.bincount` (the sums
+are integer-valued, so exact), and the in-retina flags from one vectorized
+band comparison at the rounded centroid columns. The table keeps the label
+volume itself, in the smallest unsigned dtype that holds every id, and each
+superpixel's centroid, slice, id and in-retina flag. The package reads the
+table's arrays. `PreprocessedVolume.superpixels` builds the `Superpixel`
+records on first access, in one place: each holds its id, slice and
+in-retina flag, reads its pixels as the `mask` of its id in its slice of the
+label volume, and holds no array of its own.
 
 `preprocess_volume` runs SLIC on the first half of a volume's slices on a
 thread started for the call (`_fork.both`) and on the second half on the
@@ -106,15 +103,12 @@ class SurfacePair:
 
 
 class SuperpixelTable(NamedTuple):
-    """One volume's superpixels as arrays, in (slice, id) order: superpixel
-    i's pixels are `rows` and `cols` [offsets[i] : offsets[i + 1]], in raster
-    order, `centroids[i]` is its fractional (row, col) centroid, and
-    `slices[i]`, `ids[i]` and `in_retina[i]` are its slice, its id and
-    whether it lies in the retina."""
+    """One volume's superpixels as arrays, in (slice, id) order: `labels` is
+    the volume's label volume, superpixel i's pixels are those of
+    `labels[slices[i]]` equal to `ids[i]`, `centroids[i]` is its fractional
+    (row, col) centroid, and `in_retina[i]` whether it lies in the retina."""
 
-    rows: np.ndarray  # [pixels], the smallest unsigned dtype that holds H - 1 and W - 1
-    cols: np.ndarray  # [pixels], the dtype of rows
-    offsets: np.ndarray  # [n + 1] int64, from 0 to the pixel count
+    labels: np.ndarray  # [S, H, W], the smallest unsigned dtype that holds every id
     centroids: np.ndarray  # [n, 2] float64
     slices: np.ndarray  # [n] int64
     ids: np.ndarray  # [n] int64
@@ -123,8 +117,8 @@ class SuperpixelTable(NamedTuple):
 
 class Superpixel:
     """Superpixel `index` of `table`: its id, its slice, whether it lies in
-    the retina, and, read from the table on each access, its pixels' int64
-    `rows` and `cols` in raster order."""
+    the retina, and, read from the table on each access, its [H, W] pixel
+    `mask` in its slice."""
 
     __slots__ = ("id", "slice_index", "in_retina", "table", "index")
 
@@ -132,17 +126,9 @@ class Superpixel:
         self.table, self.index = table, index
         self.id, self.slice_index, self.in_retina = id, slice_index, in_retina
 
-    def _pixels(self, coords):
-        offsets, i = self.table.offsets, self.index
-        return coords[offsets[i] : offsets[i + 1]].astype(np.int64)
-
     @property
-    def rows(self):
-        return self._pixels(self.table.rows)
-
-    @property
-    def cols(self):
-        return self._pixels(self.table.cols)
+    def mask(self):
+        return self.table.labels[self.slice_index] == self.id
 
 
 def _min_cost_paths(cost):
@@ -508,24 +494,24 @@ def slic_superpixels(stack):
 def superpixel_table(labels, surfaces: SurfacePair) -> SuperpixelTable:
     """The `SuperpixelTable` of an [S, H, W] label volume, in (slice, id) order.
 
-    Each superpixel's pixels are in raster order. A superpixel is in the retina
-    when its centroid row lies in [top, bottom] at the centroid column,
-    rounded half to even as Python's `round` does. Labels are non-negative
-    ids, as SLIC numbers them: the keys slice * (max id + 1) + id each get a
-    bin of `np.bincount`.
+    A superpixel is in the retina when its centroid row lies in [top, bottom]
+    at the centroid column, rounded half to even as Python's `round` does.
+    Labels are non-negative ids, as SLIC numbers them: the keys
+    slice * (max id + 1) + id each get a bin of `np.bincount`. Raises
+    InputError on a negative label, and DimensionError unless both surfaces
+    are [S, W].
     """
     labels = np.asarray(labels)
     if labels.ndim != 3:
         raise DimensionError(f"labels must be [slices, H, W], got {labels.shape}")
     n_slices, h, w = labels.shape
+    if not np.shape(surfaces.top) == np.shape(surfaces.bottom) == (n_slices, w):
+        raise DimensionError(f"surfaces must be [{n_slices}, {w}] to match labels {labels.shape}")
+    if labels.min(initial=0) < 0:
+        raise InputError(f"labels must be non-negative, got {labels.min()}")
     n_ids = int(labels.max(initial=0)) + 1
     n_keys = n_slices * n_ids
-    # the smallest unsigned dtype that holds every key: numpy radix-sorts keys
-    # of 16 bits or fewer
-    key = labels.reshape(n_slices, h * w).astype(np.min_scalar_type(n_keys - 1))
-    key += (np.arange(n_slices) * n_ids).astype(key.dtype)[:, None]
-    key = key.ravel()
-    order = np.argsort(key, kind="stable")
+    key = (labels.reshape(n_slices, h * w) + n_ids * np.arange(n_slices)[:, None]).ravel()
     counts = np.bincount(key, minlength=n_keys)
     keys = np.flatnonzero(counts)
     counts = counts[keys]
@@ -538,9 +524,7 @@ def superpixel_table(labels, surfaces: SurfacePair) -> SuperpixelTable:
     col = np.clip(np.rint(centroid_c), 0, w - 1).astype(np.int64)
     in_retina = ((surfaces.top[slices, col] <= centroid_r)
                  & (centroid_r <= surfaces.bottom[slices, col]))
-    coord = np.min_scalar_type(max(h, w) - 1)
-    rows, cols = (a.astype(coord) for a in np.divmod(order % (h * w), w))
-    return SuperpixelTable(rows=rows, cols=cols, offsets=np.concatenate([[0], np.cumsum(counts)]),
+    return SuperpixelTable(labels=labels.astype(np.min_scalar_type(n_ids - 1)),
                            centroids=centroids, slices=slices, ids=ids, in_retina=in_retina)
 
 
@@ -548,8 +532,8 @@ def superpixel_table(labels, surfaces: SurfacePair) -> SuperpixelTable:
 class PreprocessedVolume:
     """Flattened, normalized volume with surfaces and the superpixels of all
     slices as one `SuperpixelTable`, so a volume holds its float32 data, one
-    coordinate pair per voxel in the table's unsigned dtype, and a few
-    numbers per superpixel. `superpixels` builds one `Superpixel` record per
+    label per voxel in the table's unsigned dtype, and a few numbers per
+    superpixel. `superpixels` builds one `Superpixel` record per
     row of the table on first access."""
 
     data: np.ndarray  # [slices, H, W] float32 in [0,1]

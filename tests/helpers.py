@@ -58,14 +58,14 @@ def centroid(sp):
     return tuple(sp.table.centroids[sp.index].tolist())
 
 
-def one_record(rows, cols, id, slice_index, centroid, in_retina=True):
-    """A `Superpixel` that reads a one-record table of its own: the pixels
-    (rows, cols) in the smallest unsigned dtype that holds them, and
-    `centroid` as given."""
-    rows, cols = np.asarray(rows), np.asarray(cols)
-    coord = np.min_scalar_type(max(rows.max(initial=0), cols.max(initial=0)))
-    table = SuperpixelTable(rows=rows.astype(coord), cols=cols.astype(coord),
-                            offsets=np.array([0, len(rows)]),
+def one_record(rows, cols, id, slice_index, centroid, shape, in_retina=True):
+    """A `Superpixel` that reads a one-record table of its own: one label map
+    of slice shape `shape`, broadcast to slices 0 to `slice_index`, whose
+    pixels (rows, cols) hold `id` and whose other pixels hold id + 1, in the
+    smallest unsigned dtype that holds both, and `centroid` as given."""
+    labels = np.full(shape, id + 1, dtype=np.min_scalar_type(id + 1))
+    labels[rows, cols] = id
+    table = SuperpixelTable(labels=np.broadcast_to(labels, (slice_index + 1, *shape)),
                             centroids=np.array([centroid], dtype=np.float64),
                             slices=np.array([slice_index]), ids=np.array([id]),
                             in_retina=np.array([in_retina]))
@@ -81,14 +81,16 @@ def table_records(labels, surfaces):
 def centre_volume(centres, width, height=20, seed=0):
     """A PreprocessedVolume of random [height, width] slices, one per list in
     `centres`, whose table holds an in-retina one-pixel superpixel at each
-    (row, col) of its slice's list, with ids counting from 0 per slice."""
+    (row, col) of its slice's list, with ids counting from 0 per slice; the
+    other pixels hold the length of the longest list, no superpixel's id."""
     data = Rng(seed).uniform(size=(len(centres), height, width)).astype(np.float32)
     at = np.array([rc for slice_centres in centres for rc in slice_centres],
                   dtype=np.int64).reshape(-1, 2)
     slices = np.repeat(np.arange(len(centres)), [len(c) for c in centres])
-    coord = np.min_scalar_type(max(height, width) - 1)
-    table = SuperpixelTable(rows=at[:, 0].astype(coord), cols=at[:, 1].astype(coord),
-                            offsets=np.arange(len(at) + 1), centroids=at.astype(np.float64),
-                            slices=slices, ids=np.concatenate([np.arange(len(c)) for c in centres]),
-                            in_retina=np.ones(len(at), bool))
+    ids = np.concatenate([np.arange(len(c)) for c in centres])
+    none = max(map(len, centres))
+    labels = np.full(data.shape, none, dtype=np.min_scalar_type(none))
+    labels[slices, at[:, 0], at[:, 1]] = ids
+    table = SuperpixelTable(labels=labels, centroids=at.astype(np.float64), slices=slices,
+                            ids=ids, in_retina=np.ones(len(at), bool))
     return PreprocessedVolume(data=data, surfaces=None, table=table)

@@ -182,7 +182,7 @@ def superpixel_records_oracle(labels, slice_index, surfaces):
                  & (centroid_r <= surfaces.bottom[slice_index, col]))
     return [
         one_record(rows[a:b], cols[a:b], id=lab, slice_index=slice_index, centroid=(r, c),
-                   in_retina=inside)
+                   shape=labels.shape, in_retina=inside)
         for lab, a, b, r, c, inside in zip(
             ids.tolist(), starts.tolist(), (starts + counts).tolist(),
             centroid_r.tolist(), centroid_c.tolist(), in_retina.tolist())

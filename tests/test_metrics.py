@@ -7,8 +7,10 @@ import pytest
 
 from anomkit import metrics
 from anomkit.errors import UsageError
+from anomkit.preprocess import SurfacePair
+from anomkit.rng import Rng
 
-from helpers import one_record
+from helpers import one_record, table_records
 
 
 class TestSegScores:
@@ -71,8 +73,19 @@ def test_superpixel_majority_type():
                        [1, 1, 3]])
 
     def sp(rows, cols):
-        return one_record(rows, cols, id=0, slice_index=0, centroid=(0.0, 0.0))
+        return one_record(rows, cols, id=0, slice_index=0, centroid=(0.0, 0.0), shape=labels.shape)
 
     assert metrics.superpixel_majority_type(sp([0, 0, 1], [1, 2, 2]), labels) == 2
     # two pixels each of types 1 and 2: the tie goes to the lower type
     assert metrics.superpixel_majority_type(sp([0, 0, 1, 1], [1, 2, 0, 1]), labels) == 1
+    # against one bincount over the (superpixel id, type) pairs of a whole
+    # label map, its ties to the lower type too
+    rng = Rng(41)
+    ids = rng.integers(0, 9, size=(1, 12, 10))
+    types = rng.integers(0, 4, size=(12, 10))
+    counts = np.bincount((4 * ids[0] + types).ravel(), minlength=4 * 9).reshape(9, 4)
+    surf = SurfacePair(top=np.zeros((1, 10), int), bottom=np.full((1, 10), 11))
+    records = table_records(ids, surf)
+    assert [record.id for record in records] == np.unique(ids).tolist()
+    for record in records:
+        assert metrics.superpixel_majority_type(record, types) == counts[record.id].argmax()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from anomkit import ocsvm
+from anomkit import ocsvm, phantom, preprocess
 from anomkit.errors import ConvergenceError, DimensionError, FittingError, InputError, UsageError
 from anomkit.rng import Rng
 
@@ -136,7 +136,7 @@ class TestNuProperty:
 
     def test_two_identical_points_sit_on_boundary(self):
         X = np.array([[1.5, -2.0], [1.5, -2.0]])
-        sp = one_record([0], [0], id=0, slice_index=0, centroid=(0.0, 0.0))
+        sp = one_record([0], [0], id=0, slice_index=0, centroid=(0.0, 0.0), shape=(1, 1))
         for nu in (0.3, 0.7, 1.0):
             model = ocsvm.fit_ocsvm(X, nu=nu)
             # at nu = 1 both alphas sit at the cap 1/(nu*n) = 1/2
@@ -252,8 +252,8 @@ class TestSegmentVolume:
         model = ocsvm.fit_ocsvm(healthy, nu=0.1, tol=1e-10)
 
         sps = [
-            one_record([0, 0], [0, 1], id=0, slice_index=0, centroid=(0.0, 0.5)),
-            one_record([2], [3], id=1, slice_index=1, centroid=(2.0, 3.0)),
+            one_record([0, 0], [0, 1], id=0, slice_index=0, centroid=(0.0, 0.5), shape=(4, 4)),
+            one_record([2], [3], id=1, slice_index=1, centroid=(2.0, 3.0), shape=(4, 4)),
         ]
         feats = np.stack([healthy.mean(axis=0), -50.0 * np.ones(4)])
         amap = ocsvm.segment_volume(model, feats, sps, volume_shape=(2, 4, 4))
@@ -270,32 +270,44 @@ class TestSegmentVolume:
             assert amap.superpixel_ids == [(0, 0), (1, 1)]
 
     def test_mask_is_the_union_of_the_flagged_records(self):
-        """Hand-built records over every label of a random label volume, each
-        reading a table of its own: the mask is the pixels of the flagged ones."""
+        """The records of a preprocessed phantom, a random share of them
+        flagged: the mask is SLIC's label volume of its normalized slices
+        looked up in a table of the flagged (slice, id) pairs."""
         rng = Rng(40)
         healthy = np.abs(rng.normal(size=(300, 4))) + 1.0
         model = ocsvm.fit_ocsvm(healthy, nu=0.1, tol=1e-10)
-        labels = rng.integers(0, 7, size=(3, 9, 11))
-        sps = []
-        for s, slice_labels in enumerate(labels):
-            for lab in np.unique(slice_labels):
-                rows, cols = np.nonzero(slice_labels == lab)
-                sps.append(one_record(rows, cols, id=int(lab), slice_index=s,
-                                      centroid=(rows.mean(), cols.mean())))
+        vol, _ = phantom.generate_volume(
+            phantom.healthy_config(40, n_slices=3, height=48, width=64))
+        sps = preprocess.preprocess_volume(vol.data).superpixels
         flag = rng.random(len(sps)) < 0.4
         feats = np.where(flag[:, None], -50.0, healthy.mean(axis=0))
-        amap = ocsvm.segment_volume(model, feats, sps, volume_shape=labels.shape)
+        amap = ocsvm.segment_volume(model, feats, sps, volume_shape=vol.data.shape)
         assert amap.labels.tolist() == flag.tolist() and 0 < flag.sum() < len(sps)
-        want = np.zeros(labels.shape, dtype=bool)
-        for sp in compress(sps, flag):  # one assignment per record
-            want[sp.slice_index][sp.rows, sp.cols] = True
+        flat, surf = preprocess.flatten(vol.data, preprocess.segment_surfaces(vol.data))
+        labels = preprocess.slic_superpixels(np.stack(
+            [preprocess.normalize_slice(img, mask)
+             for img, mask in zip(flat, surf.band_mask(flat.shape[1]))]))
+        hit = np.zeros((len(labels), labels.max() + 1), dtype=bool)
+        hit[tuple(np.transpose([(sp.slice_index, sp.id) for sp in compress(sps, flag)]))] = True
+        want = hit[np.arange(len(labels))[:, None, None], labels]
         assert np.array_equal(amap.pixel_mask, want)
 
     def test_rows_must_match_the_superpixels(self):
         model = ocsvm.fit_ocsvm(np.abs(Rng(39).normal(size=(50, 4))) + 1.0, nu=0.1)
-        sps = [one_record([0], [0], id=0, slice_index=0, centroid=(0.0, 0.0))]
+        sps = [one_record([0], [0], id=0, slice_index=0, centroid=(0.0, 0.0), shape=(2, 2))]
         with pytest.raises(UsageError, match="2 feature rows for 1 superpixels"):
             ocsvm.segment_volume(model, np.ones((2, 4)), sps, volume_shape=(1, 2, 2))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, value):
+        # a nan row used to score nan, and nan < 0 painted it healthy
+        model = ocsvm.fit_ocsvm(np.abs(Rng(39).normal(size=(50, 4))) + 1.0, nu=0.1)
+        sps = [one_record([0], [c], id=c, slice_index=0, centroid=(0.0, c), shape=(1, 2))
+               for c in range(2)]
+        feats = np.ones((2, 4))
+        feats[1, 2] = value
+        with pytest.raises(InputError, match="non-finite"):
+            ocsvm.segment_volume(model, feats, sps, volume_shape=(1, 1, 2))
 
     def test_zero_rows_are_scored_like_any_others(self):
         model = ocsvm.fit_ocsvm(np.abs(Rng(39).normal(size=(50, 4))) + 1.0, nu=0.1)

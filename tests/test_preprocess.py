@@ -341,8 +341,9 @@ class TestSlic:
         assert [sp.id for sp in sps] == np.unique(labels).tolist()
         seen = np.zeros(prep_img.shape, dtype=int)
         for sp in sps:
-            seen[sp.rows, sp.cols] += 1
-            assert np.all(labels[sp.rows, sp.cols] == sp.id)
+            rows, cols = np.nonzero(sp.mask)
+            seen[rows, cols] += 1
+            assert np.all(labels[rows, cols] == sp.id)
         assert np.all(seen == 1)
 
     def test_mean_area_within_quarter_of_target(self):
@@ -592,20 +593,26 @@ class TestPreprocessVolume:
         prep = preprocess.preprocess_volume(vol.data)
         seen = np.zeros(prep.data.shape, dtype=int)
         for sp in prep.superpixels:
-            seen[sp.slice_index, sp.rows, sp.cols] += 1
+            rows, cols = np.nonzero(sp.mask)
+            seen[sp.slice_index, rows, cols] += 1
         assert np.all(seen == 1)
         keys = [(sp.slice_index, sp.id) for sp in prep.superpixels]
         assert keys == sorted(set(keys))
 
     def test_volume_records_equal_per_slice_records(self):
         vol, _ = phantom.generate_volume(phantom.test_config(32))
-        surf = preprocess.segment_surfaces(vol.data)
+        surfaces = preprocess.segment_surfaces(vol.data)
         slic = preprocess.slic_superpixels(vol.data)
         one = slic[:1]
-        # SLIC's ids give 16-bit keys; spread out, the keys need 32 bits; one
-        # slice whose largest id is 2**8 - 1 or 2**16 - 1 has 8- or 16-bit keys
-        for labels in (slic, 40 * slic + 7, np.minimum(one, 255),
-                       np.where(one == one.max(), 65535, one)):
+        # SLIC's ids, and the same ids spread out, take 16-bit labels; one
+        # slice whose largest id is 2**8 - 1 or 2**16 - 1, 256 or 65,536 ids,
+        # takes 8- or 16-bit labels
+        for labels, dtype in ((slic, np.uint16), (40 * slic + 7, np.uint16),
+                              (np.minimum(one, 255), np.uint8),
+                              (np.where(one == one.max(), 65535, one), np.uint16)):
+            # the surfaces of the labels' slices
+            surf = preprocess.SurfacePair(top=surfaces.top[: len(labels)],
+                                          bottom=surfaces.bottom[: len(labels)])
             records = table_records(labels, surf)
             expected = [sp for s in range(labels.shape[0])
                         for sp in superpixel_records_oracle(labels[s], s, surf)]
@@ -613,15 +620,14 @@ class TestPreprocessVolume:
             for got, want in zip(records, expected):
                 assert (got.id, got.slice_index, centroid(got), got.in_retina) == (
                     want.id, want.slice_index, centroid(want), want.in_retina)
-                assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
-                assert got.rows.dtype == want.rows.dtype and got.cols.dtype == want.cols.dtype
-            # every record reads its own row of one table, whose coordinates
-            # take the smallest unsigned dtype that holds the slice's sides
+                assert np.array_equal(np.nonzero(got.mask), np.nonzero(want.mask))
+            # every record reads its own row of one table, whose label volume
+            # is the labels in the smallest unsigned dtype that holds every id
             table = records[0].table
             assert all(sp.table is table for sp in records)
-            assert [sp.index for sp in records] == list(range(len(table.offsets) - 1))
-            coord = np.min_scalar_type(max(labels.shape[1:]) - 1)
-            assert table.rows.dtype == table.cols.dtype == coord == np.uint8
+            assert [sp.index for sp in records] == list(range(len(table.ids)))
+            assert np.array_equal(table.labels, labels)
+            assert table.labels.dtype == np.min_scalar_type(labels.max()) == dtype
             # and holds each superpixel's slice, id and in-retina flag
             assert table.slices.dtype == table.ids.dtype == np.int64
             assert table.in_retina.dtype == bool
@@ -630,7 +636,7 @@ class TestPreprocessVolume:
             assert table.in_retina.tolist() == [sp.in_retina for sp in expected]
 
     @pytest.mark.parametrize("shape", [(20, 300), (300, 20)])
-    def test_a_side_over_256_takes_uint16_coordinates(self, shape):
+    def test_a_side_over_256_keeps_every_record(self, shape):
         h, w = shape
         rows, cols = np.indices(shape)
         labels = np.stack([(rows // 5) * 64 + cols // 5, (rows // 7) * 64 + (cols + 3) // 4])
@@ -641,26 +647,28 @@ class TestPreprocessVolume:
         for got, want in zip(records, expected):
             assert (got.id, got.slice_index, centroid(got), got.in_retina) == (
                 want.id, want.slice_index, centroid(want), want.in_retina)
-            assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+            assert np.array_equal(np.nonzero(got.mask), np.nonzero(want.mask))
         table = records[0].table
-        assert table.rows.dtype == table.cols.dtype == np.uint16
+        assert np.array_equal(table.labels, labels)
+        assert table.labels.dtype == np.min_scalar_type(labels.max())
         assert {sp.in_retina for sp in records} == {False, True}
 
-    def test_record_reads_int64_pixels_and_its_table_row(self):
+    def test_record_reads_its_mask_and_its_table_row(self):
         labels = np.zeros((1, 6, 7), dtype=np.int64)
         labels[0, 2:4, 1:6] = 3
         surf = preprocess.SurfacePair(top=np.zeros((1, 7), int), bottom=np.full((1, 7), 5))
         sp = table_records(labels, surf)[1]
-        assert sp.rows.dtype == np.int64 and sp.cols.dtype == np.int64
-        assert sp.rows.tolist() == [2] * 5 + [3] * 5 and sp.cols.tolist() == [1, 2, 3, 4, 5] * 2
+        assert sp.mask.dtype == bool and np.array_equal(sp.mask, labels[0] == 3)
+        rows, cols = np.nonzero(sp.mask)
+        assert rows.tolist() == [2] * 5 + [3] * 5 and cols.tolist() == [1, 2, 3, 4, 5] * 2
         assert (sp.id, sp.slice_index, centroid(sp), sp.in_retina) == (3, 0, (2.5, 3.0), True)
 
-    def test_result_retains_its_data_one_coordinate_pair_per_voxel_and_small_records(self):
+    def test_result_retains_data_a_label_per_voxel_small_records(self):
         """What a preprocessed volume keeps once its records are built: its
-        float32 data and surfaces, one (row, col) pair per voxel in the
-        smallest unsigned dtype, and per superpixel one five-slot record, its
-        own id and index ints, a list slot with room to over-allocate, and
-        its table row of one int64 offset, two float64 centroid coordinates,
+        float32 data and surfaces, one label per voxel in the smallest
+        unsigned dtype that holds every id, and per superpixel one five-slot
+        record, its own id and index ints, a list slot with room to
+        over-allocate, and its table row of two float64 centroid coordinates,
         an int64 slice, an int64 id and a bool in-retina flag. Python objects
         are counted in 16-byte allocator blocks."""
         vol, _ = phantom.generate_volume(phantom.healthy_config(33))
@@ -677,10 +685,11 @@ class TestPreprocessVolume:
         def blocks(obj):
             return -(-sys.getsizeof(obj) // 16) * 16
 
-        coord = np.min_scalar_type(max(prep.data.shape[1:]) - 1).itemsize
-        per_record = blocks(prep.superpixels[0]) + 2 * blocks(2**20) + 2 * 8 + 8 + 2 * 8 + 8 + 8 + 1
+        label = np.min_scalar_type(prep.table.ids.max()).itemsize
+        assert prep.table.labels.nbytes == label * prep.data.size
+        per_record = blocks(prep.superpixels[0]) + 2 * blocks(2**20) + 2 * 8 + 2 * 8 + 8 + 8 + 1
         bound = (prep.data.nbytes + prep.surfaces.top.nbytes + prep.surfaces.bottom.nbytes
-                 + 2 * coord * prep.data.size + per_record * len(prep.superpixels))
+                 + label * prep.data.size + per_record * len(prep.superpixels))
         assert retained <= bound
 
     def test_slice_label_map_rejected(self):
@@ -690,11 +699,29 @@ class TestPreprocessVolume:
         with pytest.raises(DimensionError):
             preprocess.superpixel_table(np.zeros((4, 4), dtype=np.int64), surf)
 
+    def test_negative_label_rejected(self):
+        # a -1 used to wrap to the key dtype's largest value and index out of range
+        surf = preprocess.SurfacePair(top=np.zeros((1, 8), int), bottom=np.full((1, 8), 7))
+        with pytest.raises(InputError, match="non-negative, got -1"):
+            preprocess.superpixel_table(np.full((1, 8, 8), -1), surf)
+
+    @pytest.mark.parametrize("shape, top, bottom", [
+        ((2, 8, 8), (1, 8), (1, 8)),
+        ((1, 8, 16), (1, 8), (1, 8)),
+        ((1, 8, 8), (1, 8), (1, 9)),
+        ((1, 8, 8), (8,), (1, 8)),
+    ], ids=["more_slices", "wider_slices", "wider_bottom", "one_dim_top"])
+    def test_surfaces_of_another_shape_rejected(self, shape, top, bottom):
+        surf = preprocess.SurfacePair(top=np.zeros(top, int), bottom=np.full(bottom, 7))
+        with pytest.raises(DimensionError, match="surfaces must be"):
+            preprocess.superpixel_table(np.zeros(shape, dtype=np.int64), surf)
+
     def test_centroid_is_pixel_mean(self):
         vol, _ = phantom.generate_volume(phantom.healthy_config(31))
         prep = preprocess.preprocess_volume(vol.data)
         for sp in prep.superpixels[::37]:
-            assert centroid(sp) == (float(sp.rows.mean()), float(sp.cols.mean()))
+            rows, cols = np.nonzero(sp.mask)
+            assert centroid(sp) == (float(rows.mean()), float(cols.mean()))
 
     @pytest.mark.parametrize("n_slices", [1, 2, 3])
     def test_halves_equal_per_slice_slic(self, n_slices):
@@ -709,7 +736,7 @@ class TestPreprocessVolume:
         for got, want in zip(prep.superpixels, expected):
             assert (got.id, got.slice_index, centroid(got), got.in_retina) == (
                 want.id, want.slice_index, centroid(want), want.in_retina)
-            assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+            assert np.array_equal(np.nonzero(got.mask), np.nonzero(want.mask))
 
 
 def _slic_threads():

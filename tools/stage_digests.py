@@ -10,8 +10,9 @@ tree, keep a stage's outputs bit-identical where they print the same line
 for it. Lines are `<seed> <stage> <sha256>`:
 
   phantoms                 every volume and its ground truth
-  prep:<volume id>         each fitted volume's preprocessed data, surfaces
-                           and superpixel table
+  prep:<volume id>         each fitted volume's preprocessed data and
+                           surfaces
+  superpixels:<volume id>  each fitted volume's superpixel table
   dataset:<split>          the healthy-train and anomaly-train maps, corners
                            and sources
   params:<network>         scale1, scale2 and fusion's trained parameters
@@ -115,7 +116,8 @@ def stage_digests(w, seed):
     preps = run.outputs["preprocess.preprocess_volume"]
     for (volume, _), prep in zip(data.healthy + data.anomalous, preps, strict=True):
         yield f"prep:{volume.volume_id}", digest(prep.data, prep.surfaces.top,
-                                                 prep.surfaces.bottom, prep.table)
+                                                 prep.surfaces.bottom)
+        yield f"superpixels:{volume.volume_id}", digest(prep.table)
     for ds in run.outputs["patches.build_dataset"]:
         yield f"dataset:{ds.split}", digest(ds.maps, ds.sources)
     model = fitted.model
